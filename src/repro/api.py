@@ -80,11 +80,11 @@ from .core.parallel import ParSVDParallel
 from .data.streams import PrefetchStream, SnapshotStream, array_stream, dataset_stream
 from .exceptions import CommunicatorError, ConfigurationError, DataFormatError
 from .faults import runtime as _faults
-from .faults.comm import FaultyCommunicator
 from .faults.controller import FaultController
 from .obs import runtime as _obs
 from .smpi.executor import ParallelFailure
 from .smpi.factory import create_communicator, run_backend
+from .smpi.intercept import wrap_communicator
 from .utils.partition import block_partition
 
 __all__ = [
@@ -271,15 +271,11 @@ class Session:
                     timeout=bcfg.timeout,
                     irecv_buffer_bytes=bcfg.irecv_buffer_bytes,
                 )
-            elif not isinstance(comm, FaultyCommunicator):
+            else:
                 # Adopted communicators (the per-rank Session.run form, an
-                # mpi4py world) may predate this session's installs — wrap
-                # them now, observer inside, injector outside (the factory
-                # layering).  No-ops when the runtimes are off; a comm the
-                # factory already wrapped is adopted as-is.
-                comm = _faults.inject_communicator(
-                    _obs.observe_communicator(comm)
-                )
+                # mpi4py world) may predate this session's installs — add
+                # the concerns their chain lacks now.
+                comm = wrap_communicator(comm)
             if cfg.health.enabled:
                 self._start_health_daemon(comm)
         except BaseException:

@@ -8,16 +8,18 @@ communicator*, where every distributed interaction funnels through.
 
 It mirrors the :mod:`repro.obs` factory-observer design exactly:
 
-* :class:`FaultyCommunicator` is a transparent proxy (the
-  :class:`~repro.obs.comm.ObservedCommunicator` idiom) that consults a
-  shared :class:`FaultController` before every communication op and
-  injects the scheduled fault — sleep (``delay``/``jitter``), swallow a
-  send (``drop``), or raise :class:`InjectedCrash` (``crash``);
+* :class:`FaultyCommunicator` is a proxy on the one communicator
+  interception layer (:mod:`repro.smpi.intercept`, shared with the
+  metrics observer and the tracer) that consults a shared
+  :class:`FaultController` before every op in the op table and injects
+  the scheduled fault — sleep (``delay``/``jitter``), swallow a send
+  (``drop``), or raise :class:`InjectedCrash` (``crash``);
 * :func:`repro.faults.runtime.install` /
   :func:`~repro.faults.runtime.inject_communicator` are the refcounted
-  process-global hooks the :mod:`repro.smpi` factories call — a no-op
-  returning the raw communicator unless a fault plan is active, so
-  normal runs pay nothing;
+  process-global hooks the :mod:`repro.smpi` factories apply through
+  :func:`~repro.smpi.intercept.wrap_communicator` — a no-op returning
+  the raw communicator unless a fault plan is active, so normal runs pay
+  nothing;
 * the plan itself is the frozen, JSON-round-trippable
   :class:`~repro.config.FaultConfig` section of
   :class:`~repro.config.RunConfig`, so a chaos run is *configuration*,

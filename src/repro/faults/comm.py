@@ -1,11 +1,12 @@
 """``FaultyCommunicator`` — the injection proxy over any communicator.
 
-Same transparent-proxy idiom as :class:`~repro.obs.comm.
-ObservedCommunicator`: intercepted ops get a lazily built wrapper cached
-on the instance (steady-state dispatch is one instance-dict hit),
-everything else delegates to the wrapped communicator.  The wrapper
-layers *outside* the metrics observer, so injected delays show up in the
-observed op latencies — exactly like a genuinely slow rank would.
+One concern on the shared interception layer (:mod:`repro.smpi.
+intercept`), like :class:`~repro.obs.comm.ObservedCommunicator`: every op
+in the op table consults the controller before it delegates.  The
+wrapper layers *outside* the metrics observer
+(:func:`~repro.smpi.intercept.wrap_communicator` decides that order), so
+injected delays show up in the observed op latencies — exactly like a
+genuinely slow rank would.
 
 Crash stickiness lives here, not in the controller: once the controller
 kills this rank, every further op on *this wrapper* raises again (the
@@ -17,92 +18,30 @@ from __future__ import annotations
 
 from typing import Any, Optional
 
+from ..smpi.intercept import InterceptedCommunicator, Op
 from ..smpi.request import SendRequest
-from .controller import SEND_OPS, FaultController, InjectedCrash
+from .controller import FaultController, InjectedCrash
 
 __all__ = ["FaultyCommunicator"]
 
-#: Every op the proxy intercepts (superset of the observed/timed ops —
-#: anything that communicates).  Internals and probes pass through.
-INTERCEPTED_OPS = frozenset(
-    {
-        "send",
-        "recv",
-        "sendrecv",
-        "bcast",
-        "gather",
-        "allgather",
-        "scatter",
-        "gatherv_rows",
-        "scatterv_rows",
-        "reduce",
-        "allreduce",
-        "alltoall",
-        "scan",
-        "exscan",
-        "reduce_scatter",
-        "barrier",
-        "Send",
-        "Recv",
-        "Bcast",
-        "Gather",
-        "Scatter",
-        "Allgather",
-        "Allreduce",
-        "isend",
-        "irecv",
-        "ibcast",
-        "igatherv_rows",
-        "iallreduce",
-        "ialltoall",
-    }
-)
 
-
-class FaultyCommunicator:
+class FaultyCommunicator(InterceptedCommunicator):
     """Fault-injecting proxy over a (possibly observed) communicator."""
 
     def __init__(self, comm: Any, controller: FaultController) -> None:
-        self._comm = comm
+        super().__init__(comm)
         self._controller = controller
         self._dead: Optional[InjectedCrash] = None
-
-    @property
-    def inner(self) -> Any:
-        return self._comm
 
     @property
     def controller(self) -> FaultController:
         return self._controller
 
-    @property
-    def rank(self) -> int:
-        return self._comm.rank
+    def _rewrap(self, comm: Any) -> "FaultyCommunicator":
+        return FaultyCommunicator(comm, self._controller)
 
-    @property
-    def size(self) -> int:
-        return self._comm.size
-
-    def Get_rank(self) -> int:
-        return self._comm.rank
-
-    def Get_size(self) -> int:
-        return self._comm.size
-
-    def split(self, color: Optional[int], key: int = 0) -> Any:
-        sub = self._comm.split(color, key)
-        if sub is None:
-            return None
-        return FaultyCommunicator(sub, self._controller)
-
-    def dup(self) -> "FaultyCommunicator":
-        return FaultyCommunicator(self._comm.dup(), self._controller)
-
-    def _make_faulty(self, op: str) -> Any:
-        target = getattr(self._comm, op)
+    def _wrap(self, name: str, op: Op, target: Any) -> Any:
         controller = self._controller
-        droppable = op in SEND_OPS
-        nonblocking = op.startswith("i")
 
         def faulty(*args: Any, **kwargs: Any) -> Any:
             if self._dead is not None:
@@ -111,27 +50,13 @@ class FaultyCommunicator:
                     self._dead.rank, self._dead.op, self._dead.nth
                 )
             try:
-                drop = controller.apply(self._comm.rank, op)
+                drop = controller.apply(self._comm.rank, name)
             except InjectedCrash as exc:
                 self._dead = exc
                 raise
-            if drop and droppable:
+            if drop and op.droppable:
                 # Swallowed send: the message never leaves this rank.
-                return SendRequest() if nonblocking else None
+                return SendRequest() if op.nonblocking else None
             return target(*args, **kwargs)
 
-        faulty.__name__ = op
         return faulty
-
-    def __getattr__(self, name: str) -> Any:
-        if name.startswith("_"):
-            raise AttributeError(name)
-        if name in INTERCEPTED_OPS:
-            wrapper = self._make_faulty(name)
-            # Cache on the instance: subsequent calls bypass __getattr__.
-            self.__dict__[name] = wrapper
-            return wrapper
-        return getattr(self._comm, name)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"FaultyCommunicator({self._comm!r})"

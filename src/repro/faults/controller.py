@@ -18,12 +18,13 @@ from typing import Dict, Optional, Tuple
 
 from ..config import FaultConfig, FaultSpec
 from ..smpi.exceptions import SmpiError
+from ..smpi.intercept import OPS
 
 __all__ = ["FaultController", "InjectedCrash"]
 
 #: Ops whose payload can be dropped (a swallowed send: the message is
 #: simply never delivered, the receiver times out or fails over).
-SEND_OPS = frozenset({"send", "isend", "Send"})
+SEND_OPS = frozenset(name for name, op in OPS.items() if op.droppable)
 
 
 class InjectedCrash(SmpiError):

@@ -1,8 +1,9 @@
 """Process-global fault-injection state, mirroring :mod:`repro.obs.runtime`.
 
-The :mod:`repro.smpi` factories call :func:`inject_communicator` on every
-communicator they hand out; unless a fault plan is installed it returns
-the communicator untouched, so normal runs pay one module-global read.
+The :mod:`repro.smpi` factories apply :func:`inject_communicator` (through
+:func:`repro.smpi.intercept.wrap_communicator`) to every communicator
+they hand out; unless a fault plan is installed it returns the
+communicator untouched, so normal runs pay one module-global read.
 
 ``install`` is reference-counted like the obs runtime's: the per-rank
 :class:`~repro.api.Session` objects of one threads run each install with
@@ -84,13 +85,14 @@ def active() -> bool:
 
 def inject_communicator(comm: Any) -> Any:
     """Wrap ``comm`` for fault injection when active; pass through
-    otherwise.  Idempotent — already-wrapped communicators are returned
-    as-is."""
+    otherwise.  Idempotent — a chain that already holds an injector is
+    returned as-is, so the controller sees each op once."""
     st = _STATE
     if st is None:
         return comm
+    from ..smpi.intercept import find_layer
     from .comm import FaultyCommunicator
 
-    if isinstance(comm, FaultyCommunicator):
+    if find_layer(comm, FaultyCommunicator) is not None:
         return comm
     return FaultyCommunicator(comm, st)

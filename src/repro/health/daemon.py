@@ -35,10 +35,10 @@ def communicator_world(comm: Any) -> Tuple[Optional[Any], Optional[int]]:
     """Resolve ``(world, world_rank)`` behind a possibly-wrapped
     communicator.
 
-    Unwraps the fault-injection / observability proxy chain via their
-    ``inner`` attributes.  Backends without a shared world (``SelfComm``,
-    the mpi4py adapter) yield ``(None, None)`` — heartbeat monitoring
-    degrades to a no-op there.
+    Unwraps the interception proxy chain (tracer, fault injector,
+    observer) via their ``inner`` attributes.  Backends without a shared
+    world (``SelfCommunicator``, the mpi4py adapter) yield
+    ``(None, None)`` — heartbeat monitoring degrades to a no-op there.
     """
     seen = set()
     while True:

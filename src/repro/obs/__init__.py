@@ -25,6 +25,9 @@ or set :class:`repro.config.ObservabilityConfig` on a
 and ``Session.dump_trace(path)`` expose the results.  The CLI surfaces
 the same via ``repro profile`` and ``--metrics-json``/``--trace``.
 
+Communicator metrics (``repro.smpi.<op>.*``) come from
+:class:`ObservedCommunicator`, a proxy on :mod:`repro.smpi.intercept`.
+
 Metric naming convention: ``repro.<subsystem>.<name>``.
 """
 

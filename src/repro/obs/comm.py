@@ -2,17 +2,18 @@
 
 :class:`ObservedCommunicator` is the factory-level observer the
 :mod:`repro.smpi` backends report through when observability is active —
-a transparent proxy (like :class:`~repro.smpi.tracer.CommTracer`, but
-recording aggregate metrics instead of per-payload records, so it is
-cheap enough to leave on).  Every communication op is timed and
-byte-counted into three metrics::
+one concern on the shared interception layer
+(:mod:`repro.smpi.intercept`), recording aggregate metrics instead of the
+tracer's per-payload records, so it is cheap enough to leave on.  Every
+op in the op table is timed and byte-counted into three metrics::
 
     repro.smpi.<op>.calls     counter
-    repro.smpi.<op>.bytes     counter  (contribution bytes this rank handed over)
+    repro.smpi.<op>.bytes     counter  (payload this rank handed over, or
+                                        received by a blocking receive side)
     repro.smpi.<op>.seconds   histogram
 
 Nonblocking ops return a request proxy that additionally times the
-``wait`` that completes them (``repro.smpi.wait.calls`` /
+``wait``/``test`` call that completes them (``repro.smpi.wait.calls`` /
 ``repro.smpi.wait.seconds``) — on the overlap engine this is exactly the
 non-overlapped communication time.
 
@@ -24,167 +25,54 @@ raw backend communicator and pay nothing.
 from __future__ import annotations
 
 import time
-from typing import Any, Optional, Tuple
+from typing import Any
 
+from ..smpi.intercept import InterceptedCommunicator, InterceptedRequest, Op
 from ..smpi.message import payload_nbytes
-from ..smpi.request import Request, _wait_child
-from .metrics import Counter, Histogram, MetricsRegistry
+from .metrics import MetricsRegistry
 
 __all__ = ["ObservedCommunicator"]
 
-#: Every op the proxy times.  Anything else (``iprobe``, internals) is
-#: delegated untouched.
-_TIMED_OPS = frozenset(
-    {
-        "send",
-        "recv",
-        "sendrecv",
-        "bcast",
-        "gather",
-        "allgather",
-        "scatter",
-        "gatherv_rows",
-        "scatterv_rows",
-        "reduce",
-        "allreduce",
-        "alltoall",
-        "scan",
-        "exscan",
-        "reduce_scatter",
-        "barrier",
-        "Send",
-        "Recv",
-        "Bcast",
-        "Gather",
-        "Scatter",
-        "Allgather",
-        "Allreduce",
-        "isend",
-        "irecv",
-        "ibcast",
-        "igatherv_rows",
-        "iallreduce",
-        "ialltoall",
-    }
-)
 
-#: Ops returning a request instead of a payload.
-_NONBLOCKING_OPS = frozenset(
-    {"isend", "irecv", "ibcast", "igatherv_rows", "iallreduce", "ialltoall"}
-)
-
-
-class _ObservedRequest(Request):
-    """Request proxy timing the completing ``wait``/``test`` call."""
-
-    __slots__ = ("_inner", "_wait_calls", "_wait_seconds")
-
-    def __init__(
-        self, inner: Any, wait_calls: Counter, wait_seconds: Histogram
-    ) -> None:
-        self._inner = inner
-        self._wait_calls = wait_calls
-        self._wait_seconds = wait_seconds
-
-    def wait(self, timeout: Optional[float] = None) -> Any:
-        t0 = time.perf_counter()
-        result = _wait_child(self._inner, timeout)
-        self._wait_seconds.observe(time.perf_counter() - t0)
-        self._wait_calls.inc()
-        return result
-
-    def test(self) -> Tuple[bool, Any]:
-        return self._inner.test()
-
-    def __getattr__(self, name: str) -> Any:
-        return getattr(self._inner, name)
-
-
-def _op_nbytes(op: str, args: Tuple[Any, ...], result: Any) -> int:
-    """Contribution bytes for one call: the payload this rank handed in,
-    falling back to the received result for receiver-side blocking ops
-    (``bcast(None, root)``, ``recv``, non-root ``scatter``)."""
-    if args and args[0] is not None:
-        return payload_nbytes(args[0])
-    if op in _NONBLOCKING_OPS or op == "barrier":
-        return 0
-    return payload_nbytes(result)
-
-
-class ObservedCommunicator:
-    """Transparent metrics-recording proxy over any backend communicator.
-
-    Timed-op wrappers are built lazily on first use and cached on the
-    instance, so steady-state dispatch is one instance-dict hit; all
-    other attributes delegate to the wrapped communicator.
-    """
+class ObservedCommunicator(InterceptedCommunicator):
+    """Transparent metrics-recording proxy over any backend communicator."""
 
     def __init__(self, comm: Any, registry: MetricsRegistry) -> None:
-        self._comm = comm
+        super().__init__(comm)
         self._registry = registry
-        self._wait_calls = registry.counter("repro.smpi.wait.calls")
-        self._wait_seconds = registry.histogram("repro.smpi.wait.seconds")
+        wait_calls = registry.counter("repro.smpi.wait.calls")
+        wait_seconds = registry.histogram("repro.smpi.wait.seconds")
 
-    @property
-    def inner(self) -> Any:
-        return self._comm
+        def on_wait(_result: Any, _t_start: float, duration_s: float) -> None:
+            wait_seconds.observe(duration_s)
+            wait_calls.inc()
 
-    @property
-    def rank(self) -> int:
-        return self._comm.rank
+        self._on_wait = on_wait
 
-    @property
-    def size(self) -> int:
-        return self._comm.size
+    def _rewrap(self, comm: Any) -> "ObservedCommunicator":
+        return ObservedCommunicator(comm, self._registry)
 
-    def Get_rank(self) -> int:
-        return self._comm.rank
+    def _wrap(self, name: str, op: Op, target: Any) -> Any:
+        calls = self._registry.counter(f"repro.smpi.{name}.calls")
+        nbytes = self._registry.counter(f"repro.smpi.{name}.bytes")
+        seconds = self._registry.histogram(f"repro.smpi.{name}.seconds")
+        on_wait = self._on_wait
 
-    def Get_size(self) -> int:
-        return self._comm.size
-
-    def split(self, color: Optional[int], key: int = 0) -> Any:
-        sub = self._comm.split(color, key)
-        if sub is None:
-            return None
-        return ObservedCommunicator(sub, self._registry)
-
-    def dup(self) -> "ObservedCommunicator":
-        return ObservedCommunicator(self._comm.dup(), self._registry)
-
-    def _make_timed(self, op: str) -> Any:
-        target = getattr(self._comm, op)
-        calls = self._registry.counter(f"repro.smpi.{op}.calls")
-        nbytes = self._registry.counter(f"repro.smpi.{op}.bytes")
-        seconds = self._registry.histogram(f"repro.smpi.{op}.seconds")
-        nonblocking = op in _NONBLOCKING_OPS
-        wait_calls = self._wait_calls
-        wait_seconds = self._wait_seconds
-
-        def timed(*args: Any, **kwargs: Any) -> Any:
+        def observed(*args: Any, **kwargs: Any) -> Any:
             t0 = time.perf_counter()
             result = target(*args, **kwargs)
             seconds.observe(time.perf_counter() - t0)
             calls.inc()
-            size = _op_nbytes(op, args, result)
+            payload = op.payload_of(args)
+            if payload is None and not op.nonblocking:
+                # A blocking receive side (recv, bcast(None, root),
+                # non-root scatter) hands nothing over: meter what it got.
+                payload = result
+            size = payload_nbytes(payload)
             if size:
                 nbytes.inc(size)
-            if nonblocking:
-                return _ObservedRequest(result, wait_calls, wait_seconds)
+            if op.nonblocking:
+                return InterceptedRequest(result, on_wait)
             return result
 
-        timed.__name__ = op
-        return timed
-
-    def __getattr__(self, name: str) -> Any:
-        if name.startswith("_"):
-            raise AttributeError(name)
-        if name in _TIMED_OPS:
-            wrapper = self._make_timed(name)
-            # Cache on the instance: subsequent calls bypass __getattr__.
-            self.__dict__[name] = wrapper
-            return wrapper
-        return getattr(self._comm, name)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"ObservedCommunicator({self._comm!r})"
+        return observed

@@ -8,9 +8,10 @@ observability is off.  The contract every instrumented call site follows:
   allocate nothing on the disabled path;
 * ``span(...)`` returns a shared null context manager when no tracer is
   active, so ``with _obs.span(...):`` is allocation-free when disabled;
-* communicators are only *wrapped* (:func:`observe_communicator`) while
-  state is active, so the disabled comm path is the raw backend object —
-  zero overhead by construction.
+* communicators are only *wrapped* (:func:`observe_communicator`, via
+  :func:`repro.smpi.intercept.wrap_communicator`) while state is active,
+  so the disabled comm path is the raw backend object — zero overhead by
+  construction.
 
 ``install`` is reference-counted: the per-rank :class:`repro.api.Session`
 objects of one threads run each install/uninstall, and the state stays
@@ -183,15 +184,16 @@ def reset() -> None:
 def observe_communicator(comm: Any) -> Any:
     """Wrap ``comm`` for metrics when active; pass through otherwise.
 
-    Idempotent (already-observed communicators are returned as-is) and a
-    no-op when observability is off or installed without metrics — the
-    disabled hot path keeps the raw backend communicator.
+    Idempotent (a chain that already holds an observer is returned
+    as-is) and a no-op when observability is off or installed without
+    metrics — the disabled hot path keeps the raw backend communicator.
     """
     st = _STATE
     if st is None or st.registry is None:
         return comm
+    from ..smpi.intercept import find_layer
     from .comm import ObservedCommunicator
 
-    if isinstance(comm, ObservedCommunicator):
+    if find_layer(comm, ObservedCommunicator) is not None:
         return comm
     return ObservedCommunicator(comm, st.registry)

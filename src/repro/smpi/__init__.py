@@ -20,19 +20,22 @@ factory (:func:`create_communicator` / :func:`run_backend`):
 Communicator protocol (full table in :mod:`repro.smpi.factory`): ``rank`` /
 ``size``, ``send`` / ``recv`` (plus nonblocking variants), ``bcast``,
 ``gather`` / ``gatherv_rows``, ``allreduce`` (deterministic rank-ordered
-fold), and ``split`` / ``dup``.  Anything implementing it — including a
-:class:`CommTracer` wrapping any backend — can drive
+fold), and ``split`` / ``dup``.  Anything implementing it can drive
 :class:`~repro.core.parallel.ParSVDParallel` and the APMOS/TSQR kernels.
 
 The API intentionally mirrors mpi4py's lowercase ("pickle") methods, which
 is what the paper's listings use (``comm.gather``, ``comm.bcast``,
 ``comm.send``/``comm.recv``), so the core algorithms read like the paper.
-Traffic accounting: wrap any communicator in a :class:`CommTracer` to
-record per-operation byte counts, which feed the analytic scaling model
-used to reproduce the paper's weak-scaling figure.
+
+One interception layer (:mod:`repro.smpi.intercept`) wraps any backend
+without changing its surface: the :class:`CommTracer` records
+per-operation byte counts, which feed the analytic scaling model used to
+reproduce the paper's weak-scaling figure, and the metrics observer and
+fault injector of :mod:`repro.obs` / :mod:`repro.faults` are proxies on
+the same op table.
 """
 
-from .communicator import ANY_SOURCE, ANY_TAG, Communicator, SelfComm
+from .communicator import ANY_SOURCE, ANY_TAG, Communicator
 from .exceptions import (
     DeadlockError,
     FailedRankError,
@@ -57,7 +60,6 @@ __all__ = [
     "BACKENDS",
     "DEFAULT_BACKEND",
     "Communicator",
-    "SelfComm",
     "SelfCommunicator",
     "HAVE_MPI4PY",
     "NB_TAG_BASE",

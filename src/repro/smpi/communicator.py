@@ -28,17 +28,15 @@ from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .buffered import BufferedOpsMixin
 from .derived import DerivedCollectivesMixin, rows_output_buffer
 from .exceptions import RankError, SmpiError, TagError
-from .mailbox import DEFAULT_TIMEOUT
 from .message import Envelope, copy_payload, freeze_payload, take_payload
 from .nonblocking import NonblockingCollectivesMixin
 from .reduction import ReduceOp
 from .request import RecvRequest, SendRequest
 from .world import World
 
-__all__ = ["ANY_SOURCE", "ANY_TAG", "Communicator", "SelfComm"]
+__all__ = ["ANY_SOURCE", "ANY_TAG", "Communicator"]
 
 #: Wildcard source for ``recv`` (matches any sender).
 ANY_SOURCE = -1
@@ -58,9 +56,7 @@ _TAG_SENDRECV = -17
 _TAG_GATHERV = -18
 
 
-class Communicator(
-    NonblockingCollectivesMixin, DerivedCollectivesMixin, BufferedOpsMixin
-):
+class Communicator(NonblockingCollectivesMixin, DerivedCollectivesMixin):
     """A group of ranks that can exchange messages within one context.
 
     Each SPMD thread holds its *own* ``Communicator`` instance; instances of
@@ -424,16 +420,3 @@ class Communicator(
             f"context={self._context})"
         )
 
-
-class SelfComm(Communicator):
-    """A standalone single-rank communicator (MPI's ``COMM_SELF``).
-
-    Lets the parallel algorithms run unmodified with one rank, without an
-    executor: every collective degenerates to the identity.
-    """
-
-    def __init__(self, timeout: Optional[float] = None) -> None:
-        effective = DEFAULT_TIMEOUT if timeout is None else timeout
-        super().__init__(
-            World(1, timeout=effective), World.WORLD_CONTEXT, (0,), 0
-        )

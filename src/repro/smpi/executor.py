@@ -19,8 +19,8 @@ from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from .communicator import Communicator
 from .exceptions import FailedRankError, SmpiError
+from .intercept import wrap_communicator
 from .mailbox import DEFAULT_TIMEOUT
-from .tracer import CommTracer
 from .world import World
 
 __all__ = ["run_spmd", "ParallelFailure", "RankFailure"]
@@ -112,26 +112,15 @@ def run_spmd(
 
     world = World(nprocs, timeout=timeout)
     group = tuple(range(nprocs))
-    # Same observer hook as create_communicator: a no-op unless
-    # repro.obs is installed with metrics, in which case every rank's
-    # communicator reports per-op metrics (CommTracer stacks on top).
-    from ..faults.runtime import inject_communicator
-    from ..obs.runtime import observe_communicator
-
-    # Fault injection wraps *outside* the observer so injected delays are
-    # metered like genuine slowness; both are no-ops unless installed.
+    # The same concerns create_communicator applies; with trace=True the
+    # CommTracer is the outermost layer, i.e. the comm fn receives.
     comms: List[Any] = [
-        inject_communicator(
-            observe_communicator(
-                Communicator(world, World.WORLD_CONTEXT, group, rank)
-            )
+        wrap_communicator(
+            Communicator(world, World.WORLD_CONTEXT, group, rank), trace=trace
         )
         for rank in range(nprocs)
     ]
-    tracers: Optional[List[CommTracer]] = None
-    if trace:
-        tracers = [CommTracer(comm) for comm in comms]
-        comms = list(tracers)
+    tracers = comms if trace else None
 
     results: List[Any] = [None] * nprocs
     failures: List[Optional[RankFailure]] = [None] * nprocs

@@ -43,9 +43,16 @@ the tracer):
 
 (Backends also provide ``allgather``, ``scatter``, ``scatterv_rows``,
 ``alltoall``, ``scan``/``exscan``, ``reduce_scatter``, ``barrier``,
-``iprobe``, ``sendrecv`` and the uppercase buffer ops — see
+``iprobe`` and ``sendrecv`` — see
 :class:`~repro.smpi.communicator.Communicator` for the reference
 semantics.)
+
+Every communicator this module, :func:`~repro.smpi.executor.run_spmd`
+and :class:`repro.api.Session` hand out goes through
+:func:`~repro.smpi.intercept.wrap_communicator`, the one place that
+applies metrics, fault injection and tracing (observer innermost,
+injector outside it, tracer outermost); with none active it returns the
+raw backend object.
 
 SPMD correctness rules
 ----------------------
@@ -142,14 +149,14 @@ examples and benchmarks use.)
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Optional, Tuple, Union
 
 from .communicator import Communicator
 from .exceptions import SmpiError
 from .executor import run_spmd
+from .intercept import wrap_communicator
 from .mailbox import DEFAULT_TIMEOUT
 from .selfcomm import SelfCommunicator
-from .tracer import CommTracer
 from .world import World
 
 __all__ = ["BACKENDS", "DEFAULT_BACKEND", "create_communicator", "run_backend"]
@@ -211,20 +218,13 @@ def create_communicator(
     _check_name(name)
     if size < 1:
         raise SmpiError(f"communicator size must be positive, got {size}")
-    # Factory-level observer: while repro.obs is installed with metrics,
-    # every communicator this factory hands out reports per-op call/byte/
-    # latency metrics — regardless of backend, without the CommTracer
-    # proxy.  A no-op returning the raw communicator otherwise.
-    from ..faults.runtime import inject_communicator
-    from ..obs.runtime import observe_communicator
-
     if name == "self":
         if size != 1:
             raise SmpiError(
                 f"the 'self' backend is single-rank; got size {size} "
                 f"(use 'threads' or 'mpi4py' for multi-rank runs)"
             )
-        return inject_communicator(observe_communicator(SelfCommunicator()))
+        return wrap_communicator(SelfCommunicator())
     if name == "mpi4py":
         from .mpi import Mpi4pyCommunicator
 
@@ -237,17 +237,11 @@ def create_communicator(
                 f"requested {size} ranks but the MPI communicator has "
                 f"{comm.size}; launch with 'mpiexec -n {size}'"
             )
-        return inject_communicator(observe_communicator(comm))
+        return wrap_communicator(comm)
     world = World(size, timeout=timeout)
     group = tuple(range(size))
-    # Fault injection wraps *outside* the observer so injected delays are
-    # metered like genuine slowness; both are no-ops unless installed.
     comms = tuple(
-        inject_communicator(
-            observe_communicator(
-                Communicator(world, World.WORLD_CONTEXT, group, rank)
-            )
-        )
+        wrap_communicator(Communicator(world, World.WORLD_CONTEXT, group, rank))
         for rank in range(size)
     )
     return comms[0] if size == 1 else comms
@@ -280,17 +274,7 @@ def run_backend(
     _check_name(backend)
     if backend == "threads":
         return run_spmd(size, fn, *args, timeout=timeout, trace=trace, **kwargs)
-    if backend == "self":
-        comm = create_communicator("self", size)
-        tracers: Optional[List[CommTracer]] = None
-        if trace:
-            tracers = [CommTracer(comm)]
-            comm = tracers[0]
-        results = [fn(comm, *args, **kwargs)]
-        return (results, tracers) if trace else results
-    comm = create_communicator(
-        "mpi4py", size, irecv_buffer_bytes=irecv_buffer_bytes
-    )
+    comm = create_communicator(backend, size, irecv_buffer_bytes=irecv_buffer_bytes)
     if comm.size != size:
         # run_backend's size is an explicit request (unlike
         # create_communicator's default); a launcher mismatch must not
@@ -299,8 +283,7 @@ def run_backend(
             f"requested {size} ranks but the MPI launcher provides "
             f"{comm.size}; launch with 'mpiexec -n {size}'"
         )
-    if trace:
-        tracer = CommTracer(comm)
-        result = fn(tracer, *args, **kwargs)
-        return comm.allgather(result), [tracer]
-    return comm.allgather(fn(comm, *args, **kwargs))
+    traced = wrap_communicator(comm, trace=trace)
+    result = fn(traced, *args, **kwargs)
+    results = [result] if backend == "self" else comm.allgather(result)
+    return (results, [traced]) if trace else results

@@ -24,7 +24,7 @@ __all__ = ["Mailbox", "DEFAULT_TIMEOUT"]
 #: The one blocking-wait default for the whole substrate.  Matches
 #: ``repro.config.BackendConfig.timeout`` so a configured value and an
 #: unconfigured path agree; every constructor defaulting a timeout
-#: (``World``, ``create_communicator``, ``run_spmd``, ``SelfComm``)
+#: (``World``, ``create_communicator``, ``run_spmd``)
 #: references this constant instead of a private literal.
 DEFAULT_TIMEOUT: float = 120.0
 

@@ -1,13 +1,10 @@
 """``SelfCommunicator`` — a zero-overhead single-rank communicator.
 
-:class:`~repro.smpi.communicator.SelfComm` satisfies the communicator
-protocol by spinning up a one-rank :class:`~repro.smpi.world.World` with its
-mailboxes and locks; every collective still walks the full point-to-point
-delivery path.  That fidelity is wasted when the caller just wants the
-parallel algorithms to run on one rank (serial validation, notebooks, the
-``"self"`` backend of :func:`repro.smpi.factory.create_communicator`).
-
-``SelfCommunicator`` instead short-circuits every collective to the
+The parallel algorithms run unmodified on one rank (serial validation,
+notebooks, the ``"self"`` backend of
+:func:`repro.smpi.factory.create_communicator`) without a
+:class:`~repro.smpi.world.World`'s mailboxes and locks:
+``SelfCommunicator`` short-circuits every collective to the
 identity: no mailboxes, no locks, no threads, no copies for collectives
 (mirroring MPI, where a root's ``bcast``/``gather`` contribution is its own
 buffer, not wire traffic).  Point-to-point *self*-sends still snapshot the
@@ -21,7 +18,6 @@ from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .buffered import BufferedOpsMixin
 from .derived import fold_output_usable, rows_output_usable
 from .exceptions import DeadlockError, RankError, SmpiError, TagError
 from .message import Envelope, copy_payload, take_payload
@@ -60,7 +56,7 @@ class _SelfRecvRequest(Request):
         return True, self._payload
 
 
-class SelfCommunicator(BufferedOpsMixin):
+class SelfCommunicator:
     """Single-rank communicator with all collectives short-circuited.
 
     Implements the full communicator protocol documented in

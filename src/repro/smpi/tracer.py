@@ -18,20 +18,23 @@ Accounting conventions (bytes are payload sizes from
   contributions (its own, memory-local copy is not traffic).
 * ``reduce``/``allreduce``/``allgather``/``alltoall``/``scatter``: analogous.
 * ``barrier``: zero bytes, one record (latency-only event).
+
+The tracer is one concern on the shared interception layer
+(:mod:`repro.smpi.intercept`): a per-op accounting table applies these
+conventions, and nonblocking receive sides record from the ``wait``/
+``test`` call that completes their request.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import time
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .communicator import Communicator
+from .intercept import OPS, InterceptedCommunicator, InterceptedRequest, Op
 from .message import payload_nbytes
-from .reduction import ReduceOp
-from .request import Request, _wait_child
 
 __all__ = ["COLLECTIVE_OPS", "CommRecord", "CommTracer", "TrafficSummary"]
 
@@ -40,66 +43,11 @@ __all__ = ["COLLECTIVE_OPS", "CommRecord", "CommTracer", "TrafficSummary"]
 #: kind and order across every rank of an SPMD program, and therefore the
 #: stream :meth:`CommTracer.schedule` exports for the cross-rank
 #: conformance checker in :mod:`repro.verify.schedule`.
-COLLECTIVE_OPS = frozenset(
-    {
-        "bcast",
-        "gather",
-        "allgather",
-        "scatter",
-        "gatherv",
-        "scatterv",
-        "reduce",
-        "allreduce",
-        "alltoall",
-        "scan",
-        "exscan",
-        "reduce_scatter",
-        "barrier",
-    }
-)
-
-
-def _payload_meta(obj: Any) -> tuple:
-    """(dtype, shape) of an array payload; ``(None, None)`` otherwise."""
-    if isinstance(obj, np.ndarray):
-        return str(obj.dtype), tuple(int(dim) for dim in obj.shape)
-    return None, None
-
-
-class _TracedRequest(Request):
-    """Proxy completing an inner request and recording its result's size.
-
-    Nonblocking receives don't know their size until completion, so the
-    tracer wraps the request and records once, on whichever
-    ``wait``/``test`` call first observes completion.
-    """
-
-    def __init__(self, inner, record) -> None:
-        # ``record(result, t_start, duration_s)`` — the completing
-        # wait/test call's window, so nonblocking records carry the time
-        # actually spent blocked on completion.
-        self._inner = inner
-        self._record = record
-
-    def _observe(self, result, t_start: float, duration_s: float) -> None:
-        if self._record is not None:
-            self._record(result, t_start, duration_s)
-            self._record = None
-
-    def wait(self, timeout=None):
-        # _wait_child forwards timeout= only to requests that take it
-        # (foreign mpi4py requests put status first).
-        t0 = time.perf_counter()
-        result = _wait_child(self._inner, timeout)
-        self._observe(result, t0, time.perf_counter() - t0)
-        return result
-
-    def test(self):
-        t0 = time.perf_counter()
-        done, result = self._inner.test()
-        if done:
-            self._observe(result, t0, time.perf_counter() - t0)
-        return done, result
+COLLECTIVE_OPS = frozenset(op.record for op in OPS.values()) - {
+    "send",
+    "recv",
+    "sendrecv",
+}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -148,538 +96,183 @@ class TrafficSummary:
     def from_records(cls, records: Sequence[CommRecord]) -> "TrafficSummary":
         by_op: Dict[str, int] = {}
         seconds_by_op: Dict[str, float] = {}
-        total_seconds = 0.0
-        for record in records:
-            by_op[record.op] = by_op.get(record.op, 0) + record.nbytes
-            duration = getattr(record, "duration_s", 0.0)
-            seconds_by_op[record.op] = (
-                seconds_by_op.get(record.op, 0.0) + duration
-            )
-            total_seconds += duration
+        for r in records:
+            by_op[r.op] = by_op.get(r.op, 0) + r.nbytes
+            seconds_by_op[r.op] = seconds_by_op.get(r.op, 0.0) + r.duration_s
         return cls(
             events=len(records),
-            total_bytes=sum(r.nbytes for r in records),
+            total_bytes=sum(by_op.values()),
             by_op=by_op,
-            total_seconds=total_seconds,
+            total_seconds=sum(seconds_by_op.values()),
             seconds_by_op=seconds_by_op,
         )
 
 
-class CommTracer:
+class _Call(NamedTuple):
+    """The record name and time window of one traced call."""
+
+    op: str
+    t_start: float
+    duration_s: float
+
+
+def _others(items: Sequence[Any], rank: int) -> int:
+    """Bytes of every item but this rank's own (a local copy, not traffic)."""
+    return sum(payload_nbytes(item) for peer, item in enumerate(items) if peer != rank)
+
+
+class CommTracer(InterceptedCommunicator):
     """Recording proxy around a communicator (same call surface)."""
 
-    def __init__(self, comm: Communicator) -> None:
-        self._comm = comm
+    def __init__(self, comm: Any) -> None:
+        super().__init__(comm)
         self.records: List[CommRecord] = []
 
-    # -- proxied attributes --------------------------------------------------
-    @property
-    def rank(self) -> int:
-        return self._comm.rank
-
-    @property
-    def size(self) -> int:
-        return self._comm.size
-
-    def Get_rank(self) -> int:
-        return self._comm.rank
-
-    def Get_size(self) -> int:
-        return self._comm.size
+    def _rewrap(self, comm: Any) -> "CommTracer":
+        return CommTracer(comm)
 
     def _record(
-        self,
-        op: str,
-        nbytes: int,
-        peer: Optional[int] = None,
-        root: Optional[int] = None,
-        obj: Any = None,
-        t_start: Optional[float] = None,
-        duration_s: float = 0.0,
+        self, call: _Call, nbytes: int, peer: Optional[int] = None,
+        root: Optional[int] = None, obj: Any = None,
     ) -> None:
-        dtype, shape = _payload_meta(obj)
+        array = isinstance(obj, np.ndarray)
         self.records.append(
             CommRecord(
-                op=op,
+                op=call.op,
                 nbytes=int(nbytes),
                 peer=peer,
                 root=root,
-                dtype=dtype,
-                shape=shape,
-                t_start=t_start if t_start is not None else time.perf_counter(),
-                duration_s=duration_s,
+                dtype=str(obj.dtype) if array else None,
+                shape=tuple(int(dim) for dim in obj.shape) if array else None,
+                t_start=call.t_start,
+                duration_s=call.duration_s,
             )
         )
 
-    # -- point-to-point --------------------------------------------------------
-    def send(self, obj: Any, dest: int, tag: int = 0) -> None:
-        self._record("send", payload_nbytes(obj), peer=dest)
-        self._comm.send(obj, dest, tag)
+    def _wrap(self, name: str, op: Op, target: Any) -> Any:
+        account = getattr(self, f"_account_{name}")
+        record = op.record
+        posted = op.nonblocking or op.droppable
 
-    def recv(self, source: int = -1, tag: int = -1) -> Any:
-        t0 = time.perf_counter()
-        obj = self._comm.recv(source, tag)
-        self._record(
-            "recv",
-            payload_nbytes(obj),
-            peer=source,
-            t_start=t0,
-            duration_s=time.perf_counter() - t0,
-        )
-        return obj
-
-    def isend(self, obj: Any, dest: int, tag: int = 0):
-        self._record("send", payload_nbytes(obj), peer=dest)
-        return self._comm.isend(obj, dest, tag)
-
-    def irecv(self, source: int = -1, tag: int = -1):
-        # Received size is unknown until completion; record it on whichever
-        # wait()/test() call first observes the payload.
-        return _TracedRequest(
-            self._comm.irecv(source, tag),
-            lambda result, t0, dt: self._record(
-                "recv",
-                payload_nbytes(result),
-                peer=source,
-                t_start=t0,
-                duration_s=dt,
-            ),
-        )
-
-    def sendrecv(self, obj: Any, dest: int, source: int) -> Any:
-        t0 = time.perf_counter()
-        self._record("send", payload_nbytes(obj), peer=dest, t_start=t0)
-        out = self._comm.sendrecv(obj, dest, source)
-        self._record(
-            "recv",
-            payload_nbytes(out),
-            peer=source,
-            t_start=t0,
-            duration_s=time.perf_counter() - t0,
-        )
-        return out
-
-    # -- collectives ------------------------------------------------------------
-    def bcast(self, obj: Any, root: int = 0) -> Any:
-        t0 = time.perf_counter()
-        if self._comm.rank == root:
-            out = self._comm.bcast(obj, root)
-            self._record(
-                "bcast",
-                payload_nbytes(obj) * (self._comm.size - 1),
-                root=root,
-                obj=obj,
-                t_start=t0,
-                duration_s=time.perf_counter() - t0,
+        def traced(*args: Any, **kwargs: Any) -> Any:
+            t0 = time.perf_counter()
+            result = target(*args, **kwargs)
+            dt = 0.0 if posted else time.perf_counter() - t0
+            later = account(_Call(record, t0, dt), result, *args, **kwargs)
+            if later is None:
+                return result
+            return InterceptedRequest(
+                result, lambda out, t1, dt1: later(_Call(record, t1, dt1), out)
             )
-            return out
-        out = self._comm.bcast(obj, root)
-        self._record(
-            "bcast",
-            payload_nbytes(out),
-            root=root,
-            obj=out,
-            t_start=t0,
-            duration_s=time.perf_counter() - t0,
-        )
-        return out
 
-    def gather(self, obj: Any, root: int = 0) -> Optional[List[Any]]:
-        t0 = time.perf_counter()
-        if self._comm.rank == root:
-            out = self._comm.gather(obj, root)
-            assert out is not None
-            received = sum(
-                payload_nbytes(item)
-                for peer, item in enumerate(out)
-                if peer != root
-            )
-            self._record(
-                "gather",
-                received,
-                root=root,
-                obj=obj,
-                t_start=t0,
-                duration_s=time.perf_counter() - t0,
-            )
-            return out
-        out = self._comm.gather(obj, root)
-        self._record(
-            "gather",
-            payload_nbytes(obj),
-            root=root,
-            obj=obj,
-            t_start=t0,
-            duration_s=time.perf_counter() - t0,
-        )
-        return out
+        return traced
 
-    def allgather(self, obj: Any) -> List[Any]:
-        t0 = time.perf_counter()
-        out = self._comm.allgather(obj)
-        others = sum(
-            payload_nbytes(item)
-            for peer, item in enumerate(out)
-            if peer != self._comm.rank
-        )
-        self._record(
-            "allgather",
-            payload_nbytes(obj) + others,
-            obj=obj,
-            t_start=t0,
-            duration_s=time.perf_counter() - t0,
-        )
-        return out
+    # -- per-op accounting ---------------------------------------------------
+    # ``_account_<method>(call, result, *args, **kwargs)`` takes the
+    # method's own arguments and records this rank's bytes.  Send-side
+    # records are written when the call returns, with no duration (the
+    # payload is handed over at post time).  One that returns
+    # ``later(call, result)`` has the request wrapped: the receive side is
+    # recorded with the window of the wait/test that completes it.
 
-    def scatter(self, objs: Optional[Sequence[Any]], root: int = 0) -> Any:
-        t0 = time.perf_counter()
-        if self._comm.rank == root:
-            sent = 0
-            if objs is not None:
-                sent = sum(
-                    payload_nbytes(item)
-                    for peer, item in enumerate(objs)
-                    if peer != root
-                )
-            out = self._comm.scatter(objs, root)
-            self._record(
-                "scatter",
-                sent,
-                root=root,
-                obj=out,
-                t_start=t0,
-                duration_s=time.perf_counter() - t0,
-            )
-            return out
-        out = self._comm.scatter(objs, root)
-        self._record(
-            "scatter",
-            payload_nbytes(out),
-            root=root,
-            obj=out,
-            t_start=t0,
-            duration_s=time.perf_counter() - t0,
-        )
-        return out
+    def _account_send(self, call, _, obj, dest, tag=0):
+        self._record(call, payload_nbytes(obj), peer=dest)
 
-    def gatherv_rows(
-        self,
-        sendbuf: np.ndarray,
-        root: int = 0,
-        out: Optional[np.ndarray] = None,
-    ) -> Optional[np.ndarray]:
-        t0 = time.perf_counter()
-        if self._comm.rank == root:
-            stacked = self._comm.gatherv_rows(sendbuf, root, out=out)
-            assert stacked is not None
-            self._record(
-                "gatherv",
-                max(payload_nbytes(stacked) - payload_nbytes(sendbuf), 0),
-                root=root,
-                obj=sendbuf,
-                t_start=t0,
-                duration_s=time.perf_counter() - t0,
-            )
-            return stacked
-        result = self._comm.gatherv_rows(sendbuf, root, out=out)
-        self._record(
-            "gatherv",
-            payload_nbytes(sendbuf),
-            root=root,
-            obj=sendbuf,
-            t_start=t0,
-            duration_s=time.perf_counter() - t0,
-        )
-        return result
+    _account_isend = _account_send
 
-    def scatterv_rows(
-        self, sendbuf: Optional[np.ndarray], counts: Sequence[int], root: int = 0
-    ) -> np.ndarray:
-        t0 = time.perf_counter()
-        out = self._comm.scatterv_rows(sendbuf, counts, root)
-        duration = time.perf_counter() - t0
-        if self._comm.rank == root:
-            sent = payload_nbytes(sendbuf) - payload_nbytes(out) if sendbuf is not None else 0
-            self._record(
-                "scatterv",
-                max(sent, 0),
-                root=root,
-                obj=out,
-                t_start=t0,
-                duration_s=duration,
-            )
+    def _account_recv(self, call, obj, source=-1, tag=-1):
+        self._record(call, payload_nbytes(obj), peer=source)
+
+    def _account_irecv(self, call, _, source=-1, tag=-1):
+        return lambda done, obj: self._account_recv(done, obj, source)
+
+    def _account_sendrecv(self, call, out, obj, dest, source):
+        sent = call._replace(op="send", duration_s=0.0)
+        self._record(sent, payload_nbytes(obj), peer=dest)
+        self._record(call._replace(op="recv"), payload_nbytes(out), peer=source)
+
+    def _account_bcast(self, call, out, obj, root=0):
+        if self.rank == root:
+            fanout = payload_nbytes(obj) * (self.size - 1)
+            self._record(call, fanout, root=root, obj=obj)
         else:
-            self._record(
-                "scatterv",
-                payload_nbytes(out),
-                root=root,
-                obj=out,
-                t_start=t0,
-                duration_s=duration,
-            )
-        return out
+            self._record(call, payload_nbytes(out), root=root, obj=out)
 
-    def reduce(self, obj: Any, op: ReduceOp, root: int = 0) -> Any:
-        t0 = time.perf_counter()
-        if self._comm.rank == root:
-            out = self._comm.reduce(obj, op, root)
-            self._record(
-                "reduce",
-                payload_nbytes(obj) * (self._comm.size - 1),
-                root=root,
-                obj=obj,
-                t_start=t0,
-                duration_s=time.perf_counter() - t0,
-            )
-            return out
-        result = self._comm.reduce(obj, op, root)
-        self._record(
-            "reduce",
-            payload_nbytes(obj),
-            root=root,
-            obj=obj,
-            t_start=t0,
-            duration_s=time.perf_counter() - t0,
-        )
-        return result
+    def _account_ibcast(self, call, _, obj, root=0):
+        if self.rank == root:
+            return self._account_bcast(call, None, obj, root)
+        return lambda done, out: self._account_bcast(done, out, obj, root)
 
-    def allreduce(
-        self, obj: Any, op: ReduceOp, out: Optional[np.ndarray] = None
-    ) -> Any:
-        t0 = time.perf_counter()
-        result = self._comm.allreduce(obj, op, out=out)
-        self._record(
-            "allreduce",
-            payload_nbytes(obj) * 2,
-            obj=obj,
-            t_start=t0,
-            duration_s=time.perf_counter() - t0,
-        )
-        return result
+    def _account_gather(self, call, out, obj, root=0):
+        if self.rank == root:
+            self._record(call, _others(out, root), root=root, obj=obj)
+        else:
+            self._record(call, payload_nbytes(obj), root=root, obj=obj)
 
-    def alltoall(self, objs: Sequence[Any]) -> List[Any]:
-        sent = sum(
-            payload_nbytes(item)
-            for peer, item in enumerate(objs)
-            if peer != self._comm.rank
-        )
-        t0 = time.perf_counter()
-        out = self._comm.alltoall(objs)
-        duration = time.perf_counter() - t0
-        received = sum(
-            payload_nbytes(item)
-            for peer, item in enumerate(out)
-            if peer != self._comm.rank
-        )
-        self._record(
-            "alltoall",
-            sent + received,
-            obj=objs[self._comm.rank],
-            t_start=t0,
-            duration_s=duration,
-        )
-        return out
+    def _account_allgather(self, call, out, obj):
+        received = _others(out, self.rank)
+        self._record(call, payload_nbytes(obj) + received, obj=obj)
 
-    def scan(self, obj: Any, op: ReduceOp) -> Any:
-        t0 = time.perf_counter()
-        out = self._comm.scan(obj, op)
+    def _account_scatter(self, call, out, objs, root=0):
+        if self.rank == root:
+            sent = 0 if objs is None else _others(objs, root)
+            self._record(call, sent, root=root, obj=out)
+        else:
+            self._record(call, payload_nbytes(out), root=root, obj=out)
+
+    def _account_gatherv_rows(self, call, stacked, sendbuf, root=0, out=None):
+        own = payload_nbytes(sendbuf)
+        if self.rank == root:
+            received = max(payload_nbytes(stacked) - own, 0)
+            self._record(call, received, root=root, obj=sendbuf)
+        else:
+            self._record(call, own, root=root, obj=sendbuf)
+
+    def _account_igatherv_rows(self, call, _, sendbuf, root=0, out=None):
+        if self.rank != root:
+            return self._account_gatherv_rows(call, None, sendbuf, root)
+        return lambda done, stacked: self._account_gatherv_rows(
+            done, stacked, sendbuf, root
+        )
+
+    def _account_scatterv_rows(self, call, out, sendbuf, counts, root=0):
+        if self.rank == root:
+            sent = payload_nbytes(sendbuf) - payload_nbytes(out)  # 0 for None
+            self._record(call, max(sent, 0), root=root, obj=out)
+        else:
+            self._record(call, payload_nbytes(out), root=root, obj=out)
+
+    def _account_reduce(self, call, _, obj, op, root=0):
+        fanin = self.size - 1 if self.rank == root else 1
+        self._record(call, payload_nbytes(obj) * fanin, root=root, obj=obj)
+
+    def _account_allreduce(self, call, _, obj, op, out=None):
+        # up: own contribution; down: the reduced result
+        self._record(call, payload_nbytes(obj) * 2, obj=obj)
+
+    _account_iallreduce = _account_allreduce
+
+    def _account_alltoall(self, call, out, objs):
+        rank = self.rank
+        self._record(call, _others(objs, rank) + _others(out, rank), obj=objs[rank])
+
+    def _account_ialltoall(self, call, _, objs):
+        rank = self.rank
+        self._record(call, _others(objs, rank), obj=objs[rank])
+        return lambda done, out: self._record(done, _others(out, rank))
+
+    def _account_scan(self, call, out, obj, op):
         # up: own contribution; down: the received prefix
-        self._record(
-            "scan",
-            payload_nbytes(obj) + payload_nbytes(out),
-            obj=obj,
-            t_start=t0,
-            duration_s=time.perf_counter() - t0,
-        )
-        return out
+        self._record(call, payload_nbytes(obj) + payload_nbytes(out), obj=obj)
 
-    def exscan(self, obj: Any, op: ReduceOp) -> Any:
-        t0 = time.perf_counter()
-        out = self._comm.exscan(obj, op)
-        self._record(
-            "exscan",
-            payload_nbytes(obj) + payload_nbytes(out),
-            obj=obj,
-            t_start=t0,
-            duration_s=time.perf_counter() - t0,
-        )
-        return out
+    _account_exscan = _account_scan
 
-    def reduce_scatter(self, objs: Sequence[Any], op: ReduceOp) -> Any:
-        sent = sum(
-            payload_nbytes(item)
-            for peer, item in enumerate(objs)
-            if peer != self._comm.rank
-        )
-        t0 = time.perf_counter()
-        out = self._comm.reduce_scatter(objs, op)
-        self._record(
-            "reduce_scatter",
-            sent + payload_nbytes(out),
-            obj=objs[self._comm.rank],
-            t_start=t0,
-            duration_s=time.perf_counter() - t0,
-        )
-        return out
+    def _account_reduce_scatter(self, call, out, objs, op):
+        sent = _others(objs, self.rank)
+        self._record(call, sent + payload_nbytes(out), obj=objs[self.rank])
 
-    # -- nonblocking collectives ----------------------------------------------
-    # Send-side bytes are recorded at call time (they are known and the
-    # traffic is already in flight); receive-side bytes are recorded when
-    # the returned request completes, under the blocking op's name.
-
-    def ibcast(self, obj: Any, root: int = 0):
-        if self._comm.rank == root:
-            self._record(
-                "bcast",
-                payload_nbytes(obj) * (self._comm.size - 1),
-                root=root,
-                obj=obj,
-            )
-            return self._comm.ibcast(obj, root)
-        return _TracedRequest(
-            self._comm.ibcast(obj, root),
-            lambda result, t0, dt: self._record(
-                "bcast",
-                payload_nbytes(result),
-                root=root,
-                obj=result,
-                t_start=t0,
-                duration_s=dt,
-            ),
-        )
-
-    def igatherv_rows(
-        self,
-        sendbuf: np.ndarray,
-        root: int = 0,
-        out: Optional[np.ndarray] = None,
-    ):
-        if self._comm.rank != root:
-            self._record(
-                "gatherv", payload_nbytes(sendbuf), root=root, obj=sendbuf
-            )
-            return self._comm.igatherv_rows(sendbuf, root, out=out)
-        own = payload_nbytes(sendbuf)
-        return _TracedRequest(
-            self._comm.igatherv_rows(sendbuf, root, out=out),
-            lambda result, t0, dt: self._record(
-                "gatherv",
-                max(payload_nbytes(result) - own, 0),
-                root=root,
-                obj=sendbuf,
-                t_start=t0,
-                duration_s=dt,
-            ),
-        )
-
-    def iallreduce(
-        self, obj: Any, op: ReduceOp, out: Optional[np.ndarray] = None
-    ):
-        self._record("allreduce", payload_nbytes(obj) * 2, obj=obj)
-        return self._comm.iallreduce(obj, op, out=out)
-
-    def ialltoall(self, objs: Sequence[Any]):
-        sent = sum(
-            payload_nbytes(item)
-            for peer, item in enumerate(objs)
-            if peer != self._comm.rank
-        )
-        self._record("alltoall", sent, obj=objs[self._comm.rank])
-        rank = self._comm.rank
-        return _TracedRequest(
-            self._comm.ialltoall(objs),
-            lambda result, t0, dt: self._record(
-                "alltoall",
-                sum(
-                    payload_nbytes(item)
-                    for peer, item in enumerate(result)
-                    if peer != rank
-                ),
-                t_start=t0,
-                duration_s=dt,
-            ),
-        )
-
-    def iprobe(self, source: int = -1, tag: int = -1) -> bool:
-        # probing moves no data; not recorded
-        return self._comm.iprobe(source, tag)
-
-    def barrier(self) -> None:
-        t0 = time.perf_counter()
-        self._comm.barrier()
-        self._record(
-            "barrier", 0, t_start=t0, duration_s=time.perf_counter() - t0
-        )
-
-    # -- uppercase buffer ops (delegate; account like their lowercase kin) --
-    def Send(self, buf: np.ndarray, dest: int, tag: int = 0) -> None:
-        self._record("send", payload_nbytes(buf), peer=dest)
-        self._comm.Send(buf, dest, tag)
-
-    def Recv(self, buf: np.ndarray, source: int = -1, tag: int = -1) -> None:
-        self._comm.Recv(buf, source, tag)
-        self._record("recv", payload_nbytes(buf), peer=source)
-
-    def Bcast(self, buf: np.ndarray, root: int = 0) -> None:
-        if self._comm.rank == root:
-            self._record(
-                "bcast",
-                payload_nbytes(buf) * (self._comm.size - 1),
-                root=root,
-                obj=buf,
-            )
-        else:
-            self._record("bcast", payload_nbytes(buf), root=root, obj=buf)
-        self._comm.Bcast(buf, root)
-
-    def Gather(self, sendbuf, recvbuf, root: int = 0) -> None:
-        if self._comm.rank == root:
-            self._record(
-                "gather",
-                payload_nbytes(sendbuf) * (self._comm.size - 1),
-                root=root,
-                obj=sendbuf,
-            )
-        else:
-            self._record(
-                "gather", payload_nbytes(sendbuf), root=root, obj=sendbuf
-            )
-        self._comm.Gather(sendbuf, recvbuf, root)
-
-    def Scatter(self, sendbuf, recvbuf, root: int = 0) -> None:
-        if self._comm.rank == root:
-            self._record(
-                "scatter",
-                payload_nbytes(recvbuf) * (self._comm.size - 1),
-                root=root,
-                obj=recvbuf,
-            )
-        else:
-            self._record(
-                "scatter", payload_nbytes(recvbuf), root=root, obj=recvbuf
-            )
-        self._comm.Scatter(sendbuf, recvbuf, root)
-
-    def Allgather(self, sendbuf, recvbuf) -> None:
-        self._comm.Allgather(sendbuf, recvbuf)
-        own = payload_nbytes(sendbuf)
-        self._record(
-            "allgather", payload_nbytes(recvbuf) - own + own, obj=sendbuf
-        )
-
-    def Allreduce(self, sendbuf, recvbuf, op: ReduceOp) -> None:
-        self._comm.Allreduce(sendbuf, recvbuf, op)
-        self._record("allreduce", payload_nbytes(sendbuf) * 2, obj=sendbuf)
-
-    # -- management -----------------------------------------------------------
-    def split(self, color: Optional[int], key: int = 0):
-        sub = self._comm.split(color, key)
-        if sub is None:
-            return None
-        return CommTracer(sub)
-
-    def dup(self) -> "CommTracer":
-        return CommTracer(self._comm.dup())
+    def _account_barrier(self, call, _):
+        self._record(call, 0)
 
     # -- reporting --------------------------------------------------------------
     def summary(self) -> TrafficSummary:

@@ -47,7 +47,9 @@ import pathlib
 import re
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
+from repro.smpi.intercept import OPS
 from repro.smpi.nonblocking import NB_TAG_BASE
+from repro.smpi.tracer import COLLECTIVE_OPS
 
 from .rules import RULES
 
@@ -61,49 +63,29 @@ __all__ = [
     "lint_source",
 ]
 
-#: Blocking collective method names of the communicator protocol.
+#: Blocking and nonblocking (request-returning) collective method names,
+#: taken from the interception op table so the linter knows every op the
+#: communicator proxies know.
 BLOCKING_COLLECTIVES = frozenset(
-    {
-        "bcast",
-        "gather",
-        "allgather",
-        "scatter",
-        "gatherv_rows",
-        "scatterv_rows",
-        "reduce",
-        "allreduce",
-        "alltoall",
-        "scan",
-        "exscan",
-        "reduce_scatter",
-        "barrier",
-        "Bcast",
-        "Gather",
-        "Scatter",
-        "Allgather",
-        "Allreduce",
-    }
+    name for name, op in OPS.items()
+    if op.record in COLLECTIVE_OPS and not op.nonblocking
 )
-
-#: Nonblocking collective factories (return a CollectiveRequest).
 NONBLOCKING_COLLECTIVES = frozenset(
-    {"ibcast", "igatherv_rows", "iallreduce", "ialltoall"}
+    name for name, op in OPS.items() if op.record in COLLECTIVE_OPS and op.nonblocking
 )
 
 #: Every collective name SPMD001 considers schedule-relevant.
 _ALL_COLLECTIVES = BLOCKING_COLLECTIVES | NONBLOCKING_COLLECTIVES
 
 #: Every method returning a request SPMD002 tracks.
-NONBLOCKING_METHODS = frozenset({"isend", "irecv"}) | NONBLOCKING_COLLECTIVES
+NONBLOCKING_METHODS = frozenset(name for name, op in OPS.items() if op.nonblocking)
 
 #: Positional index of the ``tag`` argument per point-to-point method.
 _TAG_POSITION = {
     "send": 2,
     "isend": 2,
-    "Send": 2,
     "recv": 1,
     "irecv": 1,
-    "Recv": 2,
     "iprobe": 1,
 }
 

@@ -12,7 +12,7 @@ from repro.analysis.distributed import (
 )
 from repro.analysis.pod import pod
 from repro.exceptions import ShapeError
-from repro.smpi import SelfComm, run_spmd
+from repro.smpi import SelfCommunicator, run_spmd
 from repro.utils.partition import block_partition
 
 
@@ -50,13 +50,13 @@ class TestReductions:
             assert r == pytest.approx(expected, rel=1e-12)
 
     def test_single_rank_degenerates(self, decaying_matrix):
-        norm = distributed_norm(SelfComm(), decaying_matrix)
+        norm = distributed_norm(SelfCommunicator(), decaying_matrix)
         assert norm == pytest.approx(np.linalg.norm(decaying_matrix))
 
     def test_row_mismatch_raises(self, rng):
         with pytest.raises(ShapeError):
             distributed_inner_products(
-                SelfComm(),
+                SelfCommunicator(),
                 rng.standard_normal((5, 2)),
                 rng.standard_normal((6, 2)),
             )
@@ -83,10 +83,10 @@ class TestReconstructionError:
         u, _, _ = np.linalg.svd(decaying_matrix, full_matrices=False)
         basis = u[:, :4]
         rel = distributed_reconstruction_error(
-            SelfComm(), decaying_matrix, basis, relative=True
+            SelfCommunicator(), decaying_matrix, basis, relative=True
         )
         absolute = distributed_reconstruction_error(
-            SelfComm(), decaying_matrix, basis, relative=False
+            SelfCommunicator(), decaying_matrix, basis, relative=False
         )
         assert absolute == pytest.approx(
             rel * np.linalg.norm(decaying_matrix), rel=1e-10
@@ -95,7 +95,7 @@ class TestReconstructionError:
     def test_full_basis_zero_error(self, rng):
         a = rng.standard_normal((40, 8))
         u, _, _ = np.linalg.svd(a, full_matrices=False)
-        err = distributed_reconstruction_error(SelfComm(), a, u)
+        err = distributed_reconstruction_error(SelfCommunicator(), a, u)
         assert err < 1e-7
 
 
@@ -130,10 +130,10 @@ class TestDistributedPod:
 
     def test_no_mean_subtraction(self, decaying_matrix):
         result, _ = distributed_pod(
-            SelfComm(), decaying_matrix, n_modes=3, subtract_mean=False
+            SelfCommunicator(), decaying_matrix, n_modes=3, subtract_mean=False
         )
         assert np.allclose(result.mean, 0.0)
 
     def test_invalid_n_modes(self, decaying_matrix):
         with pytest.raises(ShapeError):
-            distributed_pod(SelfComm(), decaying_matrix, n_modes=0)
+            distributed_pod(SelfCommunicator(), decaying_matrix, n_modes=0)

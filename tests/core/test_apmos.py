@@ -6,7 +6,7 @@ import pytest
 from repro.core.apmos import apmos_svd, generate_right_vectors, stack_gathered
 from repro.core.metrics import mode_errors
 from repro.exceptions import ShapeError
-from repro.smpi import SelfComm, run_spmd
+from repro.smpi import SelfCommunicator, run_spmd
 from repro.utils.partition import block_partition
 
 
@@ -69,7 +69,7 @@ class TestApmosSvd:
 
     def test_single_rank_matches_svd(self, decaying_matrix):
         u_ref, s_ref = self._reference(decaying_matrix, 5)
-        u, s = apmos_svd(SelfComm(), decaying_matrix, r1=40, r2=5)
+        u, s = apmos_svd(SelfCommunicator(), decaying_matrix, r1=40, r2=5)
         assert np.allclose(s, s_ref, rtol=1e-10)
         assert mode_errors(u_ref, u).max() < 1e-8
 
@@ -136,7 +136,7 @@ class TestApmosSvd:
 
     def test_r2_larger_than_rank_clipped(self, rng):
         a = rng.standard_normal((80, 3)) @ rng.standard_normal((3, 20))
-        u, s = apmos_svd(SelfComm(), a, r1=10, r2=10)
+        u, s = apmos_svd(SelfCommunicator(), a, r1=10, r2=10)
         assert s.shape[0] <= 3
         assert np.all(s > 0)
 

@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.apmos import apmos_svd, apmos_svd_two_level
 from repro.exceptions import ShapeError
-from repro.smpi import ParallelFailure, SelfComm, run_spmd
+from repro.smpi import ParallelFailure, SelfCommunicator, run_spmd
 from repro.utils.partition import block_partition
 
 
@@ -73,7 +73,7 @@ class TestEquivalence:
 
     def test_single_rank(self, decaying_matrix):
         u, s = apmos_svd_two_level(
-            SelfComm(), decaying_matrix, r1=40, r2=3, group_size=4
+            SelfCommunicator(), decaying_matrix, r1=40, r2=3, group_size=4
         )
         s_ref = np.linalg.svd(decaying_matrix, compute_uv=False)
         assert np.allclose(s, s_ref[: s.shape[0]], rtol=1e-10)
@@ -167,4 +167,4 @@ class TestParallelClassIntegration:
         from repro.exceptions import ConfigurationError
 
         with pytest.raises(ConfigurationError):
-            ParSVDParallel(SelfComm(), K=2, apmos_group_size=0)
+            ParSVDParallel(SelfCommunicator(), K=2, apmos_group_size=0)

@@ -8,7 +8,7 @@ from repro.core.apmos import apmos_svd, generate_right_vectors
 from repro.core.streaming import initialize_streaming, incorporate_batch
 from repro.core.tsqr import tsqr_gather, tsqr_tree
 from repro.exceptions import ShapeError
-from repro.smpi import SelfComm, run_spmd
+from repro.smpi import SelfCommunicator, run_spmd
 from repro.utils.linalg import as_floating
 from repro.utils.partition import block_partition
 
@@ -71,7 +71,7 @@ class TestStreamingFloat32:
 
 class TestDistributedFloat32:
     def test_apmos_float32(self, data32):
-        u, s = apmos_svd(SelfComm(), data32, r1=20, r2=4)
+        u, s = apmos_svd(SelfCommunicator(), data32, r1=20, r2=4)
         assert u.dtype == np.float32
         assert s.dtype == np.float32
 

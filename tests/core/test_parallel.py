@@ -6,7 +6,7 @@ import pytest
 from repro import ParSVDParallel, ParSVDSerial
 from repro.core.metrics import compare_modes
 from repro.exceptions import ConfigurationError, ShapeError
-from repro.smpi import SelfComm, run_spmd
+from repro.smpi import SelfCommunicator, run_spmd
 from repro.utils.partition import block_partition
 
 
@@ -33,18 +33,18 @@ def run_parallel(data, nranks, batches, **svd_kwargs):
 class TestConstruction:
     def test_invalid_qr_variant(self):
         with pytest.raises(ConfigurationError):
-            ParSVDParallel(SelfComm(), K=3, qr_variant="bogus")
+            ParSVDParallel(SelfCommunicator(), K=3, qr_variant="bogus")
 
     def test_invalid_gather_policy(self):
         with pytest.raises(ConfigurationError):
-            ParSVDParallel(SelfComm(), K=3, gather="bogus")
+            ParSVDParallel(SelfCommunicator(), K=3, gather="bogus")
 
     def test_invalid_apmos_group_size(self):
         with pytest.raises(ConfigurationError):
-            ParSVDParallel(SelfComm(), K=3, apmos_group_size=0)
+            ParSVDParallel(SelfCommunicator(), K=3, apmos_group_size=0)
 
     def test_config_knobs_forwarded(self):
-        svd = ParSVDParallel(SelfComm(), K=4, ff=0.9, r1=20)
+        svd = ParSVDParallel(SelfCommunicator(), K=4, ff=0.9, r1=20)
         assert svd.K == 4
         assert svd.ff == 0.9
         assert svd.config.r1 == 20
@@ -53,7 +53,7 @@ class TestConstruction:
 class TestSingleRank:
     def test_matches_serial_one_shot(self, decaying_matrix):
         serial = ParSVDSerial(K=5, ff=1.0).initialize(decaying_matrix)
-        parallel = ParSVDParallel(SelfComm(), K=5, ff=1.0).initialize(
+        parallel = ParSVDParallel(SelfCommunicator(), K=5, ff=1.0).initialize(
             decaying_matrix
         )
         comparison = compare_modes(

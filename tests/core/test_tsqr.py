@@ -9,7 +9,7 @@ from repro.core.tsqr import (
     tsqr_gather,
     tsqr_tree,
 )
-from repro.smpi import SelfComm, run_spmd
+from repro.smpi import SelfCommunicator, run_spmd
 from repro.utils.linalg import orthogonality_defect, qr_positive
 from repro.utils.partition import block_partition
 
@@ -61,7 +61,7 @@ class TestTsqrCommon:
     def test_single_rank(self, rng, variant):
         a = rng.standard_normal((40, 6))
         fn = tsqr_gather if variant == "gather" else tsqr_tree
-        q, r = fn(SelfComm(), a)
+        q, r = fn(SelfCommunicator(), a)
         q_ref, r_ref = qr_positive(a)
         assert np.allclose(q, q_ref)
         assert np.allclose(r, r_ref)

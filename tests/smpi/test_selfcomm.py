@@ -136,24 +136,6 @@ class TestCollectives:
         assert comm.barrier() is None
 
 
-class TestBufferedOps:
-    def test_bcast_buffer(self, comm):
-        buf = np.arange(4.0)
-        comm.Bcast(buf, root=0)
-        assert np.array_equal(buf, np.arange(4.0))
-
-    def test_allreduce_buffer(self, comm):
-        out = np.empty(3)
-        comm.Allreduce(np.ones(3), out, SUM)
-        assert np.array_equal(out, np.ones(3))
-
-    def test_send_recv_buffer(self, comm):
-        comm.Send(np.full(2, 7.0), dest=0, tag=1)
-        out = np.empty(2)
-        comm.Recv(out, source=0, tag=1)
-        assert np.array_equal(out, np.full(2, 7.0))
-
-
 class TestManagement:
     def test_split_and_dup(self, comm):
         child = comm.split(color=3, key=0)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.smpi import SUM, SelfComm, run_spmd
+from repro.smpi import SUM, SelfCommunicator, run_spmd
 
 
 class TestSplit:
@@ -99,12 +99,12 @@ class TestDup:
 
 class TestSelfComm:
     def test_size_one(self):
-        comm = SelfComm()
+        comm = SelfCommunicator()
         assert comm.rank == 0
         assert comm.size == 1
 
     def test_collectives_degenerate(self):
-        comm = SelfComm()
+        comm = SelfCommunicator()
         assert comm.bcast(5) == 5
         assert comm.gather(3) == [3]
         assert comm.allgather("x") == ["x"]
@@ -112,5 +112,5 @@ class TestSelfComm:
         comm.barrier()
 
     def test_scatter_single(self):
-        comm = SelfComm()
+        comm = SelfCommunicator()
         assert comm.scatter([9]) == 9

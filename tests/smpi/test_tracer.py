@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from repro.smpi import SUM, CommTracer, SelfComm, run_spmd
+from repro.smpi import SUM, CommTracer, SelfCommunicator, run_spmd
 
 
 def _traced(nprocs, job):
@@ -96,7 +96,7 @@ class TestSummaryAndReset:
         assert set(summary.by_op) == {"bcast", "barrier"}
 
     def test_reset_clears(self):
-        comm = CommTracer(SelfComm())
+        comm = CommTracer(SelfCommunicator())
         comm.barrier()
         assert comm.summary().events == 1
         comm.reset()
@@ -104,7 +104,7 @@ class TestSummaryAndReset:
         assert comm.records == []
 
     def test_proxy_exposes_rank_size(self):
-        comm = CommTracer(SelfComm())
+        comm = CommTracer(SelfCommunicator())
         assert comm.rank == 0
         assert comm.size == 1
         assert comm.Get_rank() == 0

@@ -1,4 +1,4 @@
-"""Tracer coverage for the extended operations (scan family, buffers)."""
+"""Tracer coverage for the extended operations (scan family, probes)."""
 
 import numpy as np
 
@@ -51,67 +51,3 @@ class TestScanFamilyTracing:
         results, _ = run_spmd(3, job, trace=True)
         assert results == [1, 3, 6]
 
-
-class TestBufferedTracing:
-    def test_send_recv_buffers_recorded(self):
-        def job(comm):
-            if comm.rank == 0:
-                comm.Send(np.zeros(5), dest=1)
-            else:
-                buf = np.zeros(5)
-                comm.Recv(buf, source=0)
-            return None
-
-        _, tracers = run_spmd(2, job, trace=True)
-        assert tracers[0].bytes_for("send") == 40
-        assert tracers[1].bytes_for("recv") == 40
-
-    def test_bcast_buffer_recorded(self):
-        def job(comm):
-            buf = np.zeros(4)
-            comm.Bcast(buf, root=0)
-            return None
-
-        _, tracers = run_spmd(3, job, trace=True)
-        assert tracers[0].bytes_for("bcast") == 64
-        assert tracers[1].bytes_for("bcast") == 32
-
-    def test_gather_scatter_buffers_recorded(self):
-        def job(comm):
-            send = np.zeros(2)
-            recv = np.zeros((comm.size, 2)) if comm.rank == 0 else None
-            comm.Gather(send, recv, root=0)
-            out = np.zeros(2)
-            comm.Scatter(
-                np.zeros((comm.size, 2)) if comm.rank == 0 else None,
-                out,
-                root=0,
-            )
-            return None
-
-        _, tracers = run_spmd(2, job, trace=True)
-        assert tracers[0].bytes_for("gather") == 16
-        assert tracers[1].bytes_for("gather") == 16
-        assert tracers[0].bytes_for("scatter") == 16
-
-    def test_allreduce_buffer_recorded_and_correct(self):
-        def job(comm):
-            recv = np.zeros(2)
-            comm.Allreduce(np.full(2, float(comm.rank)), recv, SUM)
-            return recv
-
-        results, tracers = run_spmd(3, job, trace=True)
-        for r in results:
-            assert np.array_equal(r, [3.0, 3.0])
-        for t in tracers:
-            assert t.bytes_for("allreduce") == 32
-
-    def test_allgather_buffer_recorded(self):
-        def job(comm):
-            recv = np.zeros((comm.size, 3))
-            comm.Allgather(np.zeros(3), recv)
-            return None
-
-        _, tracers = run_spmd(2, job, trace=True)
-        for t in tracers:
-            assert t.bytes_for("allgather") == 48

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.smpi import run_spmd
-from repro.smpi.communicator import SelfComm
+from repro.smpi import SelfCommunicator
 from repro.smpi.message import Envelope, copy_payload, freeze_payload
 
 
@@ -272,7 +272,7 @@ class TestGathervZeroCopy:
         assert stacked[1, 0] == np.pi  # full f64 precision preserved
 
     def test_selfcomm_out_filled(self):
-        comm = SelfComm()
+        comm = SelfCommunicator()
         out = np.empty((2, 2))
         block = np.arange(4.0).reshape(2, 2)
         result = comm.gatherv_rows(block, root=0, out=out)
