@@ -26,7 +26,8 @@ Building blocks:
 * :func:`repro.core.randomized_svd` / :func:`repro.core.low_rank_svd` —
   randomized linear algebra (section 3.3).
 * :func:`repro.core.tsqr_gather` / :func:`repro.core.tsqr_tree` —
-  distributed tall-skinny QR.
+  distributed tall-skinny QR (blocking: one pipelined step, posted and
+  finished at once).
 
 Substrates built for this reproduction:
 

@@ -150,7 +150,7 @@ def checkpoint_run_config(path: PathLike) -> RunConfig:
         return state["run_config"]
     # Legacy checkpoint: the same flat-field reconstruction the driver's
     # own restart path uses (one shared helper, no drift between them).
-    solver = ParSVDParallel._restored_solver(state, None, None, None)
+    solver = ParSVDParallel._restored_solver(state)
     nranks = max(int(state["nranks"]), 1)
     return RunConfig(solver=solver, backend=BackendConfig(size=nranks))
 

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import threading
 import time
-import warnings
 from typing import Optional, Tuple
 
 import numpy as np
@@ -54,59 +53,10 @@ from .checkpoint import (
     write_checkpoint,
 )
 from .randomized import low_rank_svd
-from .tsqr import (
-    PipelinedGatherStep,
-    PipelinedTreeStep,
-    tsqr_gather,
-    tsqr_tree,
-)
+from .tsqr import PipelinedGatherStep, PipelinedTreeStep, finish_now
 from .workspace import Workspace
 
 __all__ = ["ParSVDParallel"]
-
-#: Sentinel distinguishing "not passed" from an explicit ``None``/default,
-#: so only genuinely legacy call sites trigger the deprecation shim.
-_UNSET = object()
-
-#: Legacy keyword parameters of ``ParSVDParallel.__init__``, in signature
-#: order; each now lives on :class:`~repro.config.SolverConfig`.
-_LEGACY_PARAMS = (
-    "K",
-    "ff",
-    "low_rank",
-    "qr_variant",
-    "gather",
-    "apmos_group_size",
-    "workspace",
-    "overlap",
-)
-
-
-def _legacy_kwargs_message(legacy: dict, config) -> str:
-    """The deprecation message, carrying the exact replacement snippet for
-    the call site's own arguments."""
-    shown = []
-    if config is not None:
-        shown.append("config=...")
-    shown.extend(f"{key}={value!r}" for key, value in legacy.items())
-    solver_args = ", ".join(f"{key}={value!r}" for key, value in legacy.items())
-    if config is not None:
-        snippet = "SolverConfig.from_svd_config(config" + (
-            f", {solver_args})" if solver_args else ")"
-        )
-    else:
-        snippet = f"SolverConfig({solver_args})"
-    return (
-        f"ParSVDParallel(comm, {', '.join(shown)}) keyword arguments are "
-        f"deprecated; build a typed config instead:\n"
-        f"    from repro.api import RunConfig, Session, SolverConfig\n"
-        f"    cfg = RunConfig(solver={snippet})\n"
-        f"    with Session(cfg, comm=comm) as session:\n"
-        f"        session.fit_stream(batches)\n"
-        f"or construct the driver directly via "
-        f"ParSVDParallel(comm, solver={snippet})."
-    )
-
 
 class ParSVDParallel(ParSVDBase):
     """Distributed streaming truncated SVD over a row-block decomposition.
@@ -117,15 +67,13 @@ class ParSVDParallel(ParSVDBase):
         Communicator for this rank (:mod:`repro.smpi` or compatible).
     solver:
         A :class:`~repro.config.SolverConfig` carrying every algorithm
-        and run option below — the **canonical** construction path
-        (:class:`~repro.api.Session` builds drivers this way).  Mutually
-        exclusive with the legacy keyword arguments.
-    K, ff, low_rank, config:
-        As in :class:`~repro.core.base.ParSVDBase`.  *Deprecated* along
-        with every keyword below: passing any of them emits a
-        ``DeprecationWarning`` whose message carries the exact
-        ``SolverConfig`` replacement for the call site; the behaviour is
-        unchanged (the shim builds the same config internally).
+        parameter (``K``, ``ff``, ``low_rank``, ... as in
+        :class:`~repro.core.base.ParSVDBase`) and run option; ``None``
+        means ``SolverConfig()``.  :class:`~repro.api.Session` builds
+        drivers this way.
+
+    Run options (fields of ``solver``)
+    ----------------------------------
     qr_variant:
         ``"gather"`` (the paper's Listing 4 pattern, default) or ``"tree"``
         (binary-reduction TSQR; same numbers, different communication).
@@ -210,75 +158,22 @@ class ParSVDParallel(ParSVDBase):
     path all shipped entry points use.)
     """
 
-    def __init__(
-        self,
-        comm,
-        K=_UNSET,
-        ff=_UNSET,
-        low_rank=_UNSET,
-        config=_UNSET,
-        qr_variant=_UNSET,
-        gather=_UNSET,
-        apmos_group_size=_UNSET,
-        workspace=_UNSET,
-        overlap=_UNSET,
-        *,
-        solver: Optional[SolverConfig] = None,
-        **extra,
-    ) -> None:
-        # On the legacy signature an explicit None on K/ff/low_rank (its
-        # own defaults) or apmos_group_size (None = flat APMOS) meant
-        # "use the config/default value" — those neither override nor
-        # count as a legacy-kwarg call.  The other options had concrete
-        # defaults, so an explicit None there passes through to
-        # SolverConfig validation and fails loudly.
-        legacy = {
-            name: value
-            for name, value in zip(
-                _LEGACY_PARAMS,
-                (K, ff, low_rank, qr_variant, gather, apmos_group_size,
-                 workspace, overlap),
+    def __init__(self, comm, *, solver: Optional[SolverConfig] = None) -> None:
+        if solver is None:
+            solver = SolverConfig()
+        elif not isinstance(solver, SolverConfig):
+            raise ConfigurationError(
+                f"solver must be a SolverConfig, got {type(solver).__name__}"
             )
-            if value is not _UNSET
-            and not (
-                value is None
-                and name in ("K", "ff", "low_rank", "apmos_group_size")
-            )
-        }
-        legacy.update(extra)
-        legacy_config = config if config is not _UNSET else None
-        if solver is not None:
-            if legacy or legacy_config is not None:
-                raise ConfigurationError(
-                    "pass either solver=SolverConfig(...) or the legacy "
-                    "keyword arguments, not both"
-                )
-            if not isinstance(solver, SolverConfig):
-                raise ConfigurationError(
-                    f"solver must be a SolverConfig, got "
-                    f"{type(solver).__name__}"
-                )
-            resolved = solver
-        else:
-            if legacy or legacy_config is not None:
-                warnings.warn(
-                    _legacy_kwargs_message(legacy, legacy_config),
-                    DeprecationWarning,
-                    stacklevel=2,
-                )
-            if legacy_config is not None:
-                resolved = SolverConfig.from_svd_config(legacy_config, **legacy)
-            else:
-                resolved = SolverConfig(**legacy)
-        super().__init__(config=resolved)
+        super().__init__(config=solver)
         self.comm = comm
-        self._qr_variant = resolved.qr_variant
-        self._gather = resolved.gather
-        self._apmos_group_size = resolved.apmos_group_size
+        self._qr_variant = solver.qr_variant
+        self._gather = solver.gather
+        self._apmos_group_size = solver.apmos_group_size
         self._workspace: Optional[Workspace] = (
-            Workspace() if resolved.workspace else None
+            Workspace() if solver.workspace else None
         )
-        self._overlap = bool(resolved.overlap)
+        self._overlap = bool(solver.overlap)
         # In-flight pipelined step (overlap mode): posted by
         # incorporate_data, completed lazily by the next update or by any
         # result accessor.  _pending_error poisons the instance after a
@@ -358,32 +253,32 @@ class ParSVDParallel(ParSVDBase):
         of Levy-Lindenbaum - small operation" in the listing.
 
         With the workspace fast lane enabled (the default) ``a_local`` is
-        treated as caller-owned scratch: the gather-variant TSQR writes
-        ``q_local`` in place over it.  Pass ``workspace=False`` at
-        construction if you call this directly and need ``a_local``
-        preserved.
+        treated as caller-owned scratch: the local QR may factor it in
+        place.  Build the driver with ``SolverConfig(workspace=False)`` if
+        you call this directly and need ``a_local`` preserved.  An
+        in-flight overlapped step is completed first.
         """
         self._finalize_pending()
-        if self._qr_variant == "tree":
-            q_local, r_final = tsqr_tree(
-                self.comm, a_local, workspace=self._workspace
-            )
-        else:
-            q_local, r_final = tsqr_gather(
-                self.comm, a_local, workspace=self._workspace
-            )
 
-        # SVD the small replicated factor once, at rank 0, and broadcast —
-        # with randomization enabled this keeps every rank on the same
-        # sketch realisation.
-        if self.comm.rank == 0:
-            payload: Optional[Tuple[np.ndarray, np.ndarray]] = self._reduce_r(
-                r_final
-            )
-        else:
-            payload = None
-        u_new, s_new = self.comm.bcast(payload, root=0)
+        # SVD the small factor once, at rank 0, and ship it in the fused
+        # reply — with randomization enabled this keeps every rank on the
+        # same sketch realisation.  The identity combine leaves q_local
+        # the plain TSQR factor.
+        def reduce_fn(r_final):
+            identity = np.eye(r_final.shape[0], dtype=r_final.dtype)
+            return (identity, *self._reduce_r(r_final))
+
+        q_local, u_new, s_new = finish_now(self._post_step(a_local), reduce_fn)
         return q_local, u_new, s_new
+
+    def _post_step(self, a_local: np.ndarray):
+        """Post one TSQR step of the configured variant over ``a_local``."""
+        step_cls = (
+            PipelinedTreeStep
+            if self._qr_variant == "tree"
+            else PipelinedGatherStep
+        )
+        return step_cls(self.comm, a_local, workspace=self._workspace)
 
     def _reduce_r(self, r_final: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Rank-0 reduction of the replicated TSQR ``R``: the streaming
@@ -442,12 +337,7 @@ class ParSVDParallel(ParSVDBase):
         # finish phase runs.  With overlap=True the step stays in flight —
         # the merge / reduce / fused reply completes at the next update or
         # result access, overlapping whatever the caller does in between.
-        step_cls = (
-            PipelinedTreeStep
-            if self._qr_variant == "tree"
-            else PipelinedGatherStep
-        )
-        self._pending = step_cls(self.comm, ll, workspace=self._workspace)
+        self._pending = self._post_step(ll)
         self._pending_posted_t = (
             time.perf_counter() if _obs.state() is not None else None
         )
@@ -798,21 +688,17 @@ class ParSVDParallel(ParSVDBase):
         cls,
         comm,
         path,
-        qr_variant: Optional[str] = None,
-        gather: Optional[str] = None,
         solver: Optional[SolverConfig] = None,
     ) -> "ParSVDParallel":
         """Rebuild this rank's instance from its shard of a checkpoint.
 
-        ``qr_variant``/``gather`` default to the values recorded at save
-        time (so a restart continues with the saved configuration,
-        including ``apmos_group_size``); pass them explicitly to override.
-        ``solver`` overrides the whole configuration at once (a full
+        The restart runs with the configuration recorded at save time
+        (including ``qr_variant``, ``gather`` and ``apmos_group_size``)
+        unless ``solver`` overrides it as a whole (a full
         :class:`~repro.config.SolverConfig`, e.g. the one embedded in the
         checkpoint's :class:`~repro.config.RunConfig` payload — how
         :meth:`repro.api.Session.resume` also restores ``workspace``/
-        ``overlap``); it is mutually exclusive with the per-field
-        overrides.
+        ``overlap``).
 
         Two layouts restart:
 
@@ -825,11 +711,6 @@ class ParSVDParallel(ParSVDBase):
           equal the checkpoint's (the shards partition the global modes);
           a mismatch raises :class:`~repro.exceptions.DataFormatError`.
         """
-        if solver is not None and (qr_variant is not None or gather is not None):
-            raise ConfigurationError(
-                "pass either solver= or the qr_variant/gather overrides, "
-                "not both"
-            )
         gathered_file = normalize_checkpoint_path(path)
         shard = rank_checkpoint_path(path, comm.rank)
         gathered_state: Optional[dict] = None
@@ -859,53 +740,42 @@ class ParSVDParallel(ParSVDBase):
             state = gathered_state
             global_modes = state["modes"]
             part = block_partition(global_modes.shape[0], comm.size)
-            svd = cls(comm, solver=cls._restored_solver(state, qr_variant, gather, solver))
             local = np.array(global_modes[part.slice_of(comm.rank), :])
-            svd._ulocal = local
-            svd._singular_values = state["singular_values"]
-            svd._iteration = state["iteration"]
-            svd._n_seen = state["n_seen"]
-            svd._n_dof = local.shape[0]
-            svd._invalidate_modes()
-            return svd
-        state = read_checkpoint(shard)
-        if state["kind"] != "parallel":
-            raise DataFormatError(
-                f"{shard}: checkpoint kind {state['kind']!r} is not 'parallel'"
-            )
-        if state["nranks"] != comm.size:
-            raise DataFormatError(
-                f"{shard}: checkpoint was taken at {state['nranks']} ranks, "
-                f"restart has {comm.size}"
-            )
-        if state["rank"] != comm.rank:
-            raise DataFormatError(
-                f"{shard}: shard belongs to rank {state['rank']}, "
-                f"loaded by rank {comm.rank}"
-            )
-        svd = cls(comm, solver=cls._restored_solver(state, qr_variant, gather, solver))
-        svd._ulocal = state["modes"]
+        else:
+            state = read_checkpoint(shard)
+            if state["kind"] != "parallel":
+                raise DataFormatError(
+                    f"{shard}: checkpoint kind {state['kind']!r} is not "
+                    f"'parallel'"
+                )
+            if state["nranks"] != comm.size:
+                raise DataFormatError(
+                    f"{shard}: checkpoint was taken at {state['nranks']} "
+                    f"ranks, restart has {comm.size}"
+                )
+            if state["rank"] != comm.rank:
+                raise DataFormatError(
+                    f"{shard}: shard belongs to rank {state['rank']}, "
+                    f"loaded by rank {comm.rank}"
+                )
+            local = state["modes"]
+        if solver is None:
+            solver = cls._restored_solver(state)
+        svd = cls(comm, solver=solver)
+        svd._ulocal = local
         svd._singular_values = state["singular_values"]
         svd._iteration = state["iteration"]
         svd._n_seen = state["n_seen"]
-        svd._n_dof = state["modes"].shape[0]
+        svd._n_dof = local.shape[0]
         svd._invalidate_modes()
         return svd
 
     @staticmethod
-    def _restored_solver(
-        state: dict,
-        qr_variant: Optional[str],
-        gather: Optional[str],
-        solver: Optional[SolverConfig],
-    ) -> SolverConfig:
-        """The SolverConfig a restart runs with: an explicit override, or
-        the checkpoint's recorded algorithm + run options."""
-        if solver is not None:
-            return solver
+    def _restored_solver(state: dict) -> SolverConfig:
+        """The checkpoint's recorded algorithm + run options."""
         return SolverConfig.from_svd_config(
             state["config"],
-            qr_variant=qr_variant or state["qr_variant"],
-            gather=gather or state["gather"],
+            qr_variant=state["qr_variant"],
+            gather=state["gather"],
             apmos_group_size=state["apmos_group_size"],
         )

@@ -2,37 +2,39 @@
 
 The streaming update of the parallel class needs a QR factorization of a
 row-block-distributed tall-skinny matrix ``A`` (rows = grid points spread
-over ranks, columns = ``K + batch`` ≪ rows).  Two variants are provided:
+over ranks, columns = ``K + batch`` ≪ rows).  There is one implementation,
+a *step* split into a post and a finish phase, with two communication
+patterns:
 
-``tsqr_gather``
+:class:`PipelinedGatherStep`
     The paper's scheme (Listing 4): every rank takes a local QR, the small
     ``R`` factors are gathered and stacked at rank 0, a second QR of the
     stack yields the global ``R`` and a correction factor that rank 0 slices
     and sends back to each rank.  Simple, but rank 0 handles ``p * n x n``.
 
-``tsqr_tree``
+:class:`PipelinedTreeStep`
     The communication-optimal binary-reduction TSQR: pairs of ranks merge
     their ``R`` factors up a tree (``log2 p`` rounds), then the per-level
     correction factors are pushed back down.  Same result (both are
     canonicalised to ``diag(R) >= 0``), lower critical-path volume — the
     A5 ablation bench contrasts the two.
 
-Both return ``(Q_local, R)`` with ``Q_local`` the caller's row block of the
-global orthonormal factor and ``R`` replicated on every rank.
+Constructing a step is the *post* phase (receives preposted before the
+local QR, local factor taken, small ``R`` shipped); :meth:`finish` merges
+or refactors, runs a root-side ``reduce_fn(R)`` — e.g. the small SVD of the
+streaming update — and sends a **fused** reply carrying each rank's
+correction block together with ``reduce_fn``'s results in a single
+message.  Between ``post`` and ``finish`` the caller is free to do
+unrelated work (ingest the next batch, prefetch IO) while the collectives
+are in flight; :class:`~repro.core.parallel.ParSVDParallel`'s
+``overlap=True`` streaming update is built on this.
 
-Pipelined steps
----------------
-:class:`PipelinedGatherStep` / :class:`PipelinedTreeStep` split one
-TSQR-plus-reduce step into a *post* phase (receives preposted before the
-local QR, local factor taken, small ``R`` shipped) and a *finish* phase
-(merge/refactor, a root-side ``reduce_fn(R)`` — e.g. the small SVD of the
-streaming update — and a **fused** reply carrying each rank's correction
-block together with ``reduce_fn``'s results in a single message).
-Between ``post`` and ``finish`` the caller is free to do unrelated work
-(ingest the next batch, prefetch IO) while the collectives are in flight;
-:class:`~repro.core.parallel.ParSVDParallel`'s ``overlap=True`` streaming
-update is built on these.  The numbers are identical to the blocking
-variants — same factorizations of the same values in the same order.
+Blocking means post, then finish right away: :func:`tsqr_gather` /
+:func:`tsqr_tree` build a step and finish it at once with an identity
+reduce, so ``R`` travels in the fused reply, and :func:`finish_now` runs
+the one tall GEMM.  Both return ``(Q_local, R)`` with ``Q_local`` the
+caller's row block of the global orthonormal factor and ``R`` replicated
+on every rank.
 """
 
 from __future__ import annotations
@@ -48,19 +50,13 @@ from ..utils.linalg import as_floating, qr_positive
 __all__ = [
     "PipelinedGatherStep",
     "PipelinedTreeStep",
+    "finish_now",
     "tsqr_gather",
     "tsqr_tree",
 ]
 
-#: Base of the p2p tag range used by the gather variant (mirrors the
-#: paper's ``tag=rank+10``).
-_TAG_BASE = 10
-#: Tag range used by the tree variant (distinct from the gather variant so
-#: both can run on one communicator in sequence).
-_TAG_TREE_UP = 200
-_TAG_TREE_DOWN = 300
-#: Tag ranges of the pipelined steps (distinct from the blocking variants
-#: so posted traffic can sit in mailboxes across a blocking call).
+#: Tag ranges of the two step variants (distinct, so steps of both
+#: variants can be in flight on one communicator).
 _TAG_PIPE_UP = 400
 _TAG_PIPE_DOWN = 500
 _TAG_PTREE_UP = 600
@@ -99,6 +95,32 @@ def _stack_and_refactor(blocks, n: int, workspace):
     return q2, r_final, offsets
 
 
+def _identity_reduce(r: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The plain-TSQR reduce: no combine factor, ``R`` rides the reply."""
+    return np.eye(r.shape[0], dtype=r.dtype), r
+
+
+def finish_now(step, reduce_fn: Callable[[np.ndarray], tuple]) -> tuple:
+    """Finish ``step`` at once and run its one tall GEMM.
+
+    Returns ``(q_local, *rest)``: ``q_local = q1 @ fused`` is this rank's
+    row block of the global ``Q`` times ``reduce_fn``'s combine factor,
+    ``rest`` the remaining results of ``reduce_fn`` (replicated).  On the
+    workspace fast lane the GEMM lands in the pooled ``"tsqr_q"`` buffer
+    (``q1`` may alias the spent input, so the output cannot go there).
+    """
+    q1, fused, *rest = step.finish(reduce_fn)
+    workspace = step._workspace
+    if workspace is None:
+        q_local = q1 @ fused
+    else:
+        q_out = workspace.get(
+            "tsqr_q", (q1.shape[0], fused.shape[1]), q1.dtype
+        )
+        q_local = np.matmul(q1, fused, out=q_out)
+    return (q_local, *rest)
+
+
 def tsqr_gather(
     comm, a_local: np.ndarray, workspace=None
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -114,11 +136,10 @@ def tsqr_gather(
     workspace:
         Optional :class:`~repro.core.workspace.Workspace` enabling the
         allocation-free fast lane.  Passing it asserts that ``a_local`` is
-        caller-owned *scratch*: rank 0 stacks the gathered ``R`` factors
-        into a reused workspace buffer (no ``np.concatenate``), the stacked
-        refactorization may destroy that buffer (``overwrite_a``), and the
-        returned ``q_local`` is written **in place over** ``a_local``
-        (whose contents are no longer needed once the local QR is taken).
+        caller-owned *scratch*: the local QR may factor it in place, rank 0
+        stacks the gathered ``R`` factors into a reused workspace buffer
+        (no ``np.concatenate``) that the stacked refactorization may
+        destroy, and ``q_local`` lands in a pooled workspace buffer.
 
     Returns
     -------
@@ -126,51 +147,33 @@ def tsqr_gather(
         ``q_local`` — ``(M_i, n)`` row block of the global ``Q``;
         ``r`` — the global ``(n, n)`` upper-triangular factor, replicated.
     """
-    a_local = _validate_local(a_local)
-    n = a_local.shape[1]
-
-    # Local QR; canonical signs so the stacked reduction is deterministic.
-    # On the fast lane the input is declared scratch, so LAPACK may factor
-    # it in place (zero-copy when the caller hands an F-ordered workspace
-    # buffer: Q then aliases the input storage).
-    scratch_input = workspace is not None and a_local.flags.writeable
-    q1, r1 = qr_positive(a_local, overwrite_a=scratch_input)
-    rows_local = r1.shape[0]
-
-    r_stack = comm.gather(r1, root=0)
-    if comm.rank == 0:
-        q2, r_final, offsets = _stack_and_refactor(r_stack, n, workspace)
-        # Slice the correction factor by each rank's R row count and ship it.
-        # (Counts can differ when a rank owns fewer rows than columns.)
-        for peer in range(1, comm.size):
-            comm.send(
-                np.ascontiguousarray(q2[offsets[peer] : offsets[peer + 1]]),
-                dest=peer,
-                tag=_TAG_BASE + peer,
-            )
-        q2_local = q2[offsets[0] : offsets[1]]
-    else:
-        r_final = None
-        q2_local = comm.recv(source=0, tag=_TAG_BASE + comm.rank)
-    r_final = comm.bcast(r_final, root=0)
-
-    if workspace is not None:
-        # The correction GEMM lands in a persistent buffer (q1 may alias
-        # the spent input, so the output cannot go there).
-        q_out = workspace.get(
-            "tsqr_q", (q1.shape[0], q2_local.shape[1]), q1.dtype
-        )
-        q_local = np.matmul(q1, q2_local, out=q_out)
-    else:
-        q_local = q1 @ q2_local
-    if q_local.shape[1] != n:  # pragma: no cover - defensive
-        raise ShapeError(
-            f"TSQR produced {q_local.shape[1]} columns, expected {n}"
-        )
-    return q_local, r_final
+    step = PipelinedGatherStep(comm, a_local, workspace=workspace)
+    q_local, r = finish_now(step, _identity_reduce)
+    return q_local, r
 
 
-def _tree_recv_schedule(rank: int, size: int, comm, tag_base: int) -> Dict[int, object]:
+def tsqr_tree(
+    comm, a_local: np.ndarray, workspace=None
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Binary-reduction TSQR (Benson, Gleich & Demmel 2013).
+
+    Communication structure: ``ceil(log2 p)`` rounds.  In round ``d`` the
+    rank with the set ``2^d`` bit sends its current ``R`` to its partner
+    (``rank - 2^d``), which stacks the two ``R`` factors, refactors, and
+    keeps the product chain of correction blocks.  The downsweep then sends
+    each child its slice of the correction factor (and ``R``) so every rank
+    can update its local ``Q``.  ``workspace`` is as in
+    :func:`tsqr_gather`; it also pools the per-level stacked ``R`` pairs.
+
+    Results match :func:`tsqr_gather` to round-off because both are
+    canonicalised (``diag(R) >= 0``), which the tests assert.
+    """
+    step = PipelinedTreeStep(comm, a_local, workspace=workspace)
+    q_local, r = finish_now(step, _identity_reduce)
+    return q_local, r
+
+
+def _tree_recv_schedule(rank: int, size: int, comm) -> Dict[int, object]:
     """Prepost one receive per upsweep level at which ``rank`` will merge.
 
     The binary-reduction schedule is static: at level ``d`` (stride
@@ -183,7 +186,7 @@ def _tree_recv_schedule(rank: int, size: int, comm, tag_base: int) -> Dict[int, 
     stride, depth = 1, 0
     while stride < size:
         if rank % stride == 0 and not (rank & stride) and rank + stride < size:
-            requests[depth] = comm.irecv(rank + stride, tag_base + depth)
+            requests[depth] = comm.irecv(rank + stride, _TAG_PTREE_UP + depth)
         stride <<= 1
         depth += 1
     return requests
@@ -195,31 +198,32 @@ def _tree_upsweep(
     up_requests: Dict[int, object],
     workspace,
     n: int,
-    tag_base: int,
-    skip_first_send: bool = False,
 ):
     """Run the binary reduction of R factors (receives preposted).
 
     Returns ``(r_current, q_factors, merge_meta)`` — the reduced factor
     (final global ``R`` on rank 0), the correction chain and its metadata.
     With a workspace, each level's stacked R pair lands in a pooled
-    F-ordered buffer that LAPACK may refactor in place.
+    F-ordered buffer that LAPACK may refactor in place.  Odd ranks are
+    absorbed at level 0 and shipped their ``R`` at post time, so they
+    take no part here.
     """
     rank, size = comm.rank, comm.size
     q_factors = []  # correction chain, innermost (local) first
     merge_meta = []  # (partner, my_rows, partner_rows) per merge
     stride, depth = 1, 0
-    active = True
+    active = not rank & 1
     while stride < size:
         if active:
             partner = rank ^ stride
             if partner < size:
                 if rank & stride:
-                    if not (skip_first_send and depth == 0):
-                        # Blocking send: the partner preposted this level's
-                        # receive, and a completed send needs no buffer-
-                        # lifetime management on any backend.
-                        comm.send(r_current, dest=partner, tag=tag_base + depth)
+                    # Blocking send: the partner preposted this level's
+                    # receive, and a completed send needs no buffer-
+                    # lifetime management on any backend.
+                    comm.send(
+                        r_current, dest=partner, tag=_TAG_PTREE_UP + depth
+                    )
                     active = False
                 else:
                     with _obs.span(
@@ -253,89 +257,6 @@ def _tree_upsweep(
     return r_current, q_factors, merge_meta
 
 
-def tsqr_tree(
-    comm, a_local: np.ndarray, workspace=None
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Binary-reduction TSQR (Benson, Gleich & Demmel 2013).
-
-    Communication structure: ``ceil(log2 p)`` rounds.  In round ``d`` the
-    rank with the set ``2^d`` bit sends its current ``R`` to its partner
-    (``rank - 2^d``), which stacks the two ``R`` factors, refactors, and
-    keeps the product chain of correction blocks.  The downsweep then sends
-    each child its slice of the correction factor so every rank can update
-    its local ``Q``.
-
-    Every receive in this rank's static schedule — the per-level partner
-    ``R`` factors and (non-root) the downsweep correction — is posted
-    *before* the local QR, so partners' traffic lands in the mailbox while
-    this rank factors its own block.  ``workspace`` (as in
-    :func:`tsqr_gather`) declares ``a_local`` caller-owned scratch and
-    pools the per-level stacked ``R`` pairs plus the final correction
-    GEMM's output.
-
-    Results match :func:`tsqr_gather` to round-off because both are
-    canonicalised (``diag(R) >= 0``), which the tests assert.
-    """
-    a_local = _validate_local(a_local)
-    n = a_local.shape[1]
-    rank, size = comm.rank, comm.size
-
-    # --- prepost the whole receive schedule, then factor locally ----------
-    up_requests = _tree_recv_schedule(rank, size, comm, _TAG_TREE_UP)
-    if rank != 0 and size > 1:
-        down_request = comm.irecv(
-            rank & ~stride_of_absorption(rank),
-            _TAG_TREE_DOWN + level_of_absorption(rank),
-        )
-    scratch = workspace is not None and a_local.flags.writeable
-    q_local, r_current = qr_positive(a_local, overwrite_a=scratch)
-
-    # --- upsweep: binary reduction of R factors -------------------------
-    r_current, q_factors, merge_meta = _tree_upsweep(
-        comm, r_current, up_requests, workspace, n, _TAG_TREE_UP
-    )
-
-    # --- broadcast final R (owned by rank 0 after the reduction) -----------
-    r_final = comm.bcast(r_current if rank == 0 else None, root=0)
-
-    # --- downsweep: push correction slices back down the tree --------------
-    # Each rank accumulates `correction`, the matrix C such that its block of
-    # the global Q is q_local @ C.  Rank 0 starts with the identity of the
-    # final R's row count; merges are unwound in reverse order.
-    if rank == 0:
-        correction = np.eye(r_final.shape[0], dtype=r_final.dtype)
-    else:
-        # Receive from the partner that absorbed this rank's R (preposted).
-        with _obs.span("tsqr.down_wait", phase="wait", rank=rank):
-            correction = down_request.wait()
-
-    for q_merge, (partner, my_rows, partner_rows) in zip(
-        reversed(q_factors), reversed(merge_meta)
-    ):
-        combined = q_merge @ correction
-        comm.send(
-            np.ascontiguousarray(combined[my_rows : my_rows + partner_rows]),
-            dest=partner,
-            tag=_TAG_TREE_DOWN + level_of_absorption(partner),
-        )
-        correction = combined[:my_rows]
-
-    if workspace is not None:
-        # q_local may alias the spent input buffer; land the correction
-        # GEMM in a stable pooled destination instead.
-        q_out = workspace.get(
-            "tsqr_q", (q_local.shape[0], correction.shape[1]), q_local.dtype
-        )
-        q_local = np.matmul(q_local, correction, out=q_out)
-    else:
-        q_local = q_local @ correction
-    if q_local.shape[1] != n:  # pragma: no cover - defensive
-        raise ShapeError(
-            f"tree TSQR produced {q_local.shape[1]} columns, expected {n}"
-        )
-    return q_local, r_final
-
-
 def _abort_request(request: object) -> None:
     """Best-effort cancel of one in-flight request during an abort/drain.
 
@@ -366,29 +287,21 @@ def _frozen_copy(block: np.ndarray) -> np.ndarray:
     return snapshot
 
 
-class PipelinedGatherStep:
-    """One in-flight gather-variant TSQR + reduce step.
+class _PipelinedStep:
+    """One in-flight TSQR + reduce step: what both variants share.
 
-    Construction is the *post* phase: the root preposts one receive per
-    peer **before** its local QR, every rank factors its block (in place
-    on the workspace fast lane), and non-roots ship their small ``R`` and
-    prepost the receive for the fused reply — then return to the caller
-    with the step in flight.
+    Construction is the *post* phase.  ``_prepost`` posts this rank's
+    receives — ``_up`` for the ``R`` factors it will merge, ``_reply`` for
+    its fused reply (``None`` on the root) — **before** the local QR (the
+    MPI prepost idiom: partners' traffic lands while this rank factors its
+    own block, in place on the workspace fast lane); ``_ship`` then sends
+    whatever ``R`` is already final.  Sends stay in ``_outbox`` until
+    :meth:`finish` so backends whose send requests own the wire buffer
+    (mpi4py pickle mode) cannot have it collected mid-flight.
 
-    :meth:`finish` completes the step: the root stacks the gathered ``R``
-    factors (pooled buffer), refactors, runs ``reduce_fn(R_global) ->
-    (combine, *rest)`` — e.g. the streaming update's truncated small SVD
-    — and sends each peer its correction block **pre-multiplied by**
-    ``combine`` together with ``rest`` in one fused message.  Three
-    envelopes per peer pair per step collapse into one, the blocking
-    path's separate ``R``/result broadcasts disappear, and the
-    correction-combine product is taken *small-matrices-first*: each rank
-    later needs only one tall GEMM ``q1 @ (correction @ combine)``
-    instead of ``(q1 @ correction) @ combine`` — a large cut of the
-    per-step FLOPs when ``combine`` is a truncation.
-
-    Returns ``(q1, fused_correction, *rest)``: the caller owns the final
-    ``q1 @ fused_correction`` product (and its destination buffer).
+    :meth:`finish` returns ``(q1, fused_correction, *rest)``: the caller
+    owns the final ``q1 @ fused_correction`` product (and its destination
+    buffer).
     """
 
     def __init__(self, comm, a_local: np.ndarray, workspace=None) -> None:
@@ -396,22 +309,68 @@ class PipelinedGatherStep:
         self._comm = comm
         self._workspace = workspace
         self._n = a_local.shape[1]
-        if comm.rank == 0 and comm.size > 1:
-            # Preposted before the local QR (the prepost idiom).
-            self._up = [
-                comm.irecv(peer, _TAG_PIPE_UP)
-                for peer in range(1, comm.size)
-            ]
+        self._outbox: list = []
+        self._up, self._reply = self._prepost(comm.rank, comm.size)
         scratch = workspace is not None and a_local.flags.writeable
         with _obs.span("tsqr.local_qr", phase="qr", rank=comm.rank):
             self._q1, self._r1 = qr_positive(a_local, overwrite_a=scratch)
-        # In-flight sends are retained until finish() so backends whose
-        # send requests own the wire buffer (mpi4py pickle mode) cannot
-        # have it collected mid-flight.
-        self._outbox = []
-        if comm.rank != 0:
-            self._outbox.append(comm.isend(self._r1, 0, _TAG_PIPE_UP))
-            self._reply = comm.irecv(0, _TAG_PIPE_DOWN)
+        self._ship(comm.rank)
+
+    def finish(self, reduce_fn: Callable[[np.ndarray], tuple]) -> tuple:
+        """Complete the step; ``reduce_fn`` runs on rank 0 only."""
+        with _obs.span(
+            "tsqr.finish", phase="tsqr_comm", rank=self._comm.rank
+        ):
+            fused, rest = self._finish(reduce_fn)
+            # Drain the outbox: the peers' matching receives are preposted,
+            # so these waits are instant once the step's exchange happened.
+            for request in self._outbox:
+                request.wait()
+            self._outbox = []
+        return (self._q1, fused) + rest
+
+    def abort(self) -> None:
+        """Abandon the in-flight step: cancel pending receives, drop the
+        outbox.  Called on the recovery path (a peer died mid-step) —
+        afterwards the step must not be finished."""
+        requests = list(self._up.values())
+        if self._reply is not None:
+            requests.append(self._reply)
+        for request in requests + self._outbox:
+            _abort_request(request)
+        self._up, self._reply, self._outbox = {}, None, []
+
+
+class PipelinedGatherStep(_PipelinedStep):
+    """One in-flight gather-variant TSQR + reduce step.
+
+    Post phase: the root preposts one receive per peer, non-roots the
+    receive for the fused reply; after the local QR non-roots ship their
+    small ``R``.
+
+    :meth:`finish` completes the step: the root stacks the gathered ``R``
+    factors (pooled buffer), refactors, runs ``reduce_fn(R_global) ->
+    (combine, *rest)`` — e.g. the streaming update's truncated small SVD
+    — and sends each peer its correction block **pre-multiplied by**
+    ``combine`` together with ``rest`` in one fused message.  Three
+    envelopes per peer pair per step collapse into one, no separate
+    ``R``/result broadcast is needed, and the
+    correction-combine product is taken *small-matrices-first*: each rank
+    later needs only one tall GEMM ``q1 @ (correction @ combine)``
+    instead of ``(q1 @ correction) @ combine`` — a large cut of the
+    per-step FLOPs when ``combine`` is a truncation.
+    """
+
+    def _prepost(self, rank: int, size: int):
+        comm = self._comm
+        if rank == 0:
+            up = {peer: comm.irecv(peer, _TAG_PIPE_UP) for peer in range(1, size)}
+            return up, None
+        return {}, comm.irecv(0, _TAG_PIPE_DOWN)
+
+    def _ship(self, rank: int) -> None:
+        if rank != 0:
+            self._outbox.append(self._comm.isend(self._r1, 0, _TAG_PIPE_UP))
 
     def advance(self) -> bool:
         """Non-blocking progress poll: ``True`` when :meth:`finish` can
@@ -423,77 +382,46 @@ class PipelinedGatherStep:
         landed.  The progress daemon calls this with backoff so
         ``overlap=True`` steps complete in the background.
         """
-        comm = self._comm
-        if comm.rank == 0:
-            if comm.size == 1:
-                return True
-            return all(request.test()[0] for request in self._up)
+        if self._comm.rank == 0:
+            return all(request.test()[0] for request in self._up.values())
         return bool(self._reply.test()[0])
 
-    def finish(self, reduce_fn: Callable[[np.ndarray], tuple]) -> tuple:
-        """Complete the step; ``reduce_fn`` runs on rank 0 only."""
-        with _obs.span(
-            "tsqr.finish", phase="tsqr_comm", rank=self._comm.rank
-        ):
-            return self._finish(reduce_fn)
-
     def _finish(self, reduce_fn: Callable[[np.ndarray], tuple]) -> tuple:
-        comm, workspace, n = self._comm, self._workspace, self._n
-        if comm.rank == 0:
-            blocks = [self._r1]
-            if comm.size > 1:
-                with _obs.span("tsqr.gather_wait", phase="wait", rank=0):
-                    blocks.extend(
-                        np.asarray(req.wait()) for req in self._up
-                    )
-            q2, r_final, offsets = _stack_and_refactor(blocks, n, workspace)
-            reduced = tuple(reduce_fn(r_final))
-            combine, rest = reduced[0], tuple(reduced[1:])
-            rest_shared = tuple(
-                _frozen_copy(item) if isinstance(item, np.ndarray) else item
-                for item in rest
-            )
-            for peer in range(1, comm.size):
-                # Small-first fuse at the root: the shipped block is the
-                # peer's whole remaining update except its one tall GEMM.
-                piece = _frozen_copy(
-                    q2[offsets[peer] : offsets[peer + 1]] @ combine
-                )
-                self._outbox.append(
-                    comm.isend((piece,) + rest_shared, peer, _TAG_PIPE_DOWN)
-                )
-            fused = q2[offsets[0] : offsets[1]] @ combine
-        else:
+        comm = self._comm
+        if comm.rank != 0:
             with _obs.span(
                 "tsqr.reply_wait", phase="wait", rank=comm.rank
             ):
                 payload = self._reply.wait()
-            fused = payload[0]
-            rest = tuple(payload[1:])
-        # Drain the outbox: the peers' matching receives are preposted, so
-        # these waits are instant once the step's exchange has happened.
-        for request in self._outbox:
-            request.wait()
-        self._outbox = []
-        return (self._q1, fused) + rest
+            return payload[0], tuple(payload[1:])
+        blocks = [self._r1]
+        if self._up:
+            with _obs.span("tsqr.gather_wait", phase="wait", rank=0):
+                blocks.extend(
+                    np.asarray(req.wait()) for req in self._up.values()
+                )
+        q2, r_final, offsets = _stack_and_refactor(
+            blocks, self._n, self._workspace
+        )
+        reduced = tuple(reduce_fn(r_final))
+        combine, rest = reduced[0], tuple(reduced[1:])
+        rest_shared = tuple(
+            _frozen_copy(item) if isinstance(item, np.ndarray) else item
+            for item in rest
+        )
+        for peer in range(1, comm.size):
+            # Small-first fuse at the root: the shipped block is the
+            # peer's whole remaining update except its one tall GEMM.
+            piece = _frozen_copy(
+                q2[offsets[peer] : offsets[peer + 1]] @ combine
+            )
+            self._outbox.append(
+                comm.isend((piece,) + rest_shared, peer, _TAG_PIPE_DOWN)
+            )
+        return q2[offsets[0] : offsets[1]] @ combine, rest
 
-    def abort(self) -> None:
-        """Abandon the in-flight step: cancel pending receives, drop the
-        outbox.  Called on the recovery path (a peer died mid-step) —
-        afterwards the step must not be finished."""
-        for request in getattr(self, "_up", []) or []:
-            _abort_request(request)
-        self._up = []
-        reply = getattr(self, "_reply", None)
-        if reply is not None:
-            _abort_request(reply)
-            self._reply = None
-        for request in getattr(self, "_outbox", []):
-            _abort_request(request)
-        self._outbox = []
 
-
-class PipelinedTreeStep:
+class PipelinedTreeStep(_PipelinedStep):
     """One in-flight tree-variant TSQR + reduce step.
 
     Post phase: the full static receive schedule (per-level upsweep
@@ -507,43 +435,36 @@ class PipelinedTreeStep:
     broadcasts at all.  The downsweep keeps full-width corrections (the
     children's chains need them); the ``combine`` fold happens
     small-matrices-first at the leaves, so — like the gather step — each
-    rank performs exactly one tall GEMM, owned by the caller.  Returns
-    ``(q1, fused_correction, *rest)``.
+    rank performs exactly one tall GEMM, owned by the caller.
     """
 
-    def __init__(self, comm, a_local: np.ndarray, workspace=None) -> None:
-        a_local = _validate_local(a_local)
-        self._comm = comm
-        self._workspace = workspace
-        self._n = a_local.shape[1]
-        rank, size = comm.rank, comm.size
-        self._up = _tree_recv_schedule(rank, size, comm, _TAG_PTREE_UP)
-        if rank != 0 and size > 1:
-            self._down = comm.irecv(
-                rank & ~stride_of_absorption(rank),
-                _TAG_PTREE_DOWN + level_of_absorption(rank),
-            )
-        scratch = workspace is not None and a_local.flags.writeable
-        with _obs.span("tsqr.local_qr", phase="qr", rank=comm.rank):
-            self._q1, self._r1 = qr_positive(a_local, overwrite_a=scratch)
-        # In-flight sends are retained until finish() (mpi4py send
-        # requests own the wire buffer; see PipelinedGatherStep).
-        self._outbox = []
+    #: Cached upsweep result, populated either by finish() or eagerly by
+    #: advance() — running the upsweep as soon as the partner R factors
+    #: arrive ships this rank's merged R up the tree without waiting for
+    #: an explicit finish, which is what lets background progress daemons
+    #: complete tree steps on every rank: the root's readiness depends on
+    #: its children's upsweeps having run.
+    _upswept = None
+
+    def _prepost(self, rank: int, size: int):
+        up = _tree_recv_schedule(rank, size, self._comm)
+        if rank == 0:
+            return up, None
+        # The downsweep correction comes from the partner that absorbs
+        # this rank's R.
+        return up, self._comm.irecv(
+            rank & ~stride_of_absorption(rank),
+            _TAG_PTREE_DOWN + level_of_absorption(rank),
+        )
+
+    def _ship(self, rank: int) -> None:
         # Leaf fast path: a rank absorbed at level 0 performs no merges,
         # so its R is final now — ship it and let it overlap the partner's
         # local QR (and whatever the caller does next).
-        self._sent_leaf = bool(rank & 1) and size > 1
-        if self._sent_leaf:
+        if rank & 1:
             self._outbox.append(
-                comm.isend(self._r1, rank - 1, _TAG_PTREE_UP + 0)
+                self._comm.isend(self._r1, rank - 1, _TAG_PTREE_UP + 0)
             )
-        # Cached upsweep result, populated either by finish() or eagerly
-        # by advance() — running the upsweep as soon as the partner R
-        # factors arrive ships this rank's merged R up the tree without
-        # waiting for an explicit finish, which is what lets background
-        # progress daemons complete tree steps on every rank: the root's
-        # readiness depends on its children's upsweeps having run.
-        self._upswept = None
 
     def _run_upsweep(self):
         if self._upswept is None:
@@ -553,8 +474,6 @@ class PipelinedTreeStep:
                 self._up,
                 self._workspace,
                 self._n,
-                _TAG_PTREE_UP,
-                skip_first_send=self._sent_leaf,
             )
         return self._upswept
 
@@ -577,15 +496,7 @@ class PipelinedTreeStep:
             self._run_upsweep()
         if self._comm.rank == 0:
             return True
-        down = self._down
-        return down is not None and bool(down.test()[0])
-
-    def finish(self, reduce_fn: Callable[[np.ndarray], tuple]) -> tuple:
-        """Complete the step; ``reduce_fn`` runs on rank 0 only."""
-        with _obs.span(
-            "tsqr.finish", phase="tsqr_comm", rank=self._comm.rank
-        ):
-            return self._finish(reduce_fn)
+        return bool(self._reply.test()[0])
 
     def _finish(self, reduce_fn: Callable[[np.ndarray], tuple]) -> tuple:
         comm = self._comm
@@ -605,7 +516,7 @@ class PipelinedTreeStep:
             )
         else:
             with _obs.span("tsqr.down_wait", phase="wait", rank=rank):
-                payload = self._down.wait()
+                payload = self._reply.wait()
             correction = payload[0]
             extras = tuple(payload[1:])
             combine, rest = extras[0], tuple(extras[1:])
@@ -624,28 +535,7 @@ class PipelinedTreeStep:
             correction = combined[:my_rows]
         # Small-first fuse at the leaf: fold the combine factor into the
         # (n x n) correction before the single tall GEMM the caller runs.
-        fused = correction @ combine
-        # Drain the outbox (matching receives are preposted; see the
-        # gather step).
-        for request in self._outbox:
-            request.wait()
-        self._outbox = []
-        return (self._q1, fused) + rest
-
-    def abort(self) -> None:
-        """Abandon the in-flight step: cancel the upsweep schedule, the
-        downsweep receive and the outbox (see
-        :meth:`PipelinedGatherStep.abort`)."""
-        for request in (getattr(self, "_up", None) or {}).values():
-            _abort_request(request)
-        self._up = {}
-        down = getattr(self, "_down", None)
-        if down is not None:
-            _abort_request(down)
-            self._down = None
-        for request in getattr(self, "_outbox", []):
-            _abort_request(request)
-        self._outbox = []
+        return correction @ combine, rest
 
 
 def level_of_absorption(rank: int) -> int:

@@ -12,7 +12,9 @@ One daemon thread per :class:`~repro.api.Session` (when
    requests), so ``overlap=True`` steps finish without an explicit
    access.
 3. **Monitoring** — run the :class:`~repro.health.monitor.HealthMonitor`
-   check, escalating peers whose beats went stale.
+   check, escalating peers whose beats went stale.  A failing check is
+   counted (``repro.errors.health``) and logged once as a warning; the
+   daemon keeps ticking.
 
 Polling backs off exponentially while idle (up to 8x the heartbeat
 interval) and snaps back to the base interval whenever a step completes.
@@ -22,6 +24,7 @@ nothing while observability is off.
 
 from __future__ import annotations
 
+import logging
 import threading
 from typing import Any, Callable, Optional, Tuple
 
@@ -29,6 +32,8 @@ from ..obs import runtime as _obs
 from .monitor import HealthMonitor
 
 __all__ = ["ProgressDaemon", "communicator_world"]
+
+_log = logging.getLogger(__name__)
 
 
 def communicator_world(comm: Any) -> Tuple[Optional[Any], Optional[int]]:
@@ -95,6 +100,7 @@ class ProgressDaemon:
         self._monitor = monitor
         self._stop = threading.Event()
         self._error: Optional[BaseException] = None
+        self._monitor_failed = False
         rank_tag = "?" if world_rank is None else str(world_rank)
         self._thread = threading.Thread(
             target=self._run,
@@ -166,12 +172,26 @@ class ProgressDaemon:
             if self._monitor is not None:
                 try:
                     self._monitor.check()
-                except Exception:  # pragma: no cover - defensive
-                    pass
+                except Exception:
+                    self._record_monitor_failure()
             if advanced:
                 delay = self._interval
             else:
                 delay = min(delay * 2.0, self._interval * self.MAX_BACKOFF)
+
+    def _record_monitor_failure(self) -> None:
+        """Count a failed health check; warn (with traceback) on the first."""
+        st = _obs.state()
+        if st is not None and st.registry is not None:
+            st.registry.counter("repro.errors.health").inc()
+        if not self._monitor_failed:
+            self._monitor_failed = True
+            _log.warning(
+                "health monitor check failed on rank %s; later failures "
+                "are only counted (repro.errors.health)",
+                self._world_rank,
+                exc_info=True,
+            )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         state = "running" if self.running else "stopped"

@@ -39,7 +39,7 @@ import threading
 import traceback
 import weakref
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 __all__ = [
     "Leak",
@@ -111,6 +111,11 @@ class RequestTracker:
         self._seq = 0
         self._requests: Dict[int, _Entry] = {}
         self._envelopes: Dict[int, _Entry] = {}
+        # Entries whose object died, queued by the weakref callbacks and
+        # purged under the lock.  A callback must not take the lock: it runs
+        # whenever the garbage collector fires, which can be inside this
+        # thread's own locked section (a non-reentrant lock then hangs).
+        self._dead: List[Tuple[Dict[int, _Entry], int, Any]] = []
 
     @property
     def enabled(self) -> bool:
@@ -140,26 +145,37 @@ class RequestTracker:
             if self._enabled == 0:
                 self._requests.clear()
                 self._envelopes.clear()
+                self._dead.clear()
 
     def mark(self) -> int:
         """Sequence mark delimiting 'created after this point'."""
         with self._lock:
             return self._seq
 
+    def _purge(self) -> None:
+        """Drop the entries of dead objects (call with the lock held).  An
+        entry is dropped only if it still holds the dead reference: its
+        key, an ``id``, may already belong to a newer object."""
+        while self._dead:
+            registry, key, ref = self._dead.pop()
+            entry = registry.get(key)
+            if entry is not None and entry.ref is ref:
+                del registry[key]
+
     # -- creation hooks (called by request.py / message.py) ----------------
     def _note(self, registry: Dict[int, _Entry], obj: Any, kind: str, detail: str) -> None:
         origin = _capture_origin() if self._capture > 0 else None
         key = id(obj)
 
-        def _forget(_ref: Any, *, _registry: Dict[int, _Entry] = registry, _key: int = key) -> None:
-            with self._lock:
-                _registry.pop(_key, None)
+        def _forget(ref: Any, *, _registry: Dict[int, _Entry] = registry, _key: int = key) -> None:
+            self._dead.append((_registry, _key, ref))
 
         try:
             ref = weakref.ref(obj, _forget)
         except TypeError:  # pragma: no cover - non-weakrefable object
             return
         with self._lock:
+            self._purge()
             self._seq += 1
             registry[key] = _Entry(ref, kind, detail, origin, self._seq)
 
@@ -192,6 +208,7 @@ class RequestTracker:
         still_leaked: Any,
     ) -> List[Leak]:
         with self._lock:
+            self._purge()
             entries = list(registry.values())
         leaks = []
         for entry in entries:

@@ -226,23 +226,8 @@ class TestSessionErrors:
 
 
 class TestDeprecationShim:
-    def test_legacy_kwargs_warn_with_replacement_snippet(self):
-        comm = repro.create_communicator("self")
-        with pytest.warns(DeprecationWarning) as caught:
-            svd = ParSVDParallel(comm, K=5, ff=0.9, qr_variant="tree")
-        message = str(caught[0].message)
-        assert "SolverConfig(K=5, ff=0.9, qr_variant='tree')" in message
-        assert "Session" in message
-        assert svd.solver == SolverConfig(K=5, ff=0.9, qr_variant="tree")
-
-    def test_legacy_config_kwarg_warns(self):
-        from repro.config import SVDConfig
-
-        with pytest.warns(DeprecationWarning, match="from_svd_config"):
-            svd = ParSVDParallel(
-                repro.create_communicator("self"), config=SVDConfig(K=3)
-            )
-        assert svd.K == 3
+    """The deprecated keyword-argument constructor is gone: ``solver=`` is
+    the one construction path."""
 
     def test_solver_path_is_clean(self):
         with warnings.catch_warnings():
@@ -254,49 +239,14 @@ class TestDeprecationShim:
             ParSVDParallel(repro.create_communicator("self"))
         assert svd.solver.gather == "none"
 
-    def test_explicit_none_still_means_default(self):
-        """K=None/ff=None were the legacy signature's own defaults ('use
-        the config value'); they must neither override nor warn."""
-        from repro.config import SVDConfig
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            svd = ParSVDParallel(
-                repro.create_communicator("self"), K=None, ff=None
-            )
-        assert svd.K == SVDConfig().K
-        with pytest.warns(DeprecationWarning):
-            # config= still warns, but K=None does not clobber its K
-            svd = ParSVDParallel(
-                repro.create_communicator("self"),
-                K=None,
-                config=SVDConfig(K=7),
-            )
-        assert svd.K == 7
-
-    def test_solver_and_legacy_kwargs_conflict(self):
-        with pytest.raises(ConfigurationError, match="not both"):
-            ParSVDParallel(
-                repro.create_communicator("self"),
-                K=3,
-                solver=SolverConfig(),
-            )
-
-    def test_legacy_behaviour_unchanged(self, data):
-        """The shim builds the same config the kwargs used to."""
-        with pytest.warns(DeprecationWarning):
-            legacy = ParSVDParallel(
-                repro.create_communicator("self"), K=4, ff=1.0, r1=20
-            )
-        clean = ParSVDParallel(
-            repro.create_communicator("self"),
-            solver=SolverConfig(K=4, ff=1.0, r1=20),
-        )
-        for svd in (legacy, clean):
-            svd.initialize(data[:, :10])
-            svd.incorporate_data(data[:, 10:])
-        assert np.array_equal(legacy.singular_values, clean.singular_values)
-        assert np.array_equal(legacy.modes, clean.modes)
+    def test_legacy_kwargs_are_rejected(self):
+        comm = repro.create_communicator("self")
+        with pytest.raises(TypeError):
+            ParSVDParallel(comm, K=3)
+        with pytest.raises(TypeError):
+            ParSVDParallel(comm, 3)
+        with pytest.raises(ConfigurationError, match="SolverConfig"):
+            ParSVDParallel(comm, solver={"K": 3})
 
 
 class TestCheckpointEmbedding:
@@ -325,8 +275,9 @@ class TestCheckpointEmbedding:
             rows = slice(
                 comm.rank * (m // comm.size), (comm.rank + 1) * (m // comm.size)
             )
-            with pytest.warns(DeprecationWarning):
-                svd = ParSVDParallel(comm, K=3, ff=1.0, qr_variant="tree")
+            svd = ParSVDParallel(
+                comm, solver=SolverConfig(K=3, ff=1.0, qr_variant="tree")
+            )
             svd.initialize(data[rows, :20])
             return svd.save_checkpoint(base, gathered=True)
 
@@ -390,11 +341,11 @@ class TestCheckpointEmbedding:
 
 class TestResume:
     """Session.resume restores solver + backend settings at any rank
-    count — including from checkpoints written by the legacy driver API."""
+    count — including from checkpoints written by the bare driver API."""
 
     def _legacy_phase1(self, data, base, qr_variant, save_ranks=2):
-        """First half of the stream through the *legacy* constructor, saved
-        as a gathered (any-rank) checkpoint without an embedded config."""
+        """First half of the stream through the bare driver, saved as a
+        gathered (any-rank) checkpoint without an embedded config."""
 
         def job(comm):
             m = data.shape[0]
@@ -402,11 +353,9 @@ class TestResume:
 
             part = block_partition(m, comm.size)
             block = data[part.slice_of(comm.rank), :]
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DeprecationWarning)
-                svd = ParSVDParallel(
-                    comm, K=4, ff=1.0, r1=20, qr_variant=qr_variant
-                )
+            svd = ParSVDParallel(
+                comm, solver=SolverConfig(K=4, ff=1.0, r1=20, qr_variant=qr_variant)
+            )
             svd.initialize(block[:, :10])
             svd.incorporate_data(block[:, 10:20])
             return svd.save_checkpoint(base, gathered=True)
@@ -453,8 +402,8 @@ class TestResume:
         assert np.max(np.abs(align_signs(modes_s, modes_r) - modes_s)) <= 1e-10
 
     def test_resume_same_ranks_bit_identical(self, data, tmp_path):
-        """The acceptance criterion: a legacy-written checkpoint resumed
-        through the Session reproduces the uninterrupted legacy run to
+        """The acceptance criterion: a driver-written checkpoint resumed
+        through the Session reproduces the uninterrupted driver run to
         1e-12."""
         base = tmp_path / "exact"
         self._legacy_phase1(data, base, "gather", save_ranks=2)
@@ -473,9 +422,7 @@ class TestResume:
 
             part = block_partition(data.shape[0], comm.size)
             block = data[part.slice_of(comm.rank), :]
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DeprecationWarning)
-                svd = ParSVDParallel(comm, K=4, ff=1.0, r1=20)
+            svd = ParSVDParallel(comm, solver=SolverConfig(K=4, ff=1.0, r1=20))
             for start in range(0, data.shape[1], 10):
                 batch = block[:, start : start + 10]
                 if start == 0:

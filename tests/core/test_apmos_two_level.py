@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.config import SolverConfig
 from repro.core.apmos import apmos_svd, apmos_svd_two_level
 from repro.exceptions import ShapeError
 from repro.smpi import ParallelFailure, SelfCommunicator, run_spmd
@@ -149,7 +150,8 @@ class TestParallelClassIntegration:
                 part = block_partition(decaying_matrix.shape[0], comm.size)
                 block = decaying_matrix[part.slice_of(comm.rank), :]
                 svd = ParSVDParallel(
-                    comm, K=4, ff=1.0, apmos_group_size=group_size
+                    comm,
+                    solver=SolverConfig(K=4, ff=1.0, apmos_group_size=group_size),
                 )
                 svd.initialize(block[:, :20])
                 svd.incorporate_data(block[:, 20:])
@@ -167,4 +169,7 @@ class TestParallelClassIntegration:
         from repro.exceptions import ConfigurationError
 
         with pytest.raises(ConfigurationError):
-            ParSVDParallel(SelfCommunicator(), K=2, apmos_group_size=0)
+            ParSVDParallel(
+                SelfCommunicator(),
+                solver=SolverConfig(K=2, apmos_group_size=0),
+            )

@@ -5,7 +5,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from repro import ParSVDParallel, ParSVDSerial
+from repro import ParSVDParallel, ParSVDSerial, SolverConfig
 from repro.core.checkpoint import (
     CHECKPOINT_VERSION,
     rank_checkpoint_path,
@@ -154,7 +154,7 @@ class TestParallelCheckpoint:
         def phase1(comm):
             part = block_partition(m, comm.size)
             block = decaying_matrix[part.slice_of(comm.rank), :]
-            svd = ParSVDParallel(comm, K=4, ff=1.0)
+            svd = ParSVDParallel(comm, solver=SolverConfig(K=4, ff=1.0))
             svd.initialize(block[:, :20])
             svd.save_checkpoint(base)
             return svd.singular_values
@@ -169,7 +169,7 @@ class TestParallelCheckpoint:
         def straight(comm):
             part = block_partition(m, comm.size)
             block = decaying_matrix[part.slice_of(comm.rank), :]
-            svd = ParSVDParallel(comm, K=4, ff=1.0)
+            svd = ParSVDParallel(comm, solver=SolverConfig(K=4, ff=1.0))
             svd.initialize(block[:, :20])
             svd.incorporate_data(block[:, 20:40])
             return svd.modes, svd.singular_values
@@ -191,7 +191,8 @@ class TestParallelCheckpoint:
         def save(comm):
             part = block_partition(m, comm.size)
             block = decaying_matrix[part.slice_of(comm.rank), :]
-            ParSVDParallel(comm, K=3).initialize(block).save_checkpoint(base)
+            svd = ParSVDParallel(comm, solver=SolverConfig(K=3))
+            svd.initialize(block).save_checkpoint(base)
 
         run_spmd(2, save)
 
@@ -217,7 +218,7 @@ class TestGatheredCheckpoint:
             svd = ParSVDParallel.from_checkpoint(comm, base)
             start0 = svd.n_seen
         else:
-            svd = ParSVDParallel(comm, K=K, ff=1.0, r1=20)
+            svd = ParSVDParallel(comm, solver=SolverConfig(K=K, ff=1.0, r1=20))
             svd.initialize(block[:, :10])
             start0 = 10
         for start in range(start0, upto, 10):
@@ -281,7 +282,8 @@ class TestGatheredCheckpoint:
             part = block_partition(m, comm.size)
             block = decaying_matrix[part.slice_of(comm.rank), :]
             svd = ParSVDParallel(
-                comm, K=3, ff=0.9, qr_variant="tree", gather="root"
+                comm,
+                solver=SolverConfig(K=3, ff=0.9, qr_variant="tree", gather="root"),
             )
             svd.initialize(block)
             svd.save_checkpoint(base, gathered=True)
@@ -355,7 +357,7 @@ class TestGatheredCheckpoint:
         def save(comm):
             part = block_partition(m, comm.size)
             block = decaying_matrix[part.slice_of(comm.rank), :]
-            svd = ParSVDParallel(comm, K=3, ff=1.0, r1=20)
+            svd = ParSVDParallel(comm, solver=SolverConfig(K=3, ff=1.0, r1=20))
             svd.initialize(block)
             svd.save_checkpoint(base)  # shards state.rank<i>.npz
             svd.assemble_modes()  # collective: every rank participates

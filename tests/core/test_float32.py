@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro import ParSVDParallel, ParSVDSerial
+from repro import ParSVDParallel, ParSVDSerial, SolverConfig
 from repro.core.apmos import apmos_svd, generate_right_vectors
 from repro.core.streaming import initialize_streaming, incorporate_batch
 from repro.core.tsqr import tsqr_gather, tsqr_tree
@@ -99,7 +99,7 @@ class TestDistributedFloat32:
         def job(comm):
             part = block_partition(m, comm.size)
             block = data32[part.slice_of(comm.rank), :]
-            svd = ParSVDParallel(comm, K=4, ff=1.0)
+            svd = ParSVDParallel(comm, solver=SolverConfig(K=4, ff=1.0))
             svd.initialize(block[:, :20])
             svd.incorporate_data(block[:, 20:])
             return svd.modes.dtype, svd.singular_values.dtype

@@ -17,7 +17,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro import ParSVDParallel, ParSVDSerial
+from repro import ParSVDParallel, ParSVDSerial, SolverConfig
 from repro.core.metrics import compare_modes
 from repro.smpi import create_communicator, run_spmd
 from repro.utils.partition import block_partition
@@ -44,11 +44,13 @@ def run_stream(data, nranks, *, workspace, qr_variant, dtype, overlap=False):
         block = data[part.slice_of(comm.rank), :]
         svd = ParSVDParallel(
             comm,
-            K=K,
-            ff=0.97,
-            qr_variant=qr_variant,
-            workspace=workspace,
-            overlap=overlap,
+            solver=SolverConfig(
+                K=K,
+                ff=0.97,
+                qr_variant=qr_variant,
+                workspace=workspace,
+                overlap=overlap,
+            ),
         )
         svd.initialize(block[:, :BATCH])
         for start in range(BATCH, data.shape[1], BATCH):
@@ -107,12 +109,12 @@ class TestFastLaneEquality:
     def test_single_rank_self_backend(self, stream_matrix):
         """The fast lane also runs on the zero-overhead self backend."""
         comm = create_communicator("self")
-        svd = ParSVDParallel(comm, K=K, ff=0.97)
+        svd = ParSVDParallel(comm, solver=SolverConfig(K=K, ff=0.97))
         svd.initialize(stream_matrix[:, :BATCH])
         for start in range(BATCH, stream_matrix.shape[1], BATCH):
             svd.incorporate_data(stream_matrix[:, start : start + BATCH])
 
-        seed = ParSVDParallel(comm, K=K, ff=0.97, workspace=False)
+        seed = ParSVDParallel(comm, solver=SolverConfig(K=K, ff=0.97, workspace=False))
         seed.initialize(stream_matrix[:, :BATCH])
         for start in range(BATCH, stream_matrix.shape[1], BATCH):
             seed.incorporate_data(stream_matrix[:, start : start + BATCH])
@@ -178,11 +180,17 @@ class TestOverlapEquality:
         def job(comm):
             part = block_partition(M, comm.size)
             block = stream_matrix[part.slice_of(comm.rank), :]
-            ref = ParSVDParallel(comm, K=K, ff=0.97, workspace=False)
+            ref = ParSVDParallel(
+                comm,
+                solver=SolverConfig(K=K, ff=0.97, workspace=False),
+            )
             ref.initialize(block[:, :BATCH])
             ref.incorporate_data(block[:, BATCH : 2 * BATCH])
 
-            manual = ParSVDParallel(comm, K=K, ff=0.97, workspace=False)
+            manual = ParSVDParallel(
+                comm,
+                solver=SolverConfig(K=K, ff=0.97, workspace=False),
+            )
             manual.initialize(block[:, :BATCH])
             scale = 0.97 * manual.singular_values
             ll = np.concatenate(
@@ -209,6 +217,46 @@ class TestOverlapEquality:
             assert np.max(np.abs(ref_modes - manual_modes)) <= 1e-10
             assert np.max(np.abs(ref_values - manual_values)) <= 1e-12
 
+    @pytest.mark.parametrize("qr_variant", ["gather", "tree"])
+    def test_parallel_qr_finishes_in_flight_step(self, stream_matrix, qr_variant):
+        """Blocking parallel_qr and the pipelined update share one tag
+        band: called with an overlapped step in flight, parallel_qr must
+        complete that step first, then match a fresh blocking run."""
+
+        def job(comm):
+            part = block_partition(M, comm.size)
+            block = stream_matrix[part.slice_of(comm.rank), :]
+            runs = []
+            for overlap in (True, False):
+                svd = ParSVDParallel(
+                    comm,
+                    solver=SolverConfig(
+                        K=K, ff=0.97, qr_variant=qr_variant, overlap=overlap
+                    ),
+                )
+                svd.initialize(block[:, :BATCH])
+                svd.incorporate_data(block[:, BATCH : 2 * BATCH])
+                in_flight = svd.pending_update
+                probe = np.array(block[:, 2 * BATCH : 3 * BATCH], order="F")
+                q_local, u_new, s_new = svd.parallel_qr(probe)
+                runs.append(
+                    (
+                        in_flight,
+                        svd.pending_update,
+                        np.array(q_local),
+                        np.array(u_new),
+                        np.array(s_new),
+                        np.array(svd.singular_values),
+                    )
+                )
+            return runs
+
+        for overlapped, blocking in run_spmd(NRANKS, job):
+            assert overlapped[:2] == (True, False)
+            assert blocking[:2] == (False, False)
+            for got, want in zip(overlapped[2:], blocking[2:]):
+                assert np.array_equal(got, want)
+
     def test_pending_step_completes_on_access(self, stream_matrix):
         """An in-flight step finalises lazily on the first result access
         (and pending_update reports the in-flight state)."""
@@ -216,7 +264,7 @@ class TestOverlapEquality:
         def job(comm):
             part = block_partition(M, comm.size)
             block = stream_matrix[part.slice_of(comm.rank), :]
-            svd = ParSVDParallel(comm, K=K, ff=0.97, overlap=True)
+            svd = ParSVDParallel(comm, solver=SolverConfig(K=K, ff=0.97, overlap=True))
             svd.initialize(block[:, :BATCH])
             assert not svd.pending_update
             svd.incorporate_data(block[:, BATCH : 2 * BATCH])
@@ -241,7 +289,7 @@ class TestOverlapEquality:
         from repro.exceptions import CommunicatorError
 
         comm = create_communicator("self")
-        svd = ParSVDParallel(comm, K=K, ff=0.97, overlap=True)
+        svd = ParSVDParallel(comm, solver=SolverConfig(K=K, ff=0.97, overlap=True))
         svd.initialize(stream_matrix[:, :BATCH])
 
         class ExplodingStep:
@@ -265,7 +313,7 @@ class TestOverlapEquality:
         def job(comm):
             part = block_partition(M, comm.size)
             block = stream_matrix[part.slice_of(comm.rank), :]
-            svd = ParSVDParallel(comm, K=K, ff=0.97, overlap=True)
+            svd = ParSVDParallel(comm, solver=SolverConfig(K=K, ff=0.97, overlap=True))
             svd.initialize(block[:, :BATCH])
             svd.incorporate_data(block[:, BATCH : 2 * BATCH])
             svd.save_checkpoint(path, gathered=True)
@@ -284,7 +332,7 @@ class TestLocalModesBufferContract:
         backend — on single-rank communicators gatherv returns the send
         buffer aliased, which must not expose the recycled workspace."""
         comm = create_communicator("self")
-        svd = ParSVDParallel(comm, K=K, ff=0.97)
+        svd = ParSVDParallel(comm, solver=SolverConfig(K=K, ff=0.97))
         svd.initialize(stream_matrix[:, :BATCH])
         svd.incorporate_data(stream_matrix[:, BATCH : 2 * BATCH])
         held = svd.modes
@@ -297,7 +345,7 @@ class TestLocalModesBufferContract:
         """Copies of local_modes are stable; the live view is documented to
         alias workspace memory (double-buffered, overwritten at t + 2)."""
         comm = create_communicator("self")
-        svd = ParSVDParallel(comm, K=K, ff=0.97)
+        svd = ParSVDParallel(comm, solver=SolverConfig(K=K, ff=0.97))
         svd.initialize(stream_matrix[:, :BATCH])
         svd.incorporate_data(stream_matrix[:, BATCH : 2 * BATCH])
         held = svd.local_modes
@@ -317,7 +365,7 @@ class TestAllocationFlatness:
         data = left @ right
 
         comm = create_communicator("self")
-        svd = ParSVDParallel(comm, K=k, ff=0.97)
+        svd = ParSVDParallel(comm, solver=SolverConfig(K=k, ff=0.97))
         svd.initialize(data[:, :batch])
         col = batch
 

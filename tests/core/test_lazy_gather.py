@@ -9,7 +9,7 @@ mode-assembly communication — asserted here via tracer call counts.
 import numpy as np
 import pytest
 
-from repro import ParSVDParallel, ParSVDSerial
+from repro import ParSVDParallel, ParSVDSerial, SolverConfig
 from repro.smpi import run_spmd
 from repro.utils.partition import block_partition
 
@@ -36,7 +36,10 @@ class TestZeroGatherStreaming:
         def job(comm):
             part = block_partition(M, comm.size)
             block = wide_matrix[part.slice_of(comm.rank), :]
-            svd = ParSVDParallel(comm, K=4, ff=0.95, gather="bcast")
+            svd = ParSVDParallel(
+                comm,
+                solver=SolverConfig(K=4, ff=0.95, gather="bcast"),
+            )
             svd.initialize(block[:, :20])
             for start in range(20, 220, 20):
                 svd.incorporate_data(block[:, start : start + 20])
@@ -51,7 +54,10 @@ class TestZeroGatherStreaming:
         def job(comm):
             part = block_partition(M, comm.size)
             block = wide_matrix[part.slice_of(comm.rank), :]
-            svd = ParSVDParallel(comm, K=4, ff=0.95, gather="bcast")
+            svd = ParSVDParallel(
+                comm,
+                solver=SolverConfig(K=4, ff=0.95, gather="bcast"),
+            )
             svd.initialize(block[:, :20])
             for start in range(20, 220, 20):
                 svd.incorporate_data(block[:, start : start + 20])
@@ -74,7 +80,7 @@ class TestZeroGatherStreaming:
         def job(comm):
             part = block_partition(M, comm.size)
             block = wide_matrix[part.slice_of(comm.rank), :]
-            svd = ParSVDParallel(comm, K=4, ff=1.0, gather="bcast")
+            svd = ParSVDParallel(comm, solver=SolverConfig(K=4, ff=1.0, gather="bcast"))
             svd.initialize(block[:, :40])
             first = np.array(svd.modes)
             assert svd.modes_current
@@ -93,7 +99,7 @@ class TestZeroGatherStreaming:
         def job(comm):
             part = block_partition(M, comm.size)
             block = wide_matrix[part.slice_of(comm.rank), :]
-            svd = ParSVDParallel(comm, K=4, gather="none")
+            svd = ParSVDParallel(comm, solver=SolverConfig(K=4, gather="none"))
             svd.initialize(block[:, :40])
             svd.incorporate_data(block[:, 40:80])
             assert svd.modes.shape[0] == part.counts[comm.rank]
@@ -110,9 +116,8 @@ class TestZeroGatherStreaming:
         def job(comm):
             part = block_partition(M, comm.size)
             block = wide_matrix[part.slice_of(comm.rank), :]
-            svd = ParSVDParallel(comm, K=3, gather="root").initialize(
-                block[:, :40]
-            )
+            svd = ParSVDParallel(comm, solver=SolverConfig(K=3, gather="root"))
+            svd.initialize(block[:, :40])
             if comm.rank == 0:
                 return svd.modes.shape
             with pytest.raises(ShapeError):
@@ -128,9 +133,8 @@ class TestZeroGatherStreaming:
         def job(comm):
             part = block_partition(M, comm.size)
             block = wide_matrix[part.slice_of(comm.rank), :]
-            svd = ParSVDParallel(comm, K=3, gather="root").initialize(
-                block[:, :40]
-            )
+            svd = ParSVDParallel(comm, solver=SolverConfig(K=3, gather="root"))
+            svd.initialize(block[:, :40])
             out = svd.assemble_modes()
             return None if out is None else out.shape
 
@@ -142,7 +146,7 @@ class TestZeroGatherStreaming:
         def job(comm):
             part = block_partition(M, comm.size)
             block = wide_matrix[part.slice_of(comm.rank), :]
-            svd = ParSVDParallel(comm, K=4, ff=1.0)
+            svd = ParSVDParallel(comm, solver=SolverConfig(K=4, ff=1.0))
             svd.initialize(block[:, :40])
             svd.incorporate_data(block[:, 40:80])
             return svd.modes, svd.singular_values
@@ -163,7 +167,7 @@ class TestLazyCheckpointRestart:
         def phase1(comm):
             part = block_partition(M, comm.size)
             block = wide_matrix[part.slice_of(comm.rank), :]
-            svd = ParSVDParallel(comm, K=4, ff=0.95, seed=0)
+            svd = ParSVDParallel(comm, solver=SolverConfig(K=4, ff=0.95, seed=0))
             svd.initialize(block[:, :40])
             for start in range(40, 80, 20):
                 svd.incorporate_data(block[:, start : start + 20])
@@ -182,7 +186,7 @@ class TestLazyCheckpointRestart:
         def straight(comm):
             part = block_partition(M, comm.size)
             block = wide_matrix[part.slice_of(comm.rank), :]
-            svd = ParSVDParallel(comm, K=4, ff=0.95, seed=0)
+            svd = ParSVDParallel(comm, solver=SolverConfig(K=4, ff=0.95, seed=0))
             svd.initialize(block[:, :40])
             for start in range(40, 220, 20):
                 svd.incorporate_data(block[:, start : start + 20])
@@ -211,10 +215,12 @@ class TestCheckpointKnobPersistence:
             block = decaying_matrix[part.slice_of(comm.rank), :]
             svd = ParSVDParallel(
                 comm,
-                K=3,
-                qr_variant="tree",
-                gather="root",
-                apmos_group_size=2,
+                solver=SolverConfig(
+                    K=3,
+                    qr_variant="tree",
+                    gather="root",
+                    apmos_group_size=2,
+                ),
             )
             svd.initialize(block)
             svd.save_checkpoint(base)
@@ -235,13 +241,16 @@ class TestCheckpointKnobPersistence:
         base = tmp_path / "override"
 
         def save(comm):
-            svd = ParSVDParallel(comm, K=3, qr_variant="tree", gather="none")
+            svd = ParSVDParallel(
+                comm,
+                solver=SolverConfig(K=3, qr_variant="tree", gather="none"),
+            )
             svd.initialize(decaying_matrix)
             svd.save_checkpoint(base)
 
         def load(comm):
             svd = ParSVDParallel.from_checkpoint(
-                comm, base, qr_variant="gather", gather="bcast"
+                comm, base, solver=SolverConfig(K=3, gather="bcast")
             )
             return svd._qr_variant, svd._gather
 
@@ -258,7 +267,10 @@ class TestCheckpointKnobPersistence:
         def save(comm):
             part = block_partition(M, comm.size)
             block = decaying_matrix[part.slice_of(comm.rank), :]
-            svd = ParSVDParallel(comm, K=3, ff=1.0, apmos_group_size=2)
+            svd = ParSVDParallel(
+                comm,
+                solver=SolverConfig(K=3, ff=1.0, apmos_group_size=2),
+            )
             svd.initialize(block[:, :20])
             svd.save_checkpoint(base)
 

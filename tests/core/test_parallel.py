@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro import ParSVDParallel, ParSVDSerial
+from repro import ParSVDParallel, ParSVDSerial, SolverConfig
 from repro.core.metrics import compare_modes
 from repro.exceptions import ConfigurationError, ShapeError
 from repro.smpi import SelfCommunicator, run_spmd
@@ -17,7 +17,7 @@ def run_parallel(data, nranks, batches, **svd_kwargs):
     def job(comm):
         part = block_partition(m, comm.size)
         block = data[part.slice_of(comm.rank), :]
-        svd = ParSVDParallel(comm, **svd_kwargs)
+        svd = ParSVDParallel(comm, solver=SolverConfig(**svd_kwargs))
         first = True
         for start, stop in batches:
             if first:
@@ -33,18 +33,27 @@ def run_parallel(data, nranks, batches, **svd_kwargs):
 class TestConstruction:
     def test_invalid_qr_variant(self):
         with pytest.raises(ConfigurationError):
-            ParSVDParallel(SelfCommunicator(), K=3, qr_variant="bogus")
+            ParSVDParallel(
+                SelfCommunicator(),
+                solver=SolverConfig(K=3, qr_variant="bogus"),
+            )
 
     def test_invalid_gather_policy(self):
         with pytest.raises(ConfigurationError):
-            ParSVDParallel(SelfCommunicator(), K=3, gather="bogus")
+            ParSVDParallel(SelfCommunicator(), solver=SolverConfig(K=3, gather="bogus"))
 
     def test_invalid_apmos_group_size(self):
         with pytest.raises(ConfigurationError):
-            ParSVDParallel(SelfCommunicator(), K=3, apmos_group_size=0)
+            ParSVDParallel(
+                SelfCommunicator(),
+                solver=SolverConfig(K=3, apmos_group_size=0),
+            )
 
     def test_config_knobs_forwarded(self):
-        svd = ParSVDParallel(SelfCommunicator(), K=4, ff=0.9, r1=20)
+        svd = ParSVDParallel(
+            SelfCommunicator(),
+            solver=SolverConfig(K=4, ff=0.9, r1=20),
+        )
         assert svd.K == 4
         assert svd.ff == 0.9
         assert svd.config.r1 == 20
@@ -53,9 +62,9 @@ class TestConstruction:
 class TestSingleRank:
     def test_matches_serial_one_shot(self, decaying_matrix):
         serial = ParSVDSerial(K=5, ff=1.0).initialize(decaying_matrix)
-        parallel = ParSVDParallel(SelfCommunicator(), K=5, ff=1.0).initialize(
-            decaying_matrix
-        )
+        parallel = ParSVDParallel(
+            SelfCommunicator(), solver=SolverConfig(K=5, ff=1.0)
+        ).initialize(decaying_matrix)
         comparison = compare_modes(
             serial.modes,
             serial.singular_values,
@@ -130,7 +139,8 @@ class TestGatherPolicies:
         def job(comm):
             part = block_partition(m, comm.size)
             block = decaying_matrix[part.slice_of(comm.rank), :]
-            svd = ParSVDParallel(comm, K=3, gather="root").initialize(block)
+            svd = ParSVDParallel(comm, solver=SolverConfig(K=3, gather="root"))
+            svd.initialize(block)
             if comm.rank == 0:
                 return svd.modes.shape
             with pytest.raises(ShapeError):
@@ -148,7 +158,8 @@ class TestGatherPolicies:
         def job(comm):
             part = block_partition(m, comm.size)
             block = decaying_matrix[part.slice_of(comm.rank), :]
-            svd = ParSVDParallel(comm, K=3, gather="none").initialize(block)
+            svd = ParSVDParallel(comm, solver=SolverConfig(K=3, gather="none"))
+            svd.initialize(block)
             return svd.modes.shape, svd.local_modes.shape
 
         results = run_spmd(2, job)

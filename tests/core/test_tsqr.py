@@ -9,18 +9,29 @@ from repro.core.tsqr import (
     tsqr_gather,
     tsqr_tree,
 )
+from repro.core.workspace import Workspace
 from repro.smpi import SelfCommunicator, run_spmd
 from repro.utils.linalg import orthogonality_defect, qr_positive
 from repro.utils.partition import block_partition
 
 
-def run_tsqr(data, nranks, variant):
+def run_tsqr(data, nranks, variant, workspace=False):
+    """Run one TSQR variant over row blocks of ``data``.
+
+    ``workspace=True`` takes the in-place lane: each rank hands a private
+    F-ordered copy of its block (declared scratch) and its own Workspace.
+    """
     m = data.shape[0]
     fn = tsqr_gather if variant == "gather" else tsqr_tree
 
     def job(comm):
         part = block_partition(m, comm.size)
-        return fn(comm, data[part.slice_of(comm.rank), :])
+        block = data[part.slice_of(comm.rank), :]
+        if not workspace:
+            return fn(comm, block)
+        scratch = np.array(block, order="F")
+        q, r = fn(comm, scratch, workspace=Workspace())
+        return np.array(q), r
 
     results = run_spmd(nranks, job)
     q = np.concatenate([r[0] for r in results], axis=0)
@@ -29,42 +40,54 @@ def run_tsqr(data, nranks, variant):
 
 @pytest.mark.parametrize("variant", ["gather", "tree"])
 class TestTsqrCommon:
+    #: Whether the checks run on the in-place workspace lane.
+    workspace = False
+
     @pytest.mark.parametrize("nranks", [1, 2, 3, 4, 5, 7, 8])
     def test_matches_serial_qr(self, rng, variant, nranks):
         a = rng.standard_normal((160, 12))
-        q, r, _ = run_tsqr(a, nranks, variant)
+        q, r, _ = run_tsqr(a, nranks, variant, self.workspace)
         q_ref, r_ref = qr_positive(a)
         assert np.allclose(r, r_ref, atol=1e-9)
         assert np.allclose(q, q_ref, atol=1e-8)
 
     def test_reconstruction(self, rng, variant):
         a = rng.standard_normal((90, 7))
-        q, r, _ = run_tsqr(a, 3, variant)
+        q, r, _ = run_tsqr(a, 3, variant, self.workspace)
         assert np.allclose(q @ r, a, atol=1e-10)
 
     def test_q_orthonormal(self, rng, variant):
         a = rng.standard_normal((120, 9))
-        q, _, _ = run_tsqr(a, 4, variant)
+        q, _, _ = run_tsqr(a, 4, variant, self.workspace)
         assert orthogonality_defect(q) < 1e-10
 
     def test_r_replicated_on_all_ranks(self, rng, variant):
         a = rng.standard_normal((60, 5))
-        _, _, all_r = run_tsqr(a, 3, variant)
+        _, _, all_r = run_tsqr(a, 3, variant, self.workspace)
         for r in all_r[1:]:
             assert np.array_equal(r, all_r[0])
 
     def test_r_positive_diag(self, rng, variant):
         a = rng.standard_normal((80, 6))
-        _, r, _ = run_tsqr(a, 4, variant)
+        _, r, _ = run_tsqr(a, 4, variant, self.workspace)
         assert np.all(np.diagonal(r) >= 0)
 
     def test_single_rank(self, rng, variant):
         a = rng.standard_normal((40, 6))
         fn = tsqr_gather if variant == "gather" else tsqr_tree
-        q, r = fn(SelfCommunicator(), a)
         q_ref, r_ref = qr_positive(a)
+        if self.workspace:
+            q, r = fn(SelfCommunicator(), np.asfortranarray(a), Workspace())
+        else:
+            q, r = fn(SelfCommunicator(), a)
         assert np.allclose(q, q_ref)
         assert np.allclose(r, r_ref)
+
+
+class TestTsqrCommonWorkspace(TestTsqrCommon):
+    """The same checks on the in-place workspace lane."""
+
+    workspace = True
 
 
 class TestVariantsAgree:

@@ -73,6 +73,39 @@ class TestHeartbeat:
             obs_rt.uninstall()
 
 
+class TestMonitorFailure:
+    def test_failing_check_is_counted_and_logged_once(self, caplog):
+        class BrokenMonitor:
+            calls = 0
+
+            def check(self):
+                BrokenMonitor.calls += 1
+                raise RuntimeError("monitor exploded")
+
+        obs_rt.install(metrics=True)
+        try:
+            world = World(1)
+            with caplog.at_level("WARNING", logger="repro.health.daemon"):
+                daemon = ProgressDaemon(
+                    0.005, world=world, world_rank=0, monitor=BrokenMonitor()
+                ).start()
+                try:
+                    deadline = time.monotonic() + 5.0
+                    while BrokenMonitor.calls < 3:
+                        assert time.monotonic() < deadline, "checks stopped"
+                        time.sleep(0.005)
+                finally:
+                    daemon.stop()
+            counters = obs_rt.default_registry().snapshot()["counters"]
+            assert counters["repro.errors.health"]["value"] >= 3
+        finally:
+            obs_rt.uninstall()
+        warnings = [r for r in caplog.records if r.name == "repro.health.daemon"]
+        assert len(warnings) == 1
+        assert warnings[0].levelname == "WARNING"
+        assert "monitor exploded" in caplog.text
+
+
 class TestAdvance:
     def test_advance_error_is_captured_and_daemon_keeps_beating(self):
         world = World(1)

@@ -8,7 +8,7 @@ QR variant.  This matrix pins that promise against the serial reference.
 import numpy as np
 import pytest
 
-from repro import ParSVDParallel, ParSVDSerial, run_backend
+from repro import ParSVDParallel, ParSVDSerial, SolverConfig, run_backend
 from repro.core.metrics import compare_modes
 from repro.utils.linalg import align_signs
 from repro.utils.partition import block_partition
@@ -41,7 +41,14 @@ def stream_job(snapshots, gather, qr_variant):
         part = block_partition(M, comm.size)
         block = snapshots[part.slice_of(comm.rank), :]
         svd = ParSVDParallel(
-            comm, K=K, ff=1.0, r1=40, gather=gather, qr_variant=qr_variant
+            comm,
+            solver=SolverConfig(
+                K=K,
+                ff=1.0,
+                r1=40,
+                gather=gather,
+                qr_variant=qr_variant,
+            ),
         )
         svd.initialize(block[:, :BATCH])
         for start in range(BATCH, N, BATCH):
@@ -89,7 +96,7 @@ def test_checkpoint_restart_roundtrip_lazy(
     def phase1(comm):
         part = block_partition(M, comm.size)
         block = snapshots[part.slice_of(comm.rank), :]
-        svd = ParSVDParallel(comm, K=K, ff=1.0, r1=40)
+        svd = ParSVDParallel(comm, solver=SolverConfig(K=K, ff=1.0, r1=40))
         svd.initialize(block[:, :BATCH])
         svd.incorporate_data(block[:, BATCH : 2 * BATCH])
         svd.save_checkpoint(base)

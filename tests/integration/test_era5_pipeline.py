@@ -4,7 +4,7 @@ coherent-structure extraction on the ERA5-like field."""
 import numpy as np
 import pytest
 
-from repro import ParSVDParallel
+from repro import ParSVDParallel, SolverConfig
 from repro.analysis.coherent import extract_coherent_structures
 from repro.data.era5_like import Era5LikeField
 from repro.data.io import SnapshotDataset, write_snapshot_dataset
@@ -38,7 +38,7 @@ class TestParallelIoPipeline:
         def job(comm):
             dataset = SnapshotDataset.open(dataset_path)
             block = dataset.read_rows_for_rank(comm.rank, comm.size)
-            svd = ParSVDParallel(comm, K=4, ff=1.0, r1=50)
+            svd = ParSVDParallel(comm, solver=SolverConfig(K=4, ff=1.0, r1=50))
             svd.initialize(block[:, :batch])
             for start in range(batch, dataset.n_snapshots, batch):
                 svd.incorporate_data(block[:, start : start + batch])

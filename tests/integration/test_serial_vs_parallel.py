@@ -7,7 +7,7 @@ deployment must agree with the serial evaluation on the leading modes.
 import numpy as np
 import pytest
 
-from repro import ParSVDParallel, ParSVDSerial, compare_modes
+from repro import ParSVDParallel, ParSVDSerial, SolverConfig, compare_modes
 from repro.data.burgers import BurgersProblem
 from repro.smpi import run_spmd
 from repro.utils.partition import block_partition
@@ -34,7 +34,7 @@ def _parallel_modes(data, nranks, **kwargs):
     def job(comm):
         part = block_partition(data.shape[0], comm.size)
         block = data[part.slice_of(comm.rank), :]
-        svd = ParSVDParallel(comm, K=K, ff=0.95, **kwargs)
+        svd = ParSVDParallel(comm, solver=SolverConfig(K=K, ff=0.95, **kwargs))
         svd.initialize(block[:, :BATCH])
         for start in range(BATCH, NT, BATCH):
             svd.incorporate_data(block[:, start : start + BATCH])

@@ -11,7 +11,7 @@ restart from the gathered checkpoint, serve.
 import numpy as np
 import pytest
 
-from repro import ParSVDParallel, ParSVDSerial, run_backend
+from repro import ParSVDParallel, ParSVDSerial, SolverConfig, run_backend
 from repro.analysis.reconstruction import (
     project_coefficients,
     reconstruct,
@@ -54,7 +54,7 @@ def store(tmp_path_factory, snapshots):
     def build(comm):
         part = block_partition(M, comm.size)
         block = snapshots[part.slice_of(comm.rank), :]
-        svd = ParSVDParallel(comm, K=K, ff=1.0, r1=40)
+        svd = ParSVDParallel(comm, solver=SolverConfig(K=K, ff=1.0, r1=40))
         svd.initialize(block[:, :BATCH])
         for start in range(BATCH, N, BATCH):
             svd.incorporate_data(block[:, start : start + BATCH])
@@ -137,7 +137,7 @@ def test_gathered_checkpoint_restart_any_rank_count(snapshots, tmp_path):
     def phase1(comm):
         part = block_partition(M, comm.size)
         block = snapshots[part.slice_of(comm.rank), :]
-        svd = ParSVDParallel(comm, K=K, ff=1.0, r1=40)
+        svd = ParSVDParallel(comm, solver=SolverConfig(K=K, ff=1.0, r1=40))
         svd.initialize(block[:, :BATCH])
         svd.incorporate_data(block[:, BATCH:half])
         return svd.save_checkpoint(ckpt, gathered=True)

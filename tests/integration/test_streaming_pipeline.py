@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro import ParSVDParallel, ParSVDSerial
+from repro import ParSVDParallel, ParSVDSerial, SolverConfig
 from repro.data.burgers import BurgersProblem
 from repro.data.io import SnapshotDataset, write_snapshot_dataset
 from repro.data.streams import array_stream, dataset_stream, function_stream
@@ -62,7 +62,7 @@ class TestStreamDrivers:
             stream = array_stream(data, 20).restrict_rows(
                 part.slice_of(comm.rank)
             )
-            svd = ParSVDParallel(comm, K=4, ff=1.0)
+            svd = ParSVDParallel(comm, solver=SolverConfig(K=4, ff=1.0))
             return svd.fit_stream(stream).singular_values
 
         results = run_spmd(3, job)

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import ParSVDParallel
+from repro import ParSVDParallel, SolverConfig
 from repro.data import PrefetchStream, array_stream
 from repro.smpi import SUM, run_backend, run_spmd, waitall
 from repro.utils.partition import block_partition
@@ -173,7 +173,7 @@ def test_prefetched_stream_drives_svd_identically(backend, nranks, dtype):
         )
         if prefetch:
             stream = PrefetchStream(stream, depth=2)
-        svd = ParSVDParallel(comm, K=4, ff=0.97, overlap=prefetch)
+        svd = ParSVDParallel(comm, solver=SolverConfig(K=4, ff=0.97, overlap=prefetch))
         svd.fit_stream(stream)
         return np.array(svd.modes), np.array(svd.singular_values)
 

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from repro import ParSVDParallel
+from repro import ParSVDParallel, SolverConfig
 from repro.config import SVDConfig
 from repro.exceptions import BasisNotFoundError, ServingError, ShapeError
 from repro.serving import MANIFEST_NAME, ModeBaseStore
@@ -130,7 +130,7 @@ class TestIngestion:
         def job(comm):
             part = block_partition(200, comm.size)
             block = decaying_matrix[part.slice_of(comm.rank), :]
-            svd = ParSVDParallel(comm, K=4, ff=1.0, r1=20)
+            svd = ParSVDParallel(comm, solver=SolverConfig(K=4, ff=1.0, r1=20))
             svd.initialize(block[:, :20])
             svd.incorporate_data(block[:, 20:])
             svd.save_checkpoint(base_path, gathered=True)
@@ -149,7 +149,7 @@ class TestIngestion:
         def job(comm):
             part = block_partition(200, comm.size)
             block = decaying_matrix[part.slice_of(comm.rank), :]
-            svd = ParSVDParallel(comm, K=4, ff=1.0, r1=20)
+            svd = ParSVDParallel(comm, solver=SolverConfig(K=4, ff=1.0, r1=20))
             svd.initialize(block)
             svd.save_checkpoint(tmp_path / "shards")
 
@@ -164,7 +164,7 @@ class TestIngestion:
         def job(comm):
             part = block_partition(200, comm.size)
             block = decaying_matrix[part.slice_of(comm.rank), :]
-            svd = ParSVDParallel(comm, K=4, ff=1.0, r1=20)
+            svd = ParSVDParallel(comm, solver=SolverConfig(K=4, ff=1.0, r1=20))
             svd.initialize(block)
             v1 = svd.export_to_store(store, "decay")
             v2 = svd.export_to_store(store, "decay")
@@ -183,7 +183,7 @@ class TestIngestion:
         def job(comm):
             part = block_partition(200, comm.size)
             block = decaying_matrix[part.slice_of(comm.rank), :]
-            svd = ParSVDParallel(comm, K=3, ff=1.0, r1=20)
+            svd = ParSVDParallel(comm, solver=SolverConfig(K=3, ff=1.0, r1=20))
             svd.initialize(block)
             return svd.export_to_store(tmp_path / "fresh", "decay")
 

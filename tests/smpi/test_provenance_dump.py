@@ -2,6 +2,9 @@
 tracker's dump of every request still in flight — the diagnosis rides in
 the exception instead of needing a debugger."""
 
+import gc
+import threading
+
 import pytest
 
 from repro.smpi import create_communicator, provenance
@@ -59,3 +62,31 @@ def test_track_scope_reports_and_clears():
         comm1.send("x", 0, tag=4)
         request.wait()
         assert scope.pending_requests() == []
+
+
+def test_garbage_collection_inside_a_locked_section_does_not_hang():
+    """A tracked object freed by the cyclic collector fires its weakref
+    callback wherever the collection happens — including inside the
+    tracker's own locked section.  The callback must not take the lock."""
+    tracker = provenance.RequestTracker()
+    tracker.enable()
+
+    class Cyclic:
+        pass
+
+    obj = Cyclic()
+    obj.self_ref = obj  # only the cyclic collector can free it
+    tracker.note_request(obj, "Cyclic", "detail")
+    del obj
+
+    def collect_while_locked():
+        with tracker._lock:
+            gc.collect()
+
+    worker = threading.Thread(target=collect_while_locked, daemon=True)
+    worker.start()
+    worker.join(timeout=10.0)
+    assert not worker.is_alive(), "weakref callback deadlocked on the lock"
+    assert tracker.pending_requests() == []
+    assert tracker._requests == {}
+    tracker.disable()
