@@ -9,10 +9,10 @@ JSON-over-HTTP can query a published basis:
 
 1. stream a Burgers record and **publish** the basis into a
    :class:`ModeBaseStore`;
-2. start a :class:`NetServer` on an ephemeral port: the deadline
-   scheduler flushes pending queries within ``flush_deadline_ms`` even
-   when the micro-batch watermark is never reached, and a keyed result
-   cache answers repeated payloads at submit time;
+2. start a :class:`NetServer` on an ephemeral port: its event loop's
+   deadline timer flushes pending queries within ``flush_deadline_ms``
+   even when the micro-batch watermark is never reached, and a keyed
+   result cache answers repeated payloads at submit time;
 3. drive it with :class:`ServingClient` — submit returns a job ticket,
    ``GET /v1/jobs/{id}?wait=`` long-polls the result — behind per-tenant
    API-key auth, and verify every answer against the in-process engine.

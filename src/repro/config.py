@@ -760,10 +760,11 @@ class ServingConfig(_SectionMixin):
         port (the server reports the one chosen) — what tests and the
         load bench use.
     flush_deadline_ms:
-        The latency SLO of the deadline-driven flush scheduler: a
-        pending query is flushed no later than this many milliseconds
-        after submission, even when the batch-size watermark
-        (``max_batch``) has not been reached.
+        The flush latency SLO: the server's event loop keeps one timer
+        on the oldest queued query, so a pending query is flushed about
+        this many milliseconds after submission (plus one engine-thread
+        hop), even when the batch-size watermark (``max_batch``) has not
+        been reached.
     max_batch:
         Batch-size watermark — the engine's ``flush_threshold``: this
         many pending queries trigger an immediate flush.

@@ -10,11 +10,13 @@ One daemon thread per :class:`~repro.api.Session` (when
    overlapped pipelined step (:meth:`~repro.core.parallel.ParSVDParallel.
    try_finalize_pending`, itself ``test()``-polling the step's preposted
    requests), so ``overlap=True`` steps finish without an explicit
-   access.
+   access.  A failed step stops the advancing (the daemon keeps beating).
 3. **Monitoring** — run the :class:`~repro.health.monitor.HealthMonitor`
-   check, escalating peers whose beats went stale.  A failing check is
-   counted (``repro.errors.health``) and logged once as a warning; the
-   daemon keeps ticking.
+   check, escalating peers whose beats went stale.
+
+Every failure — a step that fails to advance, a check that raises — is
+counted (``repro.errors.health``) and logged as a warning on the
+daemon's first; the daemon keeps ticking.
 
 Polling backs off exponentially while idle (up to 8x the heartbeat
 interval) and snaps back to the base interval whenever a step completes.
@@ -34,6 +36,21 @@ from .monitor import HealthMonitor
 __all__ = ["ProgressDaemon", "communicator_world"]
 
 _log = logging.getLogger(__name__)
+
+
+def record_failure(log: logging.Logger, first: bool, what: str) -> None:
+    """Count a failure its caller carries on past (``repro.errors.health``)
+    and, on the caller's ``first``, warn with the traceback.  Call it in
+    the ``except`` block."""
+    st = _obs.state()
+    if st is not None and st.registry is not None:
+        st.registry.counter("repro.errors.health").inc()
+    if first:
+        log.warning(
+            "%s failed; later failures are only counted (repro.errors.health)",
+            what,
+            exc_info=True,
+        )
 
 
 def communicator_world(comm: Any) -> Tuple[Optional[Any], Optional[int]]:
@@ -100,7 +117,7 @@ class ProgressDaemon:
         self._monitor = monitor
         self._stop = threading.Event()
         self._error: Optional[BaseException] = None
-        self._monitor_failed = False
+        self._warned = False
         rank_tag = "?" if world_rank is None else str(world_rank)
         self._thread = threading.Thread(
             target=self._run,
@@ -163,6 +180,7 @@ class ProgressDaemon:
                     # record the cause, stop advancing, keep beating (this
                     # rank is alive — its *step* failed).
                     self._error = exc
+                    self._record_failure("background step")
             if advanced:
                 st = _obs.state()
                 if st is not None and st.registry is not None:
@@ -173,25 +191,15 @@ class ProgressDaemon:
                 try:
                     self._monitor.check()
                 except Exception:
-                    self._record_monitor_failure()
+                    self._record_failure("health monitor check")
             if advanced:
                 delay = self._interval
             else:
                 delay = min(delay * 2.0, self._interval * self.MAX_BACKOFF)
 
-    def _record_monitor_failure(self) -> None:
-        """Count a failed health check; warn (with traceback) on the first."""
-        st = _obs.state()
-        if st is not None and st.registry is not None:
-            st.registry.counter("repro.errors.health").inc()
-        if not self._monitor_failed:
-            self._monitor_failed = True
-            _log.warning(
-                "health monitor check failed on rank %s; later failures "
-                "are only counted (repro.errors.health)",
-                self._world_rank,
-                exc_info=True,
-            )
+    def _record_failure(self, what: str) -> None:
+        record_failure(_log, not self._warned, f"{what} on rank {self._world_rank}")
+        self._warned = True
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         state = "running" if self.running else "stopped"

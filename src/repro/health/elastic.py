@@ -36,6 +36,7 @@ trajectory is the exact batch sequence of an uninterrupted run.
 from __future__ import annotations
 
 import dataclasses
+import logging
 import threading
 from collections import deque
 from typing import Any, Callable, Deque, List, Optional, Tuple
@@ -64,10 +65,12 @@ from ..obs import runtime as _obs
 from ..smpi.exceptions import FailedRankError
 from ..smpi.factory import create_communicator
 from ..utils.partition import block_partition
-from .daemon import ProgressDaemon, communicator_world
+from .daemon import ProgressDaemon, communicator_world, record_failure
 from .monitor import HealthMonitor
 
 __all__ = ["ElasticSession"]
+
+_log = logging.getLogger(__name__)
 
 
 @dataclasses.dataclass
@@ -178,6 +181,7 @@ class ElasticSession(Session):
         self._n_dof: Optional[int] = None
         self._restarts = 0
         self._live_rescales = 0
+        self._warned = False
         try:
             self._build(self._size)
         except BaseException:
@@ -256,8 +260,8 @@ class ElasticSession(Session):
         for driver in drivers:
             try:
                 driver.abort_pending()
-            except Exception:  # pragma: no cover - defensive
-                pass
+            except Exception:
+                self._record_failure("aborting an in-flight step")
         world = None
         if self._comms:
             world, _ = communicator_world(self._comms[0])
@@ -269,6 +273,10 @@ class ElasticSession(Session):
         self._monitor = None
         self._comms = ()
         self._comm = None
+
+    def _record_failure(self, what: str) -> None:
+        record_failure(_log, not self._warned, what)
+        self._warned = True
 
     # -- SPMD fan-out ------------------------------------------------------
     def _spmd(self, fn: Callable[[int, ParSVDParallel], None]) -> None:
@@ -648,6 +656,7 @@ class ElasticSession(Session):
                 try:
                     self._drain()
                 except Exception:
+                    self._record_failure("draining at close (pending steps dropped)")
                     drop_pending = True
         finally:
             self._teardown_workers(None)

@@ -3,11 +3,11 @@
 The network door onto :mod:`repro.serving`: an asyncio HTTP server
 (stdlib only) whose lifespan owns a single-rank
 :class:`~repro.api.Session` and its :class:`~repro.serving.QueryEngine`
-on a dedicated executor thread, with deadline-driven (SLO) flush
-scheduling, per-tenant API-key auth, and job-table long-polling.  Start
-it from the CLI (``repro serve``), in-process on a background thread
-(:func:`start_in_thread` — tests/benchmarks), or embedded in your own
-event loop (:class:`NetServer`).
+on a dedicated executor thread, a flush deadline (SLO) the event loop
+keeps with one timer, per-tenant API-key auth, and job-table
+long-polling.  Start it from the CLI (``repro serve``), in-process on a
+background thread (:func:`start_in_thread` — tests/benchmarks), or
+embedded in your own event loop (:class:`NetServer`).
 
 Configured by the ``serving`` section of
 :class:`~repro.config.RunConfig` (:class:`~repro.config.ServingConfig`):
@@ -19,16 +19,9 @@ from .auth import PUBLIC_TENANT, TenantAuth
 from .client import ServingClient, ServingHTTPError
 from .http import HttpError, Request, json_response, read_request
 from .jobs import Job, JobTable
-from .server import (
-    DeadlineScheduler,
-    NetServer,
-    ServerHandle,
-    serve_forever,
-    start_in_thread,
-)
+from .server import NetServer, ServerHandle, serve_forever, start_in_thread
 
 __all__ = [
-    "DeadlineScheduler",
     "HttpError",
     "Job",
     "JobTable",

@@ -3,12 +3,11 @@
 ``POST /v1/query`` maps each accepted query onto a *job*: the engine's
 :class:`~repro.serving.engine.QueryTicket` plus an :class:`asyncio.Event`
 that long-polling ``GET /v1/jobs/{id}`` handlers wait on.  The split of
-responsibilities is deliberate: tickets are fulfilled on the engine's
+responsibilities is deliberate: tickets are settled on the engine's
 executor thread (a flush), while asyncio events may only be set on the
-event-loop thread — so fulfilment is *observed* by the loop (via
-:meth:`JobTable.signal_completed`, scheduled with
-``call_soon_threadsafe`` after every flush) rather than pushed from the
-engine thread.
+event-loop thread — so settlement is *observed* by the loop (via
+:meth:`JobTable.signal_completed`, called after every engine call)
+rather than pushed from the engine thread.
 """
 
 from __future__ import annotations
@@ -79,8 +78,9 @@ class JobTable:
         return self._jobs.get(job_id)
 
     def signal_completed(self) -> int:
-        """Set the events of jobs whose tickets a flush just fulfilled;
-        returns how many were signalled.  Loop thread only."""
+        """Set the events of jobs whose tickets a flush just settled
+        (answered or failed); returns how many were signalled.  Loop
+        thread only."""
         signalled = [
             job_id
             for job_id, job in self._unsignalled.items()

@@ -11,25 +11,25 @@ One :class:`NetServer` owns, for its lifespan:
   needs no locking of its own;
 * an asyncio HTTP/1.1 server (:mod:`repro.net.http`, stdlib only)
   multiplexing client connections on the event loop;
-* a :class:`DeadlineScheduler` — a background thread that polls
-  :meth:`~repro.serving.QueryEngine.flush_due` *through the same
-  executor* and flushes once the oldest pending ticket has exhausted
-  its ``flush_deadline_ms`` latency budget.  The engine itself never
-  flushes spontaneously (flushing is collective in the SPMD contract);
-  the scheduler is the missing actor that turns size-watermark batching
-  into an SLO: a lone query is answered within its deadline instead of
-  waiting for ``max_batch - 1`` friends;
+* the **flush deadline**, kept by the event loop.  The engine never
+  flushes spontaneously (flushing is collective in the SPMD contract),
+  so after every engine call the loop arms one ``call_later`` timer for
+  the remaining ``flush_deadline_ms`` of the oldest queued ticket; it
+  flushes on the engine thread when
+  :meth:`~repro.serving.QueryEngine.flush_due`, then re-arms.  A lone
+  query is thus answered within its deadline instead of waiting for
+  ``max_batch - 1`` friends;
 * a :class:`~repro.net.jobs.JobTable` mapping job ids to tickets, with
-  asyncio events the long-poll handlers await — set on the loop thread
-  after each flush (``call_soon_threadsafe``), never from the engine
-  thread directly.
+  asyncio events the long-poll handlers await — set by the loop after
+  every engine call, never from the engine thread.
 
 Endpoints (JSON in / JSON out)::
 
     POST /v1/query        {"basis", "kind", "payload", ["version"]}
                           -> 202 {"job", "status": "pending"}  (queued)
                              200 {"job", "status": "done", ...} (cache hit)
-    GET  /v1/jobs/{id}    ?wait=SECONDS long-polls until fulfilled
+    GET  /v1/jobs/{id}    ?wait=SECONDS long-polls until settled; a job
+                          whose flush failed answers 500 naming the cause
     GET  /metrics         repro.obs registry + engine/tenant/job counters
     GET  /healthz         repro.health rank states; 503 when degraded
 
@@ -45,6 +45,7 @@ from __future__ import annotations
 import asyncio
 import concurrent.futures
 import contextlib
+import logging
 import threading
 from typing import Any, Dict, Optional, Tuple
 
@@ -69,97 +70,20 @@ from .http import (
 )
 from .jobs import JobTable
 
-__all__ = ["DeadlineScheduler", "NetServer", "ServerHandle", "start_in_thread", "serve_forever"]
+__all__ = ["NetServer", "ServerHandle", "start_in_thread", "serve_forever"]
+
+_log = logging.getLogger(__name__)
 
 #: Long-poll ``?wait=`` is capped here so a client typo cannot pin a
 #: handler for an hour.
 MAX_WAIT_S = 30.0
 
 
-class DeadlineScheduler:
-    """Background thread enforcing the flush-latency SLO.
-
-    Polls ``engine.flush_due()`` — and, when due, runs ``engine.flush()``
-    — **through the engine's dedicated executor**, so scheduler-driven
-    flushes serialise with request-driven submits instead of racing
-    them.  ``on_flush(n)`` fires (on the scheduler thread) after every
-    non-empty flush; :class:`NetServer` uses it to wake long-pollers via
-    ``call_soon_threadsafe``.
-
-    The poll interval defaults to a quarter of the engine's
-    ``flush_deadline_ms`` (clamped to [1 ms, 50 ms]): fine enough that a
-    deadline overshoots by at most ~25%, coarse enough that an idle
-    server burns no measurable CPU.
-    """
-
-    def __init__(
-        self,
-        engine,
-        executor: concurrent.futures.Executor,
-        *,
-        on_flush=None,
-        poll_interval_s: Optional[float] = None,
-    ) -> None:
-        if poll_interval_s is None:
-            deadline_ms = engine.flush_deadline_ms or 200.0
-            poll_interval_s = min(max(deadline_ms / 4000.0, 0.001), 0.05)
-        if not poll_interval_s > 0.0:
-            raise ServingError(
-                f"poll_interval_s must be positive, got {poll_interval_s}"
-            )
-        self.engine = engine
-        self.executor = executor
-        self.poll_interval_s = poll_interval_s
-        self.on_flush = on_flush
-        self.flushes = 0
-        self.queries_flushed = 0
-        self._stop = threading.Event()
-        self._thread: Optional[threading.Thread] = None
-
-    def _tick(self) -> int:
-        # Runs on the engine executor: flush_due + flush are one atomic
-        # step with respect to submits.
-        if self.engine.flush_due():
-            return self.engine.flush()
-        return 0
-
-    def _run(self) -> None:
-        while not self._stop.wait(self.poll_interval_s):
-            try:
-                flushed = self.executor.submit(self._tick).result()
-            except RuntimeError:
-                # Executor shut down under us — the server is stopping.
-                return
-            if flushed:
-                self.flushes += 1
-                self.queries_flushed += flushed
-                st = _obs.state()
-                if st is not None and st.registry is not None:
-                    st.registry.counter("repro.net.deadline_flushes").inc()
-                if self.on_flush is not None:
-                    self.on_flush(flushed)
-
-    def start(self) -> "DeadlineScheduler":
-        if self._thread is not None:
-            raise ServingError("DeadlineScheduler is already running")
-        self._thread = threading.Thread(
-            target=self._run, name="repro-net-deadline", daemon=True
-        )
-        self._thread.start()
-        return self
-
-    def stop(self) -> None:
-        self._stop.set()
-        thread, self._thread = self._thread, None
-        if thread is not None:
-            thread.join(timeout=5.0)
-
-    def stats(self) -> dict:
-        return {
-            "poll_interval_s": self.poll_interval_s,
-            "flushes": self.flushes,
-            "queries_flushed": self.queries_flushed,
-        }
+def _flush_engine(engine, due_only: bool) -> None:
+    # Engine thread: the deadline check and the flush are one step with
+    # respect to submits.
+    if (engine.flush_due() if due_only else engine.pending):
+        engine.flush()
 
 
 class NetServer:
@@ -209,9 +133,12 @@ class NetServer:
         self._max_body_bytes = max_body_bytes
         self._engine = None
         self._executor: Optional[concurrent.futures.ThreadPoolExecutor] = None
-        self._scheduler: Optional[DeadlineScheduler] = None
         self._server: Optional[asyncio.base_events.Server] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
+        # The flush deadline timer, and the flush it started, in flight.
+        self._timer: Optional[asyncio.TimerHandle] = None
+        self._deadline_flush: Optional[asyncio.Task] = None
+        self._flush_warned = False
         self._auth = TenantAuth(self._scfg.tenants)
         self._jobs = JobTable()
         self._requests = 0
@@ -219,7 +146,7 @@ class NetServer:
 
     # -- lifecycle ---------------------------------------------------------
     async def start(self) -> "NetServer":
-        """Bind the listener and bring up session, engine and scheduler."""
+        """Bind the listener and bring up session and engine."""
         if self._server is not None:
             raise ServingError("NetServer is already started")
         self._loop = asyncio.get_running_loop()
@@ -245,9 +172,6 @@ class NetServer:
             self._session, self._engine = await self._loop.run_in_executor(
                 self._executor, build
             )
-            self._scheduler = DeadlineScheduler(
-                self._engine, self._executor, on_flush=self._flush_hook
-            ).start()
             self._server = await asyncio.start_server(
                 self._handle_connection,
                 host=self._scfg.host,
@@ -268,26 +192,25 @@ class NetServer:
         if server is not None:
             server.close()
             await server.wait_closed()
-        scheduler, self._scheduler = self._scheduler, None
-        if scheduler is not None:
-            scheduler.stop()
-        executor, self._executor = self._executor, None
+        # Without an engine nothing re-arms the deadline; a deadline
+        # flush already on the engine thread is awaited, not abandoned.
         session, engine = self._session, self._engine
         self._engine = None
+        timer, self._timer = self._timer, None
+        if timer is not None:
+            timer.cancel()
+        if self._deadline_flush is not None:
+            await self._deadline_flush
+        executor = self._executor
         if executor is not None:
             if self._owns_session and session is not None:
                 self._session = None
                 # Final flush answers still-queued tickets, then the
                 # session releases its communicator — both on the engine
                 # thread, like every other engine op.
-
-                def teardown():
-                    if engine is not None and engine.pending:
-                        with contextlib.suppress(Exception):
-                            engine.flush()
-                    session.close()
-
-                await self._loop.run_in_executor(executor, teardown)
+                await self._flush(engine, due_only=False)
+                await self._loop.run_in_executor(executor, session.close)
+            self._executor = None
             executor.shutdown(wait=True)
         st = _obs.state()
         if st is not None and st.registry is not None:
@@ -312,13 +235,52 @@ class NetServer:
 
     # -- engine-thread plumbing --------------------------------------------
     async def _on_engine(self, fn, *args):
-        return await self._loop.run_in_executor(self._executor, fn, *args)
+        try:
+            return await self._loop.run_in_executor(self._executor, fn, *args)
+        finally:
+            self._after_engine()
 
-    def _flush_hook(self, _flushed: int) -> None:
-        # Scheduler thread -> loop thread: wake long-pollers.
-        loop = self._loop
-        if loop is not None and not loop.is_closed():
-            loop.call_soon_threadsafe(self._jobs.signal_completed)
+    def _after_engine(self) -> None:
+        """Wake the long-pollers whose tickets settled, and arm the flush
+        deadline while tickets are queued.  One timer, kept once armed:
+        the oldest ticket only gets younger, so it may fire early (and
+        re-arm), never late.  A deadline flush in flight re-arms itself."""
+        self._jobs.signal_completed()
+        engine = self._engine
+        armed = self._timer is not None or self._deadline_flush is not None
+        if engine is None or armed or not engine.pending:
+            return
+        delay_s = engine.flush_deadline_ms / 1000.0 - engine.oldest_pending_age_s()
+        self._timer = self._loop.call_later(delay_s, self._deadline_fired)
+
+    def _deadline_fired(self) -> None:
+        self._timer = None
+        self._deadline_flush = self._loop.create_task(
+            self._flush(self._engine, due_only=True)
+        )
+
+    async def _flush(self, engine, *, due_only: bool) -> None:
+        """Flush on the engine thread (the deadline's only when due), then
+        re-arm.  A failed flush has failed its own tickets, whose jobs
+        answer 500; here it is counted and warned about once."""
+        try:
+            await self._loop.run_in_executor(
+                self._executor, _flush_engine, engine, due_only
+            )
+        except Exception:  # noqa: BLE001 - the server carries on
+            st = _obs.state()
+            if st is not None and st.registry is not None:
+                st.registry.counter("repro.errors.net").inc()
+            if not self._flush_warned:
+                self._flush_warned = True
+                _log.warning(
+                    "repro.net flush failed; its jobs answer 500 (later "
+                    "failures are only counted in repro.errors.net)",
+                    exc_info=True,
+                )
+        finally:
+            self._deadline_flush = None
+            self._after_engine()
 
     # -- connection handling -----------------------------------------------
     async def _handle_connection(
@@ -439,17 +401,17 @@ class NetServer:
             payload = np.asarray(raw, dtype=np.float64)
         except (TypeError, ValueError) as exc:
             raise HttpError(400, f"'payload' is not numeric: {exc}")
+        if not np.isfinite(payload).all():
+            # json.loads accepts NaN and Infinity; no basis can answer
+            # them, and their answers would not be valid JSON.
+            raise HttpError(400, "'payload' must be finite (no NaN or Infinity)")
         ticket = await self._on_engine(
             self._engine.submit, kind, basis, payload, version
         )
         job = self._jobs.create(tenant, ticket)
         self._auth.count(tenant, "queries")
-        # The submit may have answered already (result-cache hit) or
-        # tripped the size watermark and flushed the whole queue.
-        self._jobs.signal_completed()
-        if ticket.done:
-            return 200, self._job_payload(job)
-        return 202, self._job_payload(job)
+        # A result-cache hit answers at submit.
+        return (200 if ticket.done else 202), self._job_payload(job)
 
     async def _job_status(
         self, tenant: str, request: Request, job_id: str
@@ -479,7 +441,12 @@ class NetServer:
             "version": ticket.version,
         }
         if ticket.done:
-            value = ticket.result()
+            try:
+                value = ticket.result()
+            except ServingError as exc:
+                # The flush that held this ticket failed: a server-side
+                # fault, answered at once and naming its cause.
+                raise HttpError(500, f"job {job.id} failed: {exc}") from exc
             payload["result"] = (
                 value.tolist() if isinstance(value, np.ndarray) else value
             )
@@ -489,11 +456,9 @@ class NetServer:
 
     async def _metrics(self) -> Tuple[int, Any]:
         engine_stats = await self._on_engine(self._engine.stats)
-        scheduler = self._scheduler
         return 200, {
             "registry": _obs.current_registry().snapshot(),
             "engine": engine_stats,
-            "scheduler": scheduler.stats() if scheduler is not None else {},
             "tenants": self._auth.snapshot(),
             "jobs": self._jobs.stats(),
             "server": {"requests": self._requests, "errors": self._errors},
@@ -530,6 +495,10 @@ class NetServer:
         return (503 if unhealthy else 200), payload
 
 
+async def _set_event(event: asyncio.Event) -> None:
+    event.set()
+
+
 class ServerHandle:
     """A running :class:`NetServer` on a background thread — what tests,
     benchmarks and examples drive.  Context-manageable; :meth:`stop` is
@@ -548,7 +517,7 @@ class ServerHandle:
             return
         thread, self._thread = self._thread, None
         if not self._loop.is_closed():
-            self._loop.call_soon_threadsafe(self._stop_event.set)
+            asyncio.run_coroutine_threadsafe(_set_event(self._stop_event), self._loop)
         thread.join(timeout=timeout)
         if thread.is_alive():  # pragma: no cover - diagnostics only
             raise ServingError("repro.net server thread did not stop")

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import collections
 import hashlib
-import threading
 import time
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
@@ -73,7 +72,7 @@ class QueryTicket:
         "cached",
         "_value",
         "_done",
-        "_fulfilled",
+        "_error",
     )
 
     def __init__(self, kind: str, basis: str, version: int) -> None:
@@ -84,39 +83,27 @@ class QueryTicket:
         self.cached = False
         self._value = None
         self._done = False
-        # Cross-thread completion signal: the serving frontend redeems
-        # tickets (result(timeout=...)) from HTTP handler threads while a
-        # dedicated engine thread flushes.
-        self._fulfilled = threading.Event()
+        self._error: Optional[BaseException] = None
 
     @property
     def done(self) -> bool:
-        """Whether the answer has been computed."""
+        """Whether the ticket is settled (answered, or failed with its flush)."""
         return self._done
 
-    def result(self, timeout: Optional[float] = None):
-        """The query answer.
-
-        Without ``timeout`` (the default) the call is instant: a pending
-        ticket raises :class:`ServingError` immediately — the original
-        submit/flush/redeem contract.  With ``timeout=`` (seconds) the
-        call *blocks* until another thread's flush fulfils the ticket,
-        raising a descriptive :class:`ServingError` on expiry — what the
-        long-poll job endpoint of :mod:`repro.net` builds on.
-        """
-        if self._done:
-            return self._value
-        if timeout is None:
+    def result(self):
+        """The query answer.  Instant: a pending ticket raises
+        :class:`ServingError` (call :meth:`QueryEngine.flush` first), and
+        so does a failed one, chained to its flush's exception."""
+        if self._error is not None:
+            raise ServingError(
+                f"{self.kind} query on {self.basis!r} v{self.version} "
+                f"failed in its flush: {type(self._error).__name__}: "
+                f"{self._error}"
+            ) from self._error
+        if not self._done:
             raise ServingError(
                 f"{self.kind} query on {self.basis!r} is still pending — "
                 f"call QueryEngine.flush() first"
-            )
-        if not self._fulfilled.wait(timeout):
-            raise ServingError(
-                f"{self.kind} query on {self.basis!r} v{self.version} was "
-                f"not fulfilled within {timeout:g}s — no flush answered it "
-                f"in time (is a deadline scheduler running, or is the "
-                f"flush_deadline_ms budget larger than the timeout?)"
             )
         return self._value
 
@@ -125,19 +112,24 @@ class QueryTicket:
         self.degraded = degraded
         self.cached = cached
         self._done = True
-        self._fulfilled.set()
+
+    def _fail(self, cause: BaseException) -> None:
+        self._error = cause
+        self._done = True
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         state = "done" if self._done else "pending"
-        if self._done and self.degraded:
+        if self._error is not None:
+            state = "failed"
+        elif self._done and self.degraded:
             state = "done, degraded"
         return f"QueryTicket({self.kind}, {self.basis!r}, {state})"
 
 
 class _Pending(NamedTuple):
     """One queued query: its ticket, payload, and bookkeeping for the
-    deadline scheduler (submit time) and result cache (key, or ``None``
-    when the query is uncacheable)."""
+    flush deadline (submit time) and result cache (key, or ``None`` when
+    the query is uncacheable)."""
 
     ticket: QueryTicket
     payload: np.ndarray
@@ -183,10 +175,10 @@ class QueryEngine:
         Latency budget (milliseconds) of a pending query.  The engine
         never flushes spontaneously (flushing is collective) — instead
         :meth:`flush_due` turns ``True`` once the oldest pending ticket
-        is older than this budget, and a scheduler (e.g. the
-        :class:`repro.net.DeadlineScheduler` behind ``repro serve``)
-        polls it and drives the flush.  ``None`` (the default) disables
-        deadline accounting: only the size watermark flushes.
+        is older than this budget, and the owner drives the flush (the
+        :class:`repro.net.NetServer` event loop arms a timer for the
+        oldest ticket's remaining budget).  ``None`` (the default)
+        disables deadline accounting: only the size watermark flushes.
     result_cache_entries:
         Capacity of the keyed result cache: ``(basis name, version,
         kind, payload digest) -> result``.  A repeated projection /
@@ -359,30 +351,22 @@ class QueryEngine:
             )
         )
 
-    def _resolve_version(self, name: str, version: Optional[int]) -> int:
-        return self._resolve_info(name, version)[0]
-
     def load(self, name: str, version: Optional[int] = None) -> ShardedBasis:
         """The sharded basis for ``name``/``version`` (default: latest),
         through the LRU cache."""
-        version = self._resolve_version(name, version)
+        version = self._resolve_info(name, version)[0]
         key = (name, version)
         basis = self._cache.get(key)
-        st = _obs.state()
         if basis is not None:
             self._cache.move_to_end(key)
-            self._stats["cache_hits"] += 1
-            if st is not None and st.registry is not None:
-                st.registry.counter("repro.serving.cache_hits").inc()
+            self._count("cache_hits")
             return basis
         if version == _MEM_VERSION or self.store is None:
             raise BasisNotFoundError(
                 f"no basis named {name!r} version {version} is loadable"
             )
         basis = ShardedBasis.from_store(self.comm, self.store, name, version)
-        self._stats["cache_misses"] += 1
-        if st is not None and st.registry is not None:
-            st.registry.counter("repro.serving.cache_misses").inc()
+        self._count("cache_misses")
         self._cache[key] = basis
         if self.replicate and key not in self._replicas:
             self._replicas[key] = ShardedBasis.from_store(
@@ -477,10 +461,7 @@ class QueryEngine:
                 f"{payload.shape[0]}"
             )
         ticket = QueryTicket(kind, name, version)
-        self._stats["queries"] += 1
-        st = _obs.state()
-        if st is not None and st.registry is not None:
-            st.registry.counter("repro.serving.queries").inc()
+        self._count("queries")
         cache_key = None
         if self.result_cache_entries > 0 and not local:
             cache_key = (name, version, kind, payload_digest(payload))
@@ -490,19 +471,13 @@ class QueryEngine:
                 # hit value is immutable (stored read-only); the ticket
                 # gets its own writable copy, like any flush answer.
                 self._result_cache.move_to_end(cache_key)
-                self._stats["result_cache_hits"] += 1
-                if st is not None and st.registry is not None:
-                    st.registry.counter(
-                        "repro.serving.result_cache_hits"
-                    ).inc()
+                self._count("result_cache_hits")
                 value = hit
                 if isinstance(value, np.ndarray):
                     value = np.array(value)
                 ticket._fulfil(value, cached=True)
                 return ticket
-            self._stats["result_cache_misses"] += 1
-            if st is not None and st.registry is not None:
-                st.registry.counter("repro.serving.result_cache_misses").inc()
+            self._count("result_cache_misses")
         self._pending.append(
             _Pending(ticket, payload, local, time.monotonic(), cache_key)
         )
@@ -558,11 +533,25 @@ class QueryEngine:
         ``degraded=True``; the shard group is then marked down and every
         later flush serves from replicas directly.  A group that cannot
         fail over (no replica, or ``local=True`` payloads) re-raises as
-        :class:`ServingError` with the original failure chained.
+        :class:`ServingError` with the original failure chained.  Before
+        anything propagates, every unanswered ticket of the batch fails
+        with it (``done``, never cached, :meth:`~QueryTicket.result`
+        raising a :class:`ServingError` chained to the cause).
         """
         pending, self._pending = self._pending, []
         if not pending:
             return 0
+        try:
+            self._flush_batch(pending)
+        except BaseException as exc:
+            for entry in pending:
+                if not entry.ticket.done:
+                    entry.ticket._fail(exc)
+            raise
+        return len(pending)
+
+    def _flush_batch(self, pending: List[_Pending]) -> None:
+        """Answer a popped, non-empty batch (the body of :meth:`flush`)."""
         now = time.monotonic()
         oldest_age = max(now - entry.t_submit for entry in pending)
         self._last_flush_oldest_age_s = oldest_age
@@ -588,23 +577,14 @@ class QueryEngine:
                 # this flush from replicas instead of committing to a
                 # collective that can only time out or fail.
                 self._shard_group_down = True
-                self._stats["health_reroutes"] += 1
-                if st is not None and st.registry is not None:
-                    st.registry.counter(
-                        "repro.serving.health_reroutes"
-                    ).inc()
+                self._count("health_reroutes")
             for (name, version, kind, local), items in groups.items():
                 if self._shard_group_down:
                     self._flush_degraded(name, version, kind, items, local)
                     continue
                 basis = self.load(name, version)
                 try:
-                    if kind == "project":
-                        self._flush_project(basis, items, local)
-                    elif kind == "reconstruct":
-                        self._flush_reconstruct(basis, items)
-                    else:
-                        self._flush_error(basis, items, local)
+                    self._flush_group(basis, kind, items, local)
                 except (CommunicatorError, SmpiError) as exc:
                     # The shard group stopped answering mid-flush.  No
                     # ticket of this group has been fulfilled yet (tickets
@@ -625,7 +605,6 @@ class QueryEngine:
             st.registry.histogram("repro.serving.flush_seconds").observe(
                 time.perf_counter() - t0
             )
-        return len(pending)
 
     def _flush_degraded(
         self,
@@ -649,16 +628,16 @@ class QueryEngine:
                 f"cannot fail over {kind} queries on basis {name!r} "
                 f"v{version}: {reason}"
             ) from cause
-        self._stats["failovers"] += 1
-        st = _obs.state()
-        if st is not None and st.registry is not None:
-            st.registry.counter("repro.recovery.failovers").inc()
+        self._count("failovers", "repro.recovery.failovers")
+        self._flush_group(replica, kind, items, local=False, degraded=True)
+
+    def _flush_group(self, basis, kind, items, local, degraded=False) -> None:
         if kind == "project":
-            self._flush_project(replica, items, local=False, degraded=True)
+            self._flush_project(basis, items, local, degraded)
         elif kind == "reconstruct":
-            self._flush_reconstruct(replica, items, degraded=True)
+            self._flush_reconstruct(basis, items, degraded)
         else:
-            self._flush_error(replica, items, local=False, degraded=True)
+            self._flush_error(basis, items, local, degraded)
 
     def _shard_group_unhealthy(self) -> bool:
         """Proactive probe of the shard group's health: any already-failed
@@ -795,13 +774,14 @@ class QueryEngine:
     # -- deadline accounting ----------------------------------------------
     def oldest_pending_age_s(self, now: Optional[float] = None) -> float:
         """Age (seconds) of the oldest pending ticket; ``0.0`` when the
-        queue is empty.  The queue-pressure signal the deadline scheduler
-        and ``/metrics`` poll."""
-        if not self._pending:
+        queue is empty.  Safe to call from another thread: it reads one
+        snapshot of the queue, and a flush swaps in a fresh list."""
+        pending = self._pending
+        if not pending:
             return 0.0
         if now is None:
             now = time.monotonic()
-        return max(now - self._pending[0].t_submit, 0.0)
+        return max(now - pending[0].t_submit, 0.0)
 
     def flush_due(self, now: Optional[float] = None) -> bool:
         """Whether the oldest pending ticket has exhausted its
@@ -814,6 +794,13 @@ class QueryEngine:
         )
 
     # -- instrumentation ---------------------------------------------------
+    def _count(self, key: str, metric: Optional[str] = None) -> None:
+        """Bump ``stats()[key]`` and its counter (default ``repro.serving.<key>``)."""
+        self._stats[key] += 1
+        st = _obs.state()
+        if st is not None and st.registry is not None:
+            st.registry.counter(metric or f"repro.serving.{key}").inc()
+
     @property
     def pending(self) -> int:
         """Queries queued but not yet flushed."""
@@ -845,8 +832,8 @@ class QueryEngine:
         keys: ``pending`` (total), ``pending_by_group`` (per
         ``(basis, kind)``, keyed ``"<basis>:<kind>"`` so the dict is
         JSON-serialisable), ``oldest_pending_age_s`` and
-        ``last_flush_oldest_age_s`` — what the deadline scheduler and
-        the ``/metrics`` endpoint read.
+        ``last_flush_oldest_age_s`` — what the ``/metrics`` endpoint
+        reports.
         """
         snapshot = dict(self._stats)
         snapshot["pending"] = len(self._pending)

@@ -18,6 +18,7 @@ from repro.api import (
     SolverConfig,
     StreamConfig,
 )
+from repro.core.parallel import ParSVDParallel
 from repro.exceptions import ConfigurationError, RescaleError
 from repro.faults import runtime as faults_rt
 from repro.health import ElasticSession
@@ -131,6 +132,30 @@ class TestMidStreamRescale:
             session.rescale(3)
             counters = obs_rt.default_registry().snapshot()["counters"]
             assert counters["repro.recovery.live_rescales"]["value"] == 1
+
+    def test_failed_abort_during_rescale_is_counted_and_logged_once(
+        self, monkeypatch, caplog
+    ):
+        def exploding_abort(self):
+            raise RuntimeError("abort exploded")
+
+        def errors():
+            counters = obs_rt.default_registry().snapshot()["counters"]
+            return counters.get("repro.errors.health", {}).get("value", 0)
+
+        monkeypatch.setattr(ParSVDParallel, "abort_pending", exploding_abort)
+        cfg = base_config(2).replace(obs=ObservabilityConfig(metrics=True))
+        with caplog.at_level("WARNING", logger="repro.health.elastic"):
+            with ElasticSession(cfg) as session:
+                session.initialize(BATCHES[0])
+                errors_before = errors()
+                session.rescale(3)
+                assert session.size == 3
+                # One count per old-world rank whose abort raised.
+                assert errors() - errors_before == 2
+        warnings = [r for r in caplog.records if r.name == "repro.health.elastic"]
+        assert len(warnings) == 1
+        assert "abort exploded" in caplog.text
 
 
 class TestLiveRecovery:

@@ -107,28 +107,44 @@ class TestMonitorFailure:
 
 
 class TestAdvance:
-    def test_advance_error_is_captured_and_daemon_keeps_beating(self):
+    def test_advance_error_is_captured_and_daemon_keeps_beating(self, caplog):
         world = World(1)
 
         def exploding():
             raise ValueError("poisoned step")
 
-        daemon = ProgressDaemon(
-            0.01, world=world, world_rank=0, advance=exploding
-        ).start()
+        def errors():
+            counters = obs_rt.default_registry().snapshot()["counters"]
+            return counters.get("repro.errors.health", {}).get("value", 0)
+
+        obs_rt.install(metrics=True)
         try:
-            deadline = time.monotonic() + 5.0
-            while daemon.error is None:
-                assert time.monotonic() < deadline, "error never captured"
-                time.sleep(0.005)
-            assert isinstance(daemon.error, ValueError)
-            before = world.last_beat(0)
-            deadline = time.monotonic() + 5.0
-            while world.last_beat(0) <= before:
-                assert time.monotonic() < deadline, "beat stopped after error"
-                time.sleep(0.005)
+            errors_before = errors()
+            with caplog.at_level("WARNING", logger="repro.health.daemon"):
+                daemon = ProgressDaemon(
+                    0.01, world=world, world_rank=0, advance=exploding
+                ).start()
+                try:
+                    deadline = time.monotonic() + 5.0
+                    while daemon.error is None:
+                        assert time.monotonic() < deadline, "error never captured"
+                        time.sleep(0.005)
+                    assert isinstance(daemon.error, ValueError)
+                    before = world.last_beat(0)
+                    deadline = time.monotonic() + 5.0
+                    while world.last_beat(0) <= before:
+                        assert time.monotonic() < deadline, "beat stopped after error"
+                        time.sleep(0.005)
+                finally:
+                    daemon.stop()
+            # One failed step, counted once: the daemon stops advancing.
+            assert errors() - errors_before == 1
         finally:
-            daemon.stop()
+            obs_rt.uninstall()
+        warnings = [r for r in caplog.records if r.name == "repro.health.daemon"]
+        assert len(warnings) == 1
+        assert warnings[0].levelname == "WARNING"
+        assert "poisoned step" in caplog.text
 
     def test_daemon_completes_overlapped_step_without_access(self):
         """The tentpole behaviour: with daemons running, an overlap=True

@@ -5,19 +5,28 @@ through :class:`ServingClient` over real sockets: submitted
 project/reconstruct/error queries must match the in-process
 ``QueryEngine`` answers to 1e-10, a lone query must be flushed within
 its ``flush_deadline_ms`` budget (asserted through the
-oldest-pending-age stat), and auth/tenancy/metrics/health behave per
-the endpoint contract.
+oldest-pending-age stat), a failed flush must fail only its own jobs,
+and auth/tenancy/metrics/health behave per the endpoint contract.
 """
 
+import threading
 import time
 
 import numpy as np
 import pytest
 
-from repro.api import BackendConfig, RunConfig, Session, SolverConfig, StreamConfig
+from repro.api import (
+    BackendConfig,
+    ObservabilityConfig,
+    RunConfig,
+    Session,
+    SolverConfig,
+    StreamConfig,
+)
 from repro.config import ServingConfig, TenantSpec
 from repro.net import ServingClient, ServingHTTPError, start_in_thread
-from repro.serving import ModeBaseStore
+from repro.obs import runtime as obs_rt
+from repro.serving import ModeBaseStore, ShardedBasis
 
 NDOF, NT, K = 96, 48, 5
 
@@ -199,6 +208,18 @@ class TestValidationErrors:
     def test_non_object_body_rejected(self, client):
         assert client.request_raw("POST", "/v1/query", [1, 2, 3])[0] == 400
 
+    @pytest.mark.parametrize("token", [float("nan"), float("inf")])
+    def test_non_finite_payload_rejected_before_the_engine(self, client, token):
+        # json.dumps writes the NaN / Infinity tokens json.loads accepts.
+        payload = [[0.5]] * (NDOF - 1) + [[token]]
+        before = client.metrics()["engine"]["queries"]
+        status, reply = client.request_raw(
+            "POST", "/v1/query", {"basis": "wave", "payload": payload}
+        )
+        assert status == 400
+        assert "finite" in reply["error"]
+        assert client.metrics()["engine"]["queries"] == before
+
 
 class TestAuth:
     @pytest.fixture
@@ -266,7 +287,6 @@ class TestOperatorEndpoints:
         metrics = client.metrics()
         assert metrics["engine"]["queries"] >= 1
         assert "pending_by_group" in metrics["engine"]
-        assert metrics["scheduler"]["poll_interval_s"] > 0.0
         assert metrics["jobs"]["created"] >= 1
         assert metrics["server"]["requests"] >= 2
         assert {"counters", "gauges", "histograms"} <= set(
@@ -321,3 +341,107 @@ class TestServerLifecycle:
         handle.stop()
         engine = handle.server._engine
         assert engine is None  # torn down, after a final flush
+
+
+def _counter(name: str) -> float:
+    counters = obs_rt.default_registry().snapshot()["counters"]
+    return counters.get(name, {}).get("value", 0.0)
+
+
+class TestDeadlineTimer:
+    """The event loop keeps the flush deadline: one timer, no thread."""
+
+    def test_steady_trickle_is_answered(self, corpus):
+        store, data, _ = corpus
+        handle = start_in_thread(
+            store, serving(flush_deadline_ms=5.0, max_batch=64)
+        )
+        try:
+            with ServingClient.from_url(handle.url) as client:
+                jobs = []
+                # ~2 ms apart against a 5 ms deadline: some submits land
+                # while a deadline flush is on the engine thread.
+                for i in range(40):
+                    t_submit = time.monotonic()
+                    jobs.append((t_submit, client.submit("wave", data[:, i : i + 1])))
+                    time.sleep(0.002)
+                for t_submit, job in jobs:
+                    client.result(job, wait=1.0)
+                    assert time.monotonic() - t_submit < 1.0
+                metrics = client.metrics()
+        finally:
+            handle.stop()
+        assert metrics["engine"]["pending"] == 0
+        assert metrics["jobs"]["pending"] == 0
+        assert metrics["engine"]["deadline_flushes"] >= 1
+
+    def test_server_runs_on_two_threads(self, server):
+        names = sorted(
+            t.name for t in threading.enumerate() if t.name.startswith("repro-net")
+        )
+        assert len(names) == 2, names
+        assert names[0].startswith("repro-net-engine_")
+        assert names[1] == "repro-net-server"
+
+    @pytest.mark.parametrize("deadline_ms", [1.0, 5.0, 60_000.0])
+    def test_stop_with_work_pending_is_clean(self, corpus, caplog, deadline_ms):
+        store, data, _ = corpus
+        with caplog.at_level("DEBUG"):
+            handle = start_in_thread(store, serving(flush_deadline_ms=deadline_ms))
+            with ServingClient.from_url(handle.url) as client:
+                assert client.submit("wave", data[:, :1])["status"] == "pending"
+            handle.stop()
+        assert "Task exception was never retrieved" not in caplog.text
+        assert "cannot schedule new futures after shutdown" not in caplog.text
+
+    def test_failed_flush_fails_its_job_and_the_server_recovers(
+        self, corpus, monkeypatch, caplog
+    ):
+        store, data, _ = corpus
+        real = ShardedBasis.from_store
+        calls = []
+
+        def flaky(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 1:
+                raise OSError("simulated unreadable store file")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(ShardedBasis, "from_store", flaky)
+        deadline_s = 0.02
+        cfg = serving(flush_deadline_ms=deadline_s * 1e3).replace(
+            obs=ObservabilityConfig(metrics=True)
+        )
+        errors_before = _counter("repro.errors.net")
+        with caplog.at_level("WARNING", logger="repro.net.server"):
+            handle = start_in_thread(store, cfg)
+            try:
+                with ServingClient.from_url(handle.url) as client:
+                    t0 = time.monotonic()
+                    first = client.submit("wave", data[:, :1])
+                    status, reply = client.request_raw(
+                        "GET", f"/v1/jobs/{first['job']}?wait=1"
+                    )
+                    assert time.monotonic() - t0 < 1.0
+                    assert status == 500
+                    assert "simulated unreadable store file" in reply["error"]
+
+                    t0 = time.monotonic()
+                    second = client.submit("wave", data[:, 1:2])
+                    client.result(second, wait=2.0)
+                    assert time.monotonic() - t0 < deadline_s + 0.5
+
+                    # The failure was not cached: the same payload queues
+                    # again and is answered.
+                    again = client.submit("wave", data[:, :1])
+                    assert again["status"] == "pending"
+                    client.result(again, wait=2.0)
+                    metrics = client.metrics()
+            finally:
+                handle.stop()
+        assert _counter("repro.errors.net") - errors_before >= 1
+        assert metrics["engine"]["pending"] == 0
+        warnings = [r for r in caplog.records if r.name == "repro.net.server"]
+        assert len(warnings) == 1
+        assert warnings[0].levelname == "WARNING"
+        assert "simulated unreadable store file" in caplog.text

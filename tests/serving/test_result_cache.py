@@ -5,10 +5,11 @@ digest)``; hits fulfil at submit with no GEMM and no collective;
 version bumps and payload changes miss; eviction is LRU; degraded
 (failover) answers and ``local=True`` queries are never cached.
 Deadline contract: ``oldest_pending_age_s`` / ``flush_due`` expose
-queue pressure, the engine never flushes spontaneously.
+queue pressure, the engine never flushes spontaneously.  Failure
+contract: a flush that raises first fails every unanswered ticket of
+its batch, and caches none of them.
 """
 
-import threading
 import time
 
 import numpy as np
@@ -16,7 +17,7 @@ import pytest
 
 from repro.analysis.reconstruction import project_coefficients
 from repro.exceptions import ServingError
-from repro.serving import ModeBaseStore, QueryEngine
+from repro.serving import ModeBaseStore, QueryEngine, ShardedBasis
 from repro.serving.engine import payload_digest
 from repro.smpi import create_communicator
 
@@ -252,28 +253,65 @@ class TestDeadlineAccounting:
 
 
 class TestTicketTimeout:
-    def test_timeout_expiry_is_descriptive(self, store, rng):
-        engine = engine_for(store)
-        ticket = engine.submit_project("alpha", rng.standard_normal((M, 1)))
-        with pytest.raises(ServingError, match="not fulfilled within"):
-            ticket.result(timeout=0.01)
-
     def test_no_timeout_keeps_instant_contract(self, store, rng):
         engine = engine_for(store)
         ticket = engine.submit_project("alpha", rng.standard_normal((M, 1)))
         with pytest.raises(ServingError, match="still pending"):
             ticket.result()
 
-    def test_cross_thread_fulfilment_wakes_waiter(self, store, rng):
+
+class TestFlushFailure:
+    def test_failed_flush_settles_every_ticket_then_reraises(
+        self, store, rng, monkeypatch
+    ):
         engine = engine_for(store)
-        data = rng.standard_normal((M, 2))
-        ticket = engine.submit_project("alpha", data)
-        timer = threading.Timer(0.05, engine.flush)
-        timer.start()
-        try:
-            value = ticket.result(timeout=5.0)
-        finally:
-            timer.join()
+        payloads = [rng.standard_normal((M, 1)) for _ in range(3)]
+        tickets = [engine.submit_project("alpha", p) for p in payloads]
+
+        def unreadable(*args, **kwargs):
+            raise OSError("store file unreadable")
+
+        monkeypatch.setattr(ShardedBasis, "from_store", unreadable)
+        with pytest.raises(OSError, match="unreadable"):
+            engine.flush()
+        for ticket in tickets:
+            assert ticket.done
+            with pytest.raises(ServingError, match="failed in its flush") as err:
+                ticket.result()
+            assert isinstance(err.value.__cause__, OSError)
+        assert engine.pending == 0
+        assert engine.cached_results == []
+
+        monkeypatch.undo()
+        retry = engine.submit_project("alpha", payloads[0])
+        assert not retry.done  # the failure was not cached
+        engine.flush()
         assert np.allclose(
-            value, project_coefficients(store.get("alpha").modes, data)
+            retry.result(),
+            project_coefficients(store.get("alpha").modes, payloads[0]),
         )
+
+    def test_groups_answered_before_the_failure_keep_their_answers(
+        self, store, rng, monkeypatch
+    ):
+        u, s = make_basis(1)
+        store.publish("beta", u, s)
+        engine = engine_for(store)
+        data = rng.standard_normal((M, 1))
+        good = engine.submit_project("alpha", data)
+        bad = engine.submit_project("beta", data)
+        real = ShardedBasis.from_store
+
+        def beta_unreadable(comm, store_, name, version):
+            if name == "beta":
+                raise OSError("beta unreadable")
+            return real(comm, store_, name, version)
+
+        monkeypatch.setattr(ShardedBasis, "from_store", beta_unreadable)
+        with pytest.raises(OSError):
+            engine.flush()
+        assert np.allclose(
+            good.result(), project_coefficients(store.get("alpha").modes, data)
+        )
+        with pytest.raises(ServingError, match="beta unreadable"):
+            bad.result()
