@@ -14,10 +14,10 @@ different answer.
 
 A third lane runs the same crash under ``RestartPolicy(mode="live")``:
 the health monitor declares the crashed rank dead and the world shrinks
-in place — factors are gathered in memory, rows re-partitioned, the
-stream resumed where it left off.  No restart, zero replayed batches,
-same 1e-12 answer; the live tax is the drain + re-partition instead of
-the replayed prefix.
+in place — rebuilt from the latest in-memory snapshot, rows
+re-partitioned, the batches since that snapshot re-fed.  No restart,
+zero replayed batches, same 1e-12 answer; the live tax is the rebuild
+instead of the replayed prefix.
 
 Artifacts: ``chaos_recovery.json`` (timings + counters) and
 ``chaos_recovery.txt`` (table).
@@ -45,11 +45,10 @@ from repro.obs import runtime as obs_rt
 from repro.postprocessing.report import format_table
 
 NDOF, NT, BATCH, K, RANKS = 512, 96, 8, 8, 4
-CRASH_AT = 40  # mid-stream comm-op ordinal on the victim rank
-# The live lane issues no per-batch checkpoint collectives, so each rank
-# executes far fewer comm ops — its crash ordinal must sit in that
-# smaller window to actually fire mid-stream.
-LIVE_CRASH_AT = 9
+# Mid-stream comm-op ordinal on the victim rank.  Both lanes capture a
+# snapshot (one gatherv_rows + barrier per rank) after every batch, so
+# they share one op census and the same ordinal fires at the same step.
+CRASH_AT = 40
 
 
 def make_stream():
@@ -117,7 +116,7 @@ def run_with_live_crash():
         faults=FaultConfig(
             enabled=True,
             seed=1234,
-            schedule=(FaultSpec(kind="crash", rank=1, op="*", at=LIVE_CRASH_AT),),
+            schedule=(FaultSpec(kind="crash", rank=1, op="*", at=CRASH_AT),),
         ),
         health=HealthConfig(
             enabled=True, heartbeat_interval=0.01, suspect_after=0.1
@@ -177,7 +176,6 @@ def test_chaos_recovery_overhead(benchmark, artifacts_dir):
         "ranks": RANKS,
         "backend": "threads",
         "crash_at": CRASH_AT,
-        "live_crash_at": LIVE_CRASH_AT,
         "fault_free_s": clean_s,
         "recovered_s": chaos_s,
         "live_rescaled_s": live_s,
@@ -193,7 +191,7 @@ def test_chaos_recovery_overhead(benchmark, artifacts_dir):
         artifacts_dir,
         "chaos_recovery.txt",
         f"Crash + restart recovery tax ({NDOF}x{NT} stream, K={K}, "
-        f"{RANKS} ranks, crash at op #{CRASH_AT}, live at #{LIVE_CRASH_AT})\n"
+        f"{RANKS} ranks, crash at op #{CRASH_AT})\n"
         + format_table(
             ["lane", "wall_s", "restarts", "rescales", "replayed_batches"],
             [

@@ -1,7 +1,6 @@
 """Application-layer analyses built on the SVD core (paper section 2)."""
 
 from .coherent import CoherentStructureReport, extract_coherent_structures
-from .compression import CompressedSnapshots, compress
 from .dmd import DMDResult, dmd
 from .distributed import (
     distributed_inner_products,
@@ -23,8 +22,6 @@ from .reconstruction import (
 __all__ = [
     "SPODResult",
     "spod",
-    "CompressedSnapshots",
-    "compress",
     "distributed_inner_products",
     "distributed_norm",
     "distributed_pod",

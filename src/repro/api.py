@@ -52,9 +52,8 @@ from __future__ import annotations
 import dataclasses
 import pathlib
 import random
-import tempfile
 import time
-from typing import Any, Callable, Iterable, List, Optional, Tuple, Union
+from typing import Any, Callable, Iterable, List, Optional, Union
 
 import numpy as np
 
@@ -72,6 +71,7 @@ from .config import (
     TenantSpec,
 )
 from .core.checkpoint import (
+    Snapshot,
     normalize_checkpoint_path,
     rank_checkpoint_path,
     read_checkpoint,
@@ -155,6 +155,49 @@ def checkpoint_run_config(path: PathLike) -> RunConfig:
     return RunConfig(solver=solver, backend=BackendConfig(size=nranks))
 
 
+def resolve_config(config: Optional[RunConfig], **sections: Any) -> RunConfig:
+    """``config`` (default: all defaults) with every non-``None`` section
+    shortcut (``solver=``, ``backend=``, ...) replacing its section."""
+    cfg = config if config is not None else RunConfig()
+    if not isinstance(cfg, RunConfig):
+        raise ConfigurationError(
+            f"config must be a RunConfig, got {type(cfg).__name__}"
+        )
+    sections = {key: value for key, value in sections.items() if value is not None}
+    return cfg.replace(**sections) if sections else cfg
+
+
+def open_stream(scfg: StreamConfig, source: Any) -> SnapshotStream:
+    """The global batch stream of ``source`` under ``scfg``: a 2-D array
+    (sliced into ``scfg.batch``-column batches), a path to a
+    :class:`~repro.data.io.SnapshotDataset`, a :class:`~repro.data.
+    streams.SnapshotStream`, or ``None`` for ``scfg.source``."""
+    if source is None:
+        if scfg.source is None:
+            raise ConfigurationError(
+                "fit_stream() needs a data source: pass one, or set "
+                "stream.source in the RunConfig"
+            )
+        source = scfg.source
+    if isinstance(source, SnapshotStream):
+        return source
+    if isinstance(source, (str, pathlib.Path)):
+        from .data.io import SnapshotDataset
+
+        if scfg.batch is None:
+            raise ConfigurationError(
+                "streaming from an on-disk container requires "
+                "stream.batch in the RunConfig"
+            )
+        return dataset_stream(SnapshotDataset.open(source), scfg.batch)
+    if scfg.batch is None:
+        raise ConfigurationError(
+            "streaming an in-memory matrix requires stream.batch "
+            "in the RunConfig (or pass a SnapshotStream)"
+        )
+    return array_stream(np.asarray(source), scfg.batch)
+
+
 @dataclasses.dataclass(frozen=True)
 class SessionResult:
     """What a finished (or checkpointed) session computed.
@@ -222,23 +265,9 @@ class Session:
         stream: Optional[StreamConfig] = None,
         obs: Optional[ObservabilityConfig] = None,
     ) -> None:
-        cfg = config if config is not None else RunConfig()
-        if not isinstance(cfg, RunConfig):
-            raise ConfigurationError(
-                f"config must be a RunConfig, got {type(cfg).__name__}"
-            )
-        sections = {
-            key: value
-            for key, value in (
-                ("solver", solver),
-                ("backend", backend),
-                ("stream", stream),
-                ("obs", obs),
-            )
-            if value is not None
-        }
-        if sections:
-            cfg = cfg.replace(**sections)
+        cfg = resolve_config(
+            config, solver=solver, backend=backend, stream=stream, obs=obs
+        )
         self._config = cfg
         self._obs_installed = False
         if cfg.obs.enabled:
@@ -249,9 +278,9 @@ class Session:
         self._faults_installed = False
         if cfg.faults.active:
             # Same refcounted pattern as obs: the first install builds the
-            # controller, per-rank siblings share it.  Session.run's retry
-            # loop pins a controller *before* the sessions exist, so their
-            # installs here just add references to it.
+            # controller, per-rank siblings share it.  A Recovery pins a
+            # controller *before* the sessions exist, so their installs
+            # here just add references to it.
             _faults.install(cfg.faults)
             self._faults_installed = True
         self._owns_comm = comm is None
@@ -296,9 +325,9 @@ class Session:
         # close(drop_pending=True) so no producer thread outlives a
         # crashed session.
         self._prefetch_streams: List[PrefetchStream] = []
-        # (path, every) set by Session.run's restart loop: fit_stream then
-        # writes a gathered checkpoint every `every` ingested batches.
-        self._auto_checkpoint: Optional[Tuple[pathlib.Path, int]] = None
+        # Set by Session.run's restart mode: fit_stream then replays with
+        # skip and captures a snapshot every checkpoint_every batches.
+        self._recovery: Optional[Recovery] = None
 
     def _start_health_daemon(self, comm: Any) -> None:
         """Start this rank's heartbeat/progress daemon (``health.enabled``).
@@ -368,11 +397,10 @@ class Session:
         streams, self._prefetch_streams = self._prefetch_streams, []
         self._closed = True
         try:
-            if driver is not None and driver.pending_update:
-                if drop_pending:
-                    driver.abort_pending()
-                else:
-                    driver._finalize_pending()
+            if driver is not None and drop_pending:
+                driver.abort_pending()
+            elif driver is not None and driver.pending_update:
+                driver._finalize_pending()
         finally:
             if drop_pending:
                 for stream in streams:
@@ -426,31 +454,7 @@ class Session:
         self, source: Any, partition: bool
     ) -> Iterable[np.ndarray]:
         scfg = self._config.stream
-        if source is None:
-            if scfg.source is None:
-                raise ConfigurationError(
-                    "fit_stream() needs a data source: pass one, or set "
-                    "stream.source in the RunConfig"
-                )
-            source = scfg.source
-        if isinstance(source, SnapshotStream):
-            stream = source
-        elif isinstance(source, (str, pathlib.Path)):
-            from .data.io import SnapshotDataset
-
-            if scfg.batch is None:
-                raise ConfigurationError(
-                    "streaming from an on-disk container requires "
-                    "stream.batch in the RunConfig"
-                )
-            stream = dataset_stream(SnapshotDataset.open(source), scfg.batch)
-        else:
-            if scfg.batch is None:
-                raise ConfigurationError(
-                    "streaming an in-memory matrix requires stream.batch "
-                    "in the RunConfig (or pass a SnapshotStream)"
-                )
-            stream = array_stream(np.asarray(source), scfg.batch)
+        stream = open_stream(scfg, source)
         if partition and self._comm.size > 1:
             if stream.n_dof is None:
                 raise ConfigurationError(
@@ -503,7 +507,7 @@ class Session:
         to an uninterrupted one.  The default (``None``) is ``False``
         except under ``Session.run(restart_policy=...)``, whose job
         functions stream the whole run every attempt and recover from
-        the auto-checkpoint.  ``config.stream.prefetch`` wraps the
+        the latest snapshot.  ``config.stream.prefetch`` wraps the
         rank-local stream in a background :class:`~repro.data.streams.
         PrefetchStream`; ``config.solver.overlap`` keeps each step's
         collectives in flight while the next batch arrives.
@@ -511,8 +515,9 @@ class Session:
         self._require_open()
         driver = self.driver
         got_any = driver.initialized
+        recovery = self._recovery
         if replay is None:
-            replay = self._auto_checkpoint is not None
+            replay = recovery is not None
         already_seen = driver.n_seen if (got_any and replay) else 0
         seen = 0
         ingested = 0
@@ -537,12 +542,13 @@ class Session:
                 else:
                     driver.incorporate_data(batch)
                 ingested += 1
-                if self._auto_checkpoint is not None:
-                    path, every = self._auto_checkpoint
-                    if every > 0 and ingested % every == 0:
-                        # Collective, but in lockstep: every rank ingests
-                        # the same batch schedule, so the counters agree.
-                        self.save_checkpoint(path, gathered=True)
+                if (
+                    recovery is not None
+                    and ingested % recovery.policy.checkpoint_every == 0
+                ):
+                    # Collective, but in lockstep: every rank ingests the
+                    # same batch schedule, so the counters agree.
+                    recovery.capture(self)
         except BaseException:
             # Stop the background producer promptly (close(drop_pending)
             # aborts too — this covers bare fit_stream callers).
@@ -691,9 +697,13 @@ class Session:
         if backend is not None:
             cfg = cfg.replace(backend=backend)
         session = cls(cfg, comm=comm)
-        session._driver = ParSVDParallel.from_checkpoint(
-            session._comm, path, solver=cfg.solver
-        )
+        try:
+            session._driver = ParSVDParallel.from_checkpoint(
+                session._comm, path, solver=cfg.solver
+            )
+        except BaseException:
+            session.close(drop_pending=True)
+            raise
         return session
 
     @classmethod
@@ -719,22 +729,24 @@ class Session:
         results (``trace=True`` additionally returns the communication
         tracers, as :func:`repro.smpi.run_backend` does).
 
-        With ``restart_policy=`` the run becomes *elastic*: every rank's
-        ``fit_stream`` auto-checkpoints (gathered) every
-        ``checkpoint_every`` ingested batches, and when the attempt dies
-        — a rank crash (:class:`~repro.smpi.executor.ParallelFailure`) or
-        a communicator fault — the whole SPMD step is torn down
-        (pipelined requests aborted, prefetch producers stopped), the
-        backend is rebuilt and the run replayed from the last
-        checkpoint, after an exponential backoff.  ``shrink=True``
-        additionally drops one rank per restart (never below
-        ``min_size``) — gathered checkpoints restart at any rank count.
-        Replay is exact: resume is bit-identical and already-seen
-        batches are skipped whole, so a recovered run matches an
-        uninterrupted one to machine precision.  When
-        ``config.faults.active`` the fault controller is pinned *across*
-        attempts, so a fire-once injected crash stays fired and the
-        replay runs clean.
+        With ``restart_policy=`` the run survives rank failures through
+        one :class:`Recovery`: a gathered snapshot is captured every
+        ``checkpoint_every`` ingested batches, and when a rank fails —
+        the root cause is a :class:`~repro.exceptions.CommunicatorError`
+        — the world is torn down (pipelined requests aborted, prefetch
+        producers stopped) and rebuilt from the latest snapshot after an
+        exponential backoff; any other error propagates at once.  In the
+        default ``mode="restart"`` ``fn`` is re-entered on the rebuilt
+        world and replays the stream, skipping the batches the snapshot
+        already covers, so a recovered run matches an uninterrupted one
+        to machine precision; ``shrink=True`` drops one rank per restart
+        (never below ``min_size``).  ``mode="live"`` runs ``fn`` once on
+        a :class:`~repro.health.ElasticSession` that rebuilds the world
+        one rank smaller under it; it returns that single result
+        replicated to the final rank count and cannot be combined with
+        ``trace=True``.  When ``config.faults.active`` the fault
+        controller is pinned *across* rebuilds, so a fire-once injected
+        crash stays fired and the recovered stream runs clean.
         """
         if config is None:
             if resume is None:
@@ -757,23 +769,39 @@ class Session:
                 f"got {type(restart_policy).__name__}"
             )
         if restart_policy.mode == "live":
-            return cls._run_live(
-                config,
-                fn,
-                args,
-                kwargs,
-                resume=resume,
-                policy=restart_policy,
-            )
-        return cls._run_with_restarts(
-            config,
-            fn,
-            args,
-            kwargs,
-            resume=resume,
-            trace=trace,
-            policy=restart_policy,
-        )
+            if trace:
+                raise ConfigurationError(
+                    "trace=True cannot be combined with "
+                    "RestartPolicy(mode='live'): a live world is rebuilt on "
+                    "every shrink, so there is no single set of tracers to "
+                    "return"
+                )
+            from .health.elastic import ElasticSession
+
+            if resume is not None:
+                session = ElasticSession.resume(
+                    resume, config=config, policy=restart_policy
+                )
+            else:
+                session = ElasticSession(config, policy=restart_policy)
+            with session:
+                result = fn(session, *args, **kwargs)
+                return [result] * session.size
+        with Recovery(config, restart_policy, resume) as recovery:
+            while True:
+                try:
+                    return cls._dispatch(
+                        recovery.config,
+                        fn,
+                        args,
+                        kwargs,
+                        resume=None,
+                        trace=trace,
+                        recovery=recovery,
+                    )
+                except CommunicatorError as exc:  # ParallelFailure is one
+                    if not recovery.retry(exc):
+                        raise
 
     @classmethod
     def _dispatch(
@@ -785,17 +813,19 @@ class Session:
         *,
         resume: Optional[PathLike],
         trace: bool,
-        auto_checkpoint: Optional[Tuple[pathlib.Path, int]] = None,
+        recovery: Optional["Recovery"] = None,
     ) -> List[Any]:
         """One SPMD attempt: build per-rank sessions and run ``fn``."""
         bcfg = config.backend
 
         def job(comm):
-            if resume is not None:
+            if recovery is not None:
+                session = recovery.open(comm)
+                session._recovery = recovery
+            elif resume is not None:
                 session = cls.resume(resume, comm=comm, config=config)
             else:
                 session = cls(config, comm=comm)
-            session._auto_checkpoint = auto_checkpoint
             with session:
                 return fn(session, *args, **kwargs)
 
@@ -808,124 +838,6 @@ class Session:
             irecv_buffer_bytes=bcfg.irecv_buffer_bytes,
         )
 
-    @classmethod
-    def _run_live(
-        cls,
-        config: RunConfig,
-        fn: Callable[..., Any],
-        args: tuple,
-        kwargs: dict,
-        *,
-        resume: Optional[PathLike],
-        policy: RestartPolicy,
-    ) -> List[Any]:
-        """``RestartPolicy(mode="live")``: one elastic in-process session
-        instead of restart-and-replay.
-
-        ``fn`` runs once against a :class:`~repro.health.ElasticSession`
-        owning every rank; a detected dead rank triggers an in-place
-        shrink (snapshot restore + communicator rebuild one rank smaller,
-        metered as ``repro.recovery.live_rescales``) and the stream
-        continues without replay.  Returns the single result replicated
-        to the final rank count, mirroring the per-rank shape of the
-        restart path.
-        """
-        from .health.elastic import ElasticSession
-
-        if resume is not None:
-            session = ElasticSession.resume(
-                resume, config=config, policy=policy
-            )
-        else:
-            session = ElasticSession(config, policy=policy)
-        with session:
-            result = fn(session, *args, **kwargs)
-            size = session.size
-        return [result] * size
-
-    @classmethod
-    def _run_with_restarts(
-        cls,
-        config: RunConfig,
-        fn: Callable[..., Any],
-        args: tuple,
-        kwargs: dict,
-        *,
-        resume: Optional[PathLike],
-        trace: bool,
-        policy: RestartPolicy,
-    ) -> List[Any]:
-        """The elastic retry loop behind ``Session.run(restart_policy=)``."""
-        pinned = False
-        if config.faults.active:
-            # Pin ONE controller for every attempt: fire-once crash specs
-            # stay fired, so the replay after a restart runs clean instead
-            # of crashing at the same step forever.
-            _faults.install(controller=FaultController(config.faults))
-            pinned = True
-        obs_held = False
-        if config.obs.enabled:
-            # Hold one obs reference across attempts: the per-rank
-            # sessions' refcount drops to zero between attempts, and the
-            # restart counter below must land in the same registry the
-            # attempts report into.
-            _obs.install(metrics=config.obs.metrics, trace=config.obs.trace)
-            obs_held = True
-        tmpdir: Optional[tempfile.TemporaryDirectory] = None
-        try:
-            if policy.checkpoint_path is not None:
-                ckpt_dir = pathlib.Path(policy.checkpoint_path)
-                ckpt_dir.mkdir(parents=True, exist_ok=True)
-            else:
-                tmpdir = tempfile.TemporaryDirectory(prefix="repro-recovery-")
-                ckpt_dir = pathlib.Path(tmpdir.name)
-            ckpt_path = ckpt_dir / "recovery"
-            rng = random.Random((config.faults.seed + 1) * 7919)
-            size = config.backend.size
-            restarts = 0
-            while True:
-                attempt_resume: Optional[PathLike] = resume
-                if normalize_checkpoint_path(ckpt_path).exists():
-                    try:
-                        # Unreadable (e.g. half-written) recovery state
-                        # falls back to the original starting point.
-                        checkpoint_run_config(ckpt_path)
-                        attempt_resume = ckpt_path
-                    except DataFormatError:
-                        pass
-                run_cfg = config
-                if size != config.backend.size:
-                    run_cfg = config.replace(
-                        backend=config.backend.replace(size=size)
-                    )
-                try:
-                    return cls._dispatch(
-                        run_cfg,
-                        fn,
-                        args,
-                        kwargs,
-                        resume=attempt_resume,
-                        trace=trace,
-                        auto_checkpoint=(ckpt_path, policy.checkpoint_every),
-                    )
-                except (ParallelFailure, CommunicatorError):
-                    restarts += 1
-                    if restarts > policy.max_restarts:
-                        raise
-                    st = _obs.state()
-                    if st is not None and st.registry is not None:
-                        st.registry.counter("repro.recovery.restarts").inc()
-                    if policy.shrink and size > policy.min_size:
-                        size -= 1
-                    time.sleep(policy.backoff_for(restarts, rng))
-        finally:
-            if obs_held:
-                _obs.uninstall()
-            if pinned:
-                _faults.uninstall()
-            if tmpdir is not None:
-                tmpdir.cleanup()
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         state = "closed" if self._closed else (
             "fitted" if self._driver is not None and self._driver.initialized
@@ -936,3 +848,151 @@ class Session:
             f"Session(backend={bcfg.name!r}, size={bcfg.size}, "
             f"K={self._config.solver.K}, {state})"
         )
+
+
+class Recovery:
+    """The one recovery mechanism behind :class:`~repro.config.
+    RestartPolicy`, shared by :meth:`Session.run` and
+    :class:`~repro.health.ElasticSession`.
+
+    It holds, across every rebuild of the world:
+
+    * the pinned fault controller and one observability reference, so a
+      fire-once injected crash stays fired and every counter lands in one
+      registry;
+    * the restart budget, the shrink rule and the backoff;
+    * the latest gathered :class:`~repro.core.checkpoint.Snapshot` of
+      this run, kept in memory and written as ``recovery.npz`` under
+      ``policy.checkpoint_path`` when that is set.  Each ``mpi4py``
+      process holds only the snapshots it captured itself, so there
+      every rank restores from that file and a ``checkpoint_path`` is
+      required.
+
+    ``policy.mode`` only decides what a rebuild serves: ``"restart"``
+    re-enters the job, which replays its stream with skip (metered as
+    ``repro.recovery.restarts``); ``"live"`` rebuilds the world under the
+    running job, always one rank smaller (``repro.recovery.
+    live_rescales``).  Use it as a context manager.
+    """
+
+    def __init__(
+        self,
+        config: RunConfig,
+        policy: RestartPolicy,
+        resume: Optional[PathLike] = None,
+    ) -> None:
+        self._from_file = config.backend.name == "mpi4py"
+        if self._from_file and policy.checkpoint_path is None:
+            raise ConfigurationError(
+                "a restart policy on the 'mpi4py' backend needs "
+                "checkpoint_path: each process holds only the snapshots it "
+                "captured, so every rank must restore from the shared file"
+            )
+        self.policy = policy
+        self.resume = resume
+        self.live = policy.mode == "live"
+        self.size = config.backend.size
+        self.failures = 0
+        self.rebuilds = 0
+        self.snapshot: Optional[Snapshot] = None
+        self.path: Optional[pathlib.Path] = None
+        if policy.checkpoint_path is not None:
+            directory = pathlib.Path(policy.checkpoint_path)
+            directory.mkdir(parents=True, exist_ok=True)
+            self.path = directory / "recovery.npz"
+        self._config = config
+        self._rng = random.Random((config.faults.seed + 1) * 7919)
+        self._pinned = config.faults.active
+        if self._pinned:
+            _faults.install(controller=FaultController(config.faults))
+        self._obs_held = config.obs.enabled
+        if self._obs_held:
+            _obs.install(metrics=config.obs.metrics, trace=config.obs.trace)
+            st = _obs.state()
+            if st is not None and st.registry is not None:
+                # Report every recovery counter, zeros included, so a
+                # reader can assert the other mode's counter stayed 0.
+                for kind in ("restarts", "live_rescales", "replayed_batches"):
+                    st.registry.counter(f"repro.recovery.{kind}")
+
+    def __enter__(self) -> "Recovery":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self.close()
+
+    def close(self) -> None:
+        """Release the pinned controller and the obs reference."""
+        if self._obs_held:
+            self._obs_held = False
+            _obs.uninstall()
+        if self._pinned:
+            self._pinned = False
+            _faults.uninstall()
+
+    @property
+    def config(self) -> RunConfig:
+        """The run configuration at the current world size."""
+        if self.size == self._config.backend.size:
+            return self._config
+        return self._config.replace(
+            backend=self._config.backend.replace(size=self.size)
+        )
+
+    def open(self, comm: Any) -> Session:
+        """This rank's :class:`Session` of a (re)built world: restored
+        from the latest snapshot, else resumed from ``resume``, else
+        fresh."""
+        config = self.config
+        if self._from_file and self.rebuilds and self.path.exists():
+            self.snapshot, self.resume = None, self.path
+        if self.snapshot is not None:
+            session = Session(config, comm=comm)
+            session._driver = ParSVDParallel.from_snapshot(
+                session.comm, self.snapshot, solver=config.solver
+            )
+            return session
+        if self.resume is not None:
+            return Session.resume(self.resume, comm=comm, config=config)
+        return Session(config, comm=comm)
+
+    def capture(self, session: Session) -> None:
+        """Collective: make ``session``'s state the latest snapshot (and
+        the recovery file) — one ``gatherv_rows`` plus one ``barrier`` per
+        rank."""
+        snapshot = session.driver.snapshot(self.path, session.config)
+        if snapshot is not None:
+            self.snapshot = snapshot
+
+    def retry(self, exc: BaseException) -> bool:
+        """Account the failure ``exc``; ``True`` (after the backoff) when
+        the world should be rebuilt, ``False`` when ``exc`` must propagate.
+
+        Only rank failures are retried: the root cause — a
+        :class:`~repro.smpi.executor.ParallelFailure`'s first failure
+        that is not a peer's secondary ``FailedRankError`` — must be a
+        :class:`~repro.exceptions.CommunicatorError`.  An error the job
+        raises on every rank would only fail again.
+        """
+        root = exc.root_cause if isinstance(exc, ParallelFailure) else exc
+        if not isinstance(root, CommunicatorError):
+            return False
+        self.failures += 1
+        if self.failures > self.policy.max_restarts:
+            return False
+        size = self.size
+        if (self.live or self.policy.shrink) and size > self.policy.min_size:
+            size -= 1
+        self.rebuilt(size)
+        time.sleep(self.policy.backoff_for(self.failures, self._rng))
+        return True
+
+    def rebuilt(self, size: int) -> None:
+        """Record one rebuild of the world at ``size`` ranks (metered as
+        ``repro.recovery.live_rescales`` or ``.restarts`` by mode)."""
+        self.size = size
+        self.rebuilds += 1
+        st = _obs.state()
+        if st is not None and st.registry is not None:
+            kind = "live_rescales" if self.live else "restarts"
+            st.registry.counter(f"repro.recovery.{kind}").inc()

@@ -1030,11 +1030,10 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     # another gets a few injected delays so slow-and-dead coexist.
     frng = np.random.default_rng(args.seed)
     crash_rank = int(frng.integers(0, ranks))
-    # The live path gathers its snapshots in memory (no per-batch
-    # checkpoint collectives), so each rank executes fewer communicator
-    # ops per stream — keep the crash ordinal inside the live op window.
-    crash_high = max(7, 2 * args.steps - 2) if args.live else 30
-    crash_at = int(frng.integers(5, crash_high))
+    # Both recovery modes capture a snapshot (one gatherv_rows + barrier
+    # per rank) after every batch, so they share one op census and one
+    # crash-ordinal window.
+    crash_at = int(frng.integers(5, 30))
     delay_rank = int(frng.integers(0, ranks))
     schedule = (
         FaultSpec(kind="crash", rank=crash_rank, op="*", at=crash_at),
@@ -1064,21 +1063,17 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
                 enabled=True, heartbeat_interval=0.01, suspect_after=0.1
             )
         )
-        policy = RestartPolicy(
-            mode="live", max_restarts=args.max_restarts, checkpoint_every=1
-        )
-        print(
-            f"chaos run with live elasticity "
-            f"(max_restarts={policy.max_restarts}) ..."
-        )
-    else:
-        policy = RestartPolicy(
-            max_restarts=args.max_restarts, backoff_s=0.05, checkpoint_every=1
-        )
-        print(
-            f"chaos run with restart policy "
-            f"(max_restarts={policy.max_restarts}) ..."
-        )
+    policy = RestartPolicy(
+        mode="live" if args.live else "restart",
+        max_restarts=args.max_restarts,
+        backoff_s=0.05,
+        checkpoint_every=1,
+    )
+    print(
+        f"chaos run with "
+        f"{'live elasticity' if args.live else 'restart policy'} "
+        f"(max_restarts={policy.max_restarts}) ..."
+    )
     obs_runtime.reset()
     with provenance.track() as scope:
         recovered = Session.run(cfg, job, restart_policy=policy)

@@ -870,41 +870,50 @@ RESTART_MODES = ("restart", "live")
 
 @dataclasses.dataclass(frozen=True)
 class RestartPolicy(_SectionMixin):
-    """How :meth:`repro.api.Session.run` survives a failed SPMD attempt.
+    """How :meth:`repro.api.Session.run` (and a
+    :class:`~repro.health.ElasticSession`) survives a rank failure.
+
+    One :class:`~repro.api.Recovery` applies every field below in both
+    modes; ``mode`` only picks what a rebuilt world serves.  Only rank
+    failures are retried (the root cause is a
+    :class:`~repro.exceptions.CommunicatorError`); any other error
+    propagates at once.
 
     Parameters
     ----------
     max_restarts:
-        Restart budget; attempt ``max_restarts + 1`` runs in total before
-        re-raising the last failure.
+        Recovery budget: the rank failure after ``max_restarts``
+        recoveries is re-raised.
     backoff_s:
-        Sleep before restart ``n`` is ``backoff_s * backoff_factor**(n-1)
+        Sleep before recovery ``n`` is ``backoff_s * backoff_factor**(n-1)
         + U[0, jitter_s)`` seconds (exponential backoff, seeded jitter).
     backoff_factor:
         Exponential growth factor (``>= 1``).
     jitter_s:
         Uniform random extra sleep bound (decorrelates herds).
     checkpoint_every:
-        Auto-checkpoint period in batches during ``fit_stream`` (gathered
-        checkpoints, restartable at any rank count).
+        Snapshot period in ingested batches: the distributed factors are
+        gathered into one snapshot (restorable at any rank count) and
+        kept in memory.
     checkpoint_path:
-        Directory for the recovery checkpoints; ``None`` uses a private
-        temporary directory for the duration of the call.
+        Directory that also persists the latest snapshot as
+        ``recovery.npz`` (replaced atomically): ``resume=`` it to continue
+        a run that died with its process.  Required on the ``"mpi4py"``
+        backend, whose ranks all restore from that file.
     shrink:
-        Allow elastic shrink: each restart may rebuild the communicator
-        with one rank fewer (never below ``min_size``) — the gathered
-        checkpoint restarts at any rank count.
+        Restart mode: rebuild the world one rank smaller on each restart
+        (never below ``min_size``).  Live mode always shrinks.
     min_size:
-        Smallest rank count elastic shrink may fall back to.
+        Smallest rank count a shrink may fall back to.
     mode:
-        ``"restart"`` (default): a failed attempt tears the run down and
-        replays the stream from the last gathered checkpoint.
-        ``"live"``: the run executes on an elastic in-process session and
-        a detected dead rank triggers an in-place shrink —
-        the pending pipelined step is aborted, the factors are restored
-        from the last in-memory snapshot, the communicator is rebuilt
-        one rank smaller, and the stream continues without replay
-        (metered as ``repro.recovery.live_rescales``).
+        ``"restart"`` (default): the job is re-entered on the rebuilt
+        world and replays its stream, skipping the batches the snapshot
+        already covers (metered as ``repro.recovery.restarts``).
+        ``"live"``: the job runs once on a
+        :class:`~repro.health.ElasticSession`; its world is rebuilt one
+        rank smaller under the running job and only the batches ingested
+        since the snapshot are re-fed (metered as
+        ``repro.recovery.live_rescales``).
     """
 
     max_restarts: int = 2

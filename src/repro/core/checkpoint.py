@@ -18,13 +18,22 @@ single file at rank 0 holding the *assembled* global modes
 count — each restarting rank re-partitions the global rows with the
 canonical :func:`~repro.utils.partition.block_partition`.
 
+The gathered state itself is a :class:`Snapshot`: what
+``ParSVDParallel.snapshot()`` captures in memory and ``from_snapshot()``
+restores at any rank count, and what a gathered checkpoint file holds.
+
 Format: a single ``.npz`` with a format-version field; loading a newer or
-unknown version fails loudly rather than mis-restoring.
+unknown version fails loudly rather than mis-restoring.  Files are
+replaced atomically, so a write that fails part-way leaves the previous
+checkpoint intact.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import os
 import pathlib
+import uuid
 import warnings
 from typing import TYPE_CHECKING, Optional, Union
 
@@ -39,6 +48,7 @@ from ..exceptions import DataFormatError, NotInitializedError
 __all__ = [
     "CHECKPOINT_VERSION",
     "CHECKPOINT_KINDS",
+    "Snapshot",
     "normalize_checkpoint_path",
     "write_checkpoint",
     "read_checkpoint",
@@ -54,6 +64,19 @@ CHECKPOINT_KINDS = ("serial", "parallel", "gathered")
 PathLike = Union[str, pathlib.Path]
 
 _CONFIG_FIELDS = ("K", "ff", "low_rank", "r1", "r2", "oversampling", "power_iters")
+
+
+@dataclasses.dataclass(frozen=True)
+class Snapshot:
+    """The gathered, resumable streaming state: global modes stacked in
+    rank order, singular values and counters.  Owns its arrays (they never
+    alias a driver's workspace), so one snapshot restores any number of
+    worlds at any rank count."""
+
+    modes: np.ndarray
+    singular_values: np.ndarray
+    iteration: int
+    n_seen: int
 
 
 def normalize_checkpoint_path(path: PathLike) -> pathlib.Path:
@@ -104,12 +127,7 @@ def write_checkpoint(
             f"checkpoint kind must be one of {CHECKPOINT_KINDS}, got {kind!r}"
         )
     path = normalize_checkpoint_path(path)
-    extra = {}
-    if run_config is not None:
-        extra["run_config_json"] = np.asarray(run_config.to_json())
-    np.savez(
-        path,
-        **extra,
+    arrays = dict(
         format_version=np.asarray(CHECKPOINT_VERSION),
         kind=np.asarray(kind),
         modes=modes,
@@ -132,6 +150,18 @@ def write_checkpoint(
             -1 if apmos_group_size is None else int(apmos_group_size)
         ),
     )
+    if run_config is not None:
+        arrays["run_config_json"] = np.asarray(run_config.to_json())
+    # Write beside the destination and rename over it: a write that fails
+    # part-way must not destroy the previous (possibly only) recovery point.
+    tmp = path.with_name(f"{path.name}.{uuid.uuid4().hex}.tmp")
+    try:
+        with open(tmp, "xb") as fh:
+            np.savez(fh, **arrays)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     return path
 
 

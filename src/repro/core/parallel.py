@@ -47,6 +47,7 @@ from ..utils.partition import block_partition
 from .apmos import apmos_svd, apmos_svd_two_level
 from .base import ParSVDBase
 from .checkpoint import (
+    Snapshot,
     normalize_checkpoint_path,
     rank_checkpoint_path,
     read_checkpoint,
@@ -57,6 +58,15 @@ from .tsqr import PipelinedGatherStep, PipelinedTreeStep, finish_now
 from .workspace import Workspace
 
 __all__ = ["ParSVDParallel"]
+
+
+def _abort_step(step) -> None:
+    """Cancel an abandoned step's outstanding requests (steps that hold
+    none have no ``abort``)."""
+    abort = getattr(step, "abort", None)
+    if abort is not None:
+        abort()
+
 
 class ParSVDParallel(ParSVDBase):
     """Distributed streaming truncated SVD over a row-block decomposition.
@@ -406,9 +416,10 @@ class ParSVDParallel(ParSVDBase):
         result accessors may call it unconditionally.
 
         A completion failure (e.g. a dead peer surfacing as a deadlock)
-        *poisons* the instance: the posted batch was already counted but
-        its update is lost, so every later access re-raises instead of
-        quietly serving the stale pre-step factorization.
+        aborts the step and *poisons* the instance: the posted batch was
+        already counted but its update is lost, so every later access
+        re-raises instead of quietly serving the stale pre-step
+        factorization.
         """
         with self._pending_lock:
             if self._pending_error is not None:
@@ -428,6 +439,9 @@ class ParSVDParallel(ParSVDBase):
                 q1, fused, s_new = pending.finish(self._reduce_truncated)
             except BaseException as exc:
                 self._pending_error = exc
+                # The step is dead: release the requests it still holds
+                # (a traceback kept by a log record would pin them).
+                _abort_step(pending)
                 raise
             if st is not None and st.registry is not None:
                 # Overlap efficiency: the fraction of the step's wall time
@@ -486,8 +500,8 @@ class ParSVDParallel(ParSVDBase):
     def abort_pending(self) -> None:
         """Drop the in-flight pipelined step without completing it.
 
-        The recovery path (a peer died mid-step; ``Session.run`` is about
-        to rebuild the communicator and replay from a checkpoint): the
+        The recovery path (a peer died mid-step; the world is about to be
+        rebuilt from the latest snapshot): the
         step's preposted receives are cancelled and its outbox released,
         so the abandoned attempt neither leaks requests nor warns.  Also
         clears a pending-failure poisoning — the caller is explicitly
@@ -498,9 +512,7 @@ class ParSVDParallel(ParSVDBase):
             self._pending_posted_t = None
             self._pending_error = None
             if pending is not None:
-                abort = getattr(pending, "abort", None)
-                if abort is not None:
-                    abort()
+                _abort_step(pending)
 
     # -- results layout ---------------------------------------------------------
     @property
@@ -586,6 +598,87 @@ class ParSVDParallel(ParSVDBase):
         return self._modes
 
     # -- checkpoint / restart ---------------------------------------------
+    def snapshot(
+        self, path=None, run_config: Optional[RunConfig] = None
+    ) -> Optional[Snapshot]:
+        """Gather the resumable state at rank 0 (collective: one
+        ``gatherv_rows`` plus one ``barrier`` per rank, whatever the
+        ``gather`` policy).
+
+        Returns the :class:`~repro.core.checkpoint.Snapshot` on rank 0 and
+        ``None`` elsewhere.  With ``path`` rank 0 also writes it there as a
+        gathered checkpoint (``run_config`` embedded) before the exit
+        barrier, so no rank can observe a missing or partial file.  The
+        snapshot owns its arrays — later updates recycle the workspace
+        buffers — and :meth:`from_snapshot` restores it at any rank count.
+        """
+        self._require_initialized()
+        self._finalize_pending()
+        assert self._ulocal is not None
+        stacked = self.comm.gatherv_rows(self._ulocal, root=0)
+        snapshot = None
+        if stacked is not None:
+            if np.shares_memory(stacked, self._ulocal):
+                # Single-rank backends return the send buffer itself.
+                stacked = np.array(stacked)
+            snapshot = Snapshot(
+                modes=stacked,
+                singular_values=np.array(self._singular_values),
+                iteration=self._iteration,
+                n_seen=self._n_seen,
+            )
+            if path is not None:
+                self._write(path, "gathered", stacked, run_config)
+        self.comm.barrier()
+        return snapshot
+
+    @classmethod
+    def from_snapshot(
+        cls, comm, snapshot: Snapshot, solver: Optional[SolverConfig] = None
+    ) -> "ParSVDParallel":
+        """Restore a :meth:`snapshot` on this rank of ``comm``: the rank
+        takes its canonical :func:`~repro.utils.partition.block_partition`
+        row block of the global modes, so any rank count works."""
+        part = block_partition(snapshot.modes.shape[0], comm.size)
+        return cls._restored(
+            comm,
+            solver,
+            np.array(snapshot.modes[part.slice_of(comm.rank), :]),
+            np.array(snapshot.singular_values),
+            snapshot.iteration,
+            snapshot.n_seen,
+        )
+
+    @classmethod
+    def _restored(
+        cls, comm, solver, local, singular_values, iteration, n_seen
+    ) -> "ParSVDParallel":
+        svd = cls(comm, solver=solver)
+        svd._ulocal = local
+        svd._singular_values = singular_values
+        svd._iteration = int(iteration)
+        svd._n_seen = int(n_seen)
+        svd._n_dof = local.shape[0]
+        svd._invalidate_modes()
+        return svd
+
+    def _write(self, path, kind: str, modes, run_config):
+        return write_checkpoint(
+            path,
+            self._config,
+            modes,
+            self._singular_values,
+            self._iteration,
+            self._n_seen,
+            kind=kind,
+            rank=self.comm.rank,
+            nranks=self.comm.size,
+            qr_variant=self._qr_variant,
+            gather=self._gather,
+            apmos_group_size=self._apmos_group_size,
+            run_config=run_config,
+        )
+
     def save_checkpoint(
         self,
         path,
@@ -599,87 +692,47 @@ class ParSVDParallel(ParSVDBase):
         (``<stem>.rank<i>.npz``) holding the local mode block; a restart
         must then use the same rank count.
 
-        With ``gathered=True`` the call is **collective**: the global mode
-        matrix is assembled at rank 0 (via ``gatherv_rows``, independent of
-        the ``gather`` policy) and written as one single file
-        (``kind="gathered"``).  Such a checkpoint restarts at *any* rank
-        count — see :meth:`from_checkpoint` — and is what
+        With ``gathered=True`` the call is **collective**: rank 0 writes
+        the :meth:`snapshot` as one single file (``kind="gathered"``).
+        Such a checkpoint restarts at *any* rank count — see
+        :meth:`from_checkpoint` — and is what
         :class:`~repro.serving.ModeBaseStore` ingests.
 
         ``run_config`` embeds the typed :class:`~repro.config.RunConfig`
         into the file so :meth:`repro.api.Session.resume` can restore the
         backend and stream settings too (the session passes its own).
         """
+        if gathered:
+            out = normalize_checkpoint_path(path)
+            self.snapshot(out, run_config)
+            return str(out)
         self._require_initialized()
         self._finalize_pending()
-        assert self._ulocal is not None
-        if gathered:
-            stacked = self.comm.gatherv_rows(self._ulocal, root=0)
-            out = normalize_checkpoint_path(path)
-            if self.comm.rank == 0:
-                write_checkpoint(
-                    out,
-                    self._config,
-                    stacked,
-                    self.singular_values,
-                    self._iteration,
-                    self._n_seen,
-                    kind="gathered",
-                    rank=0,
-                    nranks=self.comm.size,
-                    qr_variant=self._qr_variant,
-                    gather=self._gather,
-                    apmos_group_size=self._apmos_group_size,
-                    run_config=run_config,
-                )
-            # Exit barrier: gatherv_rows returns immediately on non-root
-            # ranks (buffered sends), so without this a rank could observe
-            # a missing/partial file that rank 0 is still writing.
-            self.comm.barrier()
-            return str(out)
         shard = rank_checkpoint_path(path, self.comm.rank)
-        out = write_checkpoint(
-            shard,
-            self._config,
-            self._ulocal,
-            self.singular_values,
-            self._iteration,
-            self._n_seen,
-            kind="parallel",
-            rank=self.comm.rank,
-            nranks=self.comm.size,
-            qr_variant=self._qr_variant,
-            gather=self._gather,
-            apmos_group_size=self._apmos_group_size,
-            run_config=run_config,
-        )
-        return str(out)
+        return str(self._write(shard, "parallel", self._ulocal, run_config))
 
     def export_to_store(self, store, name: str) -> int:
         """Publish the current basis into a serving store (collective).
 
-        Assembles the global modes at rank 0, publishes them as a new
-        version of ``name`` in ``store`` (a
-        :class:`~repro.serving.ModeBaseStore` or a path to one), and
-        broadcasts the assigned version so every rank returns it.
+        Publishes the :meth:`snapshot` at rank 0 as a new version of
+        ``name`` in ``store`` (a :class:`~repro.serving.ModeBaseStore` or
+        a path to one), and broadcasts the assigned version so every rank
+        returns it.
         """
-        self._require_initialized()
-        self._finalize_pending()
-        assert self._ulocal is not None
-        stacked = self.comm.gatherv_rows(self._ulocal, root=0)
+        snapshot = self.snapshot()
         version: Optional[int] = None
-        if self.comm.rank == 0:
+        if snapshot is not None:
             from ..serving.store import ModeBaseStore
 
             if not isinstance(store, ModeBaseStore):
                 store = ModeBaseStore(store)
             version = store.publish(
                 name,
-                stacked,
-                self.singular_values,
+                snapshot.modes,
+                snapshot.singular_values,
                 config=self._config,
-                iteration=self._iteration,
-                n_seen=self._n_seen,
+                iteration=snapshot.iteration,
+                n_seen=snapshot.n_seen,
             )
         return self.comm.bcast(version, root=0)
 
@@ -713,62 +766,62 @@ class ParSVDParallel(ParSVDBase):
         """
         gathered_file = normalize_checkpoint_path(path)
         shard = rank_checkpoint_path(path, comm.rank)
-        gathered_state: Optional[dict] = None
         if gathered_file.exists():
             # The base path may legitimately hold something else (e.g. a
             # save_results archive sharing the stem with per-rank shards);
             # only a readable kind="gathered" checkpoint selects the
             # single-file restart, otherwise fall back to the shards.
             try:
-                candidate = read_checkpoint(gathered_file)
+                state = read_checkpoint(gathered_file)
             except DataFormatError:
-                candidate = None
-            if candidate is not None and candidate["kind"] == "gathered":
-                gathered_state = candidate
-            elif not shard.exists():
-                if candidate is None:
+                state = None
+            if state is not None and state["kind"] == "gathered":
+                if solver is None:
+                    solver = cls._restored_solver(state)
+                snapshot = Snapshot(
+                    modes=state["modes"],
+                    singular_values=state["singular_values"],
+                    iteration=state["iteration"],
+                    n_seen=state["n_seen"],
+                )
+                return cls.from_snapshot(comm, snapshot, solver)
+            if not shard.exists():
+                if state is None:
                     raise DataFormatError(
                         f"{gathered_file}: not a restartable checkpoint and "
                         f"no per-rank shard {shard} exists"
                     )
                 raise DataFormatError(
                     f"{gathered_file}: checkpoint kind "
-                    f"{candidate['kind']!r} is not 'gathered'; per-rank "
+                    f"{state['kind']!r} is not 'gathered'; per-rank "
                     f"restarts load '<stem>.rank<i>.npz' shards"
                 )
-        if gathered_state is not None:
-            state = gathered_state
-            global_modes = state["modes"]
-            part = block_partition(global_modes.shape[0], comm.size)
-            local = np.array(global_modes[part.slice_of(comm.rank), :])
-        else:
-            state = read_checkpoint(shard)
-            if state["kind"] != "parallel":
-                raise DataFormatError(
-                    f"{shard}: checkpoint kind {state['kind']!r} is not "
-                    f"'parallel'"
-                )
-            if state["nranks"] != comm.size:
-                raise DataFormatError(
-                    f"{shard}: checkpoint was taken at {state['nranks']} "
-                    f"ranks, restart has {comm.size}"
-                )
-            if state["rank"] != comm.rank:
-                raise DataFormatError(
-                    f"{shard}: shard belongs to rank {state['rank']}, "
-                    f"loaded by rank {comm.rank}"
-                )
-            local = state["modes"]
+        state = read_checkpoint(shard)
+        if state["kind"] != "parallel":
+            raise DataFormatError(
+                f"{shard}: checkpoint kind {state['kind']!r} is not "
+                f"'parallel'"
+            )
+        if state["nranks"] != comm.size:
+            raise DataFormatError(
+                f"{shard}: checkpoint was taken at {state['nranks']} "
+                f"ranks, restart has {comm.size}"
+            )
+        if state["rank"] != comm.rank:
+            raise DataFormatError(
+                f"{shard}: shard belongs to rank {state['rank']}, "
+                f"loaded by rank {comm.rank}"
+            )
         if solver is None:
             solver = cls._restored_solver(state)
-        svd = cls(comm, solver=solver)
-        svd._ulocal = local
-        svd._singular_values = state["singular_values"]
-        svd._iteration = state["iteration"]
-        svd._n_seen = state["n_seen"]
-        svd._n_dof = local.shape[0]
-        svd._invalidate_modes()
-        return svd
+        return cls._restored(
+            comm,
+            solver,
+            state["modes"],
+            state["singular_values"],
+            state["iteration"],
+            state["n_seen"],
+        )
 
     @staticmethod
     def _restored_solver(state: dict) -> SolverConfig:

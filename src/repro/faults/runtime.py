@@ -9,10 +9,10 @@ communicator untouched, so normal runs pay one module-global read.
 :class:`~repro.api.Session` objects of one threads run each install with
 the same :class:`~repro.config.FaultConfig` and the state stays active
 until the last one closes.  Crucially, a caller may pin a pre-built
-:class:`~repro.faults.controller.FaultController` (``Session.run``'s
-retry loop does) so the fire-once crash bookkeeping survives across
-restart attempts — otherwise every attempt would re-create the
-controller and re-crash forever.
+:class:`~repro.faults.controller.FaultController` (a
+:class:`~repro.api.Recovery` does) so the fire-once crash bookkeeping
+survives every rebuild of the world — otherwise each rebuilt world would
+re-create the controller and re-crash forever.
 """
 
 from __future__ import annotations

@@ -14,13 +14,15 @@ property of a running :class:`~repro.api.Session`:
   (``test()`` polling with backoff — ``overlap=True`` steps complete
   without an explicit access), runs the monitor, and reports
   ``repro.health.*`` gauges/counters through :mod:`repro.obs`.
-* :class:`ElasticSession` — a multi-rank in-process session that can
-  :meth:`~ElasticSession.rescale` mid-stream: the pending pipelined step
-  is drained, the distributed factors are gathered in memory (no disk
-  checkpoint), rows are re-partitioned, the communicator is rebuilt at
-  the new size, and ``fit_stream`` resumes exactly where it left off.
-  ``RestartPolicy(mode="live")`` routes crash recovery through an
-  in-place shrink on this session instead of restart-and-replay.
+* :class:`ElasticSession` — owns a whole in-process world and drives one
+  :class:`~repro.api.Session` per rank, so it can
+  :meth:`~ElasticSession.rescale` mid-stream: the distributed factors
+  are captured in a gathered snapshot, the world is rebuilt at the new
+  size from it, rows are re-partitioned, and ``fit_stream`` resumes
+  exactly where it left off.  ``RestartPolicy(mode="live")`` is the live
+  mode of the one :class:`~repro.api.Recovery` that ``Session.run`` also
+  uses: a rank failure rebuilds this session's world one rank smaller
+  from the latest snapshot instead of re-entering the job.
 
 Everything here is off by default (``HealthConfig.enabled=False``) and
 costs nothing while disabled.

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import threading
 import traceback
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Sequence
 
 from .communicator import Communicator
 from .exceptions import FailedRankError, SmpiError
@@ -23,7 +23,7 @@ from .intercept import wrap_communicator
 from .mailbox import DEFAULT_TIMEOUT
 from .world import World
 
-__all__ = ["run_spmd", "ParallelFailure", "RankFailure"]
+__all__ = ["run_spmd", "fan_out", "ParallelFailure", "RankFailure"]
 
 
 class RankFailure:
@@ -45,6 +45,9 @@ class ParallelFailure(SmpiError):
     ----------
     failures:
         List of :class:`RankFailure`, rank-ordered.
+    root_cause:
+        The first failure's exception that is not a peer's secondary
+        :class:`FailedRankError` (else the first failure's).
     """
 
     def __init__(self, failures: Sequence[RankFailure]) -> None:
@@ -66,6 +69,7 @@ class ParallelFailure(SmpiError):
             ),
             self.failures[0],
         )
+        self.root_cause = primary.exception
         lines.append(
             f"--- rank {primary.rank} traceback (root cause) ---"
         )
@@ -120,31 +124,51 @@ def run_spmd(
         )
         for rank in range(nprocs)
     ]
-    tracers = comms if trace else None
+    results = fan_out(
+        world,
+        nprocs,
+        lambda rank: fn(comms[rank], *args, **kwargs),
+        timeout=timeout,
+    )
+    return (results, comms) if trace else results
 
+
+def fan_out(
+    world: World,
+    nprocs: int,
+    fn: Callable[[int], Any],
+    *,
+    timeout: float = DEFAULT_TIMEOUT,
+) -> List[Any]:
+    """Run ``fn(rank)`` for every rank of ``world``, one thread per rank,
+    and return the rank-ordered results.
+
+    A rank that raises anything but :class:`FailedRankError` is failed in
+    ``world`` at once, so peers blocked on it wake with
+    :class:`FailedRankError` instead of waiting out the deadlock timeout.
+    Every failure is collected into one :class:`ParallelFailure`.  A
+    single rank runs inline (cheaper, and keeps debugging trivial).
+    """
     results: List[Any] = [None] * nprocs
     failures: List[Optional[RankFailure]] = [None] * nprocs
 
     if nprocs == 1:
-        # Run inline: cheaper, and keeps single-rank debugging trivial.
         try:
-            results[0] = fn(comms[0], *args, **kwargs)
+            results[0] = fn(0)
         except BaseException as exc:  # noqa: BLE001 - reported to caller
             raise ParallelFailure(
                 [RankFailure(0, exc, traceback.format_exc())]
             ) from exc
-        return (results, tracers) if trace else results
+        return results
 
     def worker(rank: int) -> None:
         try:
-            results[rank] = fn(comms[rank], *args, **kwargs)
+            results[rank] = fn(rank)
         except BaseException as exc:  # noqa: BLE001 - collected below
             failures[rank] = RankFailure(rank, exc, traceback.format_exc())
-            # Fail fast: wake every peer blocked on a receive so they
-            # raise FailedRankError naming this rank instead of waiting
-            # out the deadlock timeout.  Secondary FailedRankErrors (a
-            # rank unwinding because a *peer* died) don't re-mark — the
-            # unwinding rank is healthy, just cascaded.
+            # Secondary FailedRankErrors (a rank unwinding because a
+            # *peer* died) don't re-mark — the unwinding rank is healthy,
+            # just cascaded.
             if not isinstance(exc, FailedRankError):
                 world.fail_rank(rank, exc)
 
@@ -170,4 +194,4 @@ def run_spmd(
     collected = [failure for failure in failures if failure is not None]
     if collected:
         raise ParallelFailure(collected)
-    return (results, tracers) if trace else results
+    return results

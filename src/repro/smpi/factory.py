@@ -116,9 +116,11 @@ rank that exits cleanly calls :meth:`World.retire_rank
 <repro.smpi.world.World.retire_rank>` so its silence is never
 misread as death.  :class:`~repro.health.ProgressDaemon` services the
 beat in the background and ``test()``-polls in-flight
-:class:`~repro.smpi.request.CollectiveRequest` pipelines;
-:class:`~repro.health.ElasticSession` builds on both to rescale a
-running world mid-stream (``Session.rescale`` /
+:class:`~repro.smpi.request.CollectiveRequest` pipelines.
+:class:`~repro.health.ElasticSession` owns a whole world, drives one
+session per rank through :func:`~repro.smpi.executor.fan_out` (the
+thread fan-out :func:`run_spmd` uses) and rebuilds the world at a new
+size mid-stream (``ElasticSession.rescale`` /
 ``RestartPolicy(mode="live")``).
 
 Backends

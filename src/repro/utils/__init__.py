@@ -11,7 +11,6 @@ from .linalg import (
 )
 from .partition import BlockPartition, block_partition
 from .rng import resolve_rng, spawn_rank_rngs
-from .timers import WallTimer
 
 __all__ = [
     "economy_qr",
@@ -25,5 +24,4 @@ __all__ = [
     "block_partition",
     "resolve_rng",
     "spawn_rank_rngs",
-    "WallTimer",
 ]

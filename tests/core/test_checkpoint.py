@@ -145,6 +145,29 @@ class TestCheckpointFormat:
         assert state["gather"] == "bcast"
         assert state["apmos_group_size"] is None
 
+    def test_failed_write_keeps_the_previous_checkpoint(
+        self, decaying_matrix, monkeypatch, tmp_path
+    ):
+        """A write that dies part-way must leave the last good checkpoint
+        readable (and no temporary file behind)."""
+        svd = ParSVDSerial(K=2).initialize(decaying_matrix[:, :10])
+        path = pathlib.Path(svd.save_checkpoint(tmp_path / "durable"))
+        svd.incorporate_data(decaying_matrix[:, 10:20])
+
+        def torn_savez(file, *args, **kwargs):
+            if hasattr(file, "write"):
+                file.write(b"half a zip")
+            else:
+                pathlib.Path(file).write_bytes(b"half a zip")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(np, "savez", torn_savez)
+        with pytest.raises(OSError, match="disk full"):
+            svd.save_checkpoint(tmp_path / "durable")
+        monkeypatch.undo()
+        assert read_checkpoint(path)["n_seen"] == 10
+        assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
+
 
 class TestParallelCheckpoint:
     def test_resume_across_spmd_runs(self, decaying_matrix, tmp_path):

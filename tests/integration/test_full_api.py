@@ -89,7 +89,7 @@ class TestSubpackageExports:
 
         for name in analysis.__all__:
             assert hasattr(analysis, name), name
-        for expected in ("dmd", "spod", "compress", "distributed_pod", "pod"):
+        for expected in ("dmd", "spod", "distributed_pod", "pod"):
             assert hasattr(analysis, expected), expected
 
     def test_smpi_exports(self):
