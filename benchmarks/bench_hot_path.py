@@ -4,7 +4,9 @@ The zero-copy / workspace-reuse PR claims the per-step *constant* of the
 streaming update is allocator-free in steady state; the pipelined-engine
 PR adds the overlap dimension: fused single-message TSQR replies with
 preposted receives, the small-matrices-first correction fold (one tall
-GEMM per rank per step), and `overlap=True` deferred completion.  This
+product per rank per step: the local QR's compact-WY reflectors, never
+formed into ``Q``, applied once with one tall GEMM straight into the
+local modes), and `overlap=True` deferred completion.  This
 bench measures, per ``backend x rank-count x batch`` cell and per lane:
 
 * **bytes/step** — aggregate tracemalloc peak-over-baseline per streaming

@@ -96,10 +96,10 @@ class ParSVDParallel(ParSVDBase):
     workspace:
         ``True`` (default) enables the allocation-free streaming fast
         lane: a persistent per-instance :class:`~repro.core.workspace.
-        Workspace` backs the fused scale-and-concat input, the TSQR
-        ``R``-stack and the updated local modes, so a steady-state
-        ``incorporate_data`` performs its large intermediates with
-        ``out=`` GEMMs into reused buffers.  The numbers are identical to
+        Workspace` backs the fused scale-and-concat input (factored in
+        place), the TSQR ``R``-stack and the updated local modes, so a
+        steady-state ``incorporate_data`` writes its large intermediates
+        into reused buffers.  The numbers are identical to
         the ``False`` (seed) path — the test suite asserts agreement to
         1e-12 — but :attr:`local_modes` then aliases workspace memory:
         a block handed out at step ``t`` is overwritten at step ``t + 2``
@@ -258,7 +258,9 @@ class ParSVDParallel(ParSVDBase):
         """Distributed QR + small SVD of the global R factor (Listing 4).
 
         Returns ``(q_local, u_new, s_new)`` where ``q_local`` is this rank's
-        block of the global orthonormal factor and ``(u_new, s_new)`` is the
+        explicit block of the global orthonormal factor (the step's
+        reflectors applied to its identity-combined correction; the
+        streaming update never forms it) and ``(u_new, s_new)`` is the
         (possibly randomized) SVD of the replicated global ``R`` — "step b
         of Levy-Lindenbaum - small operation" in the listing.
 
@@ -325,10 +327,14 @@ class ParSVDParallel(ParSVDBase):
     def incorporate_data(self, A: np.ndarray) -> "ParSVDParallel":
         """Ingest one more (local block of a) batch via distributed QR.
 
-        On the workspace fast lane (default) the three large per-step
-        intermediates — the scaled-modes ‖ batch concatenation, the TSQR
-        correction GEMM and the updated local modes — are written with
-        ``out=`` into persistent buffers, so a steady-state streaming loop
+        Every lane factors the scaled-modes ‖ batch concatenation with
+        the compact-WY ``?geqrt`` and never forms its local ``Q``: the
+        reflectors are applied once, with one tall GEMM, to the small
+        fused correction when the step finishes, writing the new
+        Fortran-ordered local modes directly.  On the workspace fast lane
+        (default) the concatenation is factored in place in a persistent
+        buffer, where the reflectors stay until that apply, and the modes
+        land in a double buffer, so a steady-state streaming loop
         allocates no ``(M_i, K + batch)`` arrays at all.
 
         With ``overlap=True`` the call returns with the step's
@@ -383,28 +389,32 @@ class ParSVDParallel(ParSVDBase):
 
         The leading result is the *combine* factor the steps fold into
         each correction block small-matrices-first, so every rank's whole
-        update costs one tall ``(M_i, K+B) x (K+B, K)`` GEMM.
+        update costs one apply of its ``(M_i, K+B)`` reflectors to a
+        ``(K+B, K)`` matrix: one tall ``(M_i, K+B) x (K+B, K)`` GEMM.
         """
         with _obs.span("parsvd.reduce", phase="svd", rank=self.comm.rank):
             u_new, s_new = self._reduce_r(r_final)
             u_new, s_new, _ = truncate_svd(u_new, s_new, None, self._config.K)
         return u_new, s_new
 
-    def _apply_update(self, q1: np.ndarray, fused: np.ndarray, s_new) -> None:
+    def _apply_update(self, q1, fused: np.ndarray, s_new) -> None:
         """Lift the fused correction through the local Q factor — the one
-        tall GEMM of the step, landed in the double-buffered modes."""
-        if self._workspace is None:
-            self._ulocal = q1 @ fused
-        else:
+        apply of the step's reflectors ``q1`` (a
+        :class:`~repro.utils.linalg.HouseholderQ`), landed in the
+        Fortran-ordered, double-buffered modes."""
+        new_u = None
+        if self._workspace is not None:
             # Double-buffered update: take a stable destination from the
-            # pool (never the buffer q1 lives in), GEMM into it, and
-            # recycle the previous generation's block.
+            # pool (never the buffer q1's reflectors live in), apply into
+            # it, and recycle the previous generation's block.
             new_u = self._workspace.take(
-                "ulocal", (q1.shape[0], fused.shape[1]), q1.dtype
+                "ulocal", (q1.shape[0], fused.shape[1]), q1.v.dtype, order="F"
             )
-            np.matmul(q1, fused, out=new_u)
+        with _obs.span("tsqr.apply_q", phase="qr", rank=self.comm.rank):
+            new_u = q1.apply(fused, out=new_u)
+        if self._workspace is not None:
             self._workspace.give_back("ulocal", self._ulocal)
-            self._ulocal = new_u
+        self._ulocal = new_u
         self._singular_values = s_new
 
     def _finalize_pending(self) -> None:

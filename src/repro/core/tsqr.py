@@ -29,12 +29,19 @@ unrelated work (ingest the next batch, prefetch IO) while the collectives
 are in flight; :class:`~repro.core.parallel.ParSVDParallel`'s
 ``overlap=True`` streaming update is built on this.
 
+The local QR never forms its ``Q``: it factors the block with LAPACK's
+recursive compact-WY ``?geqrt`` (in place on the workspace fast lane) and
+keeps the reflectors (:class:`~repro.utils.linalg.HouseholderQ`).  The
+caller turns the finished step into its result with one apply of those
+reflectors to the small fused correction — one tall GEMM, straight into
+the new local modes on the streaming path.
+
 Blocking means post, then finish right away: :func:`tsqr_gather` /
 :func:`tsqr_tree` build a step and finish it at once with an identity
 reduce, so ``R`` travels in the fused reply, and :func:`finish_now` runs
-the one tall GEMM.  Both return ``(Q_local, R)`` with ``Q_local`` the
-caller's row block of the global orthonormal factor and ``R`` replicated
-on every rank.
+the one apply.  Both return ``(Q_local, R)`` with ``Q_local`` the
+caller's explicit row block of the global orthonormal factor and ``R``
+replicated on every rank.
 """
 
 from __future__ import annotations
@@ -101,23 +108,24 @@ def _identity_reduce(r: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def finish_now(step, reduce_fn: Callable[[np.ndarray], tuple]) -> tuple:
-    """Finish ``step`` at once and run its one tall GEMM.
+    """Finish ``step`` at once and run its one reflector apply.
 
     Returns ``(q_local, *rest)``: ``q_local = q1 @ fused`` is this rank's
-    row block of the global ``Q`` times ``reduce_fn``'s combine factor,
-    ``rest`` the remaining results of ``reduce_fn`` (replicated).  On the
-    workspace fast lane the GEMM lands in the pooled ``"tsqr_q"`` buffer
-    (``q1`` may alias the spent input, so the output cannot go there).
+    explicit row block of the global ``Q`` times ``reduce_fn``'s combine
+    factor, ``rest`` the remaining results of ``reduce_fn`` (replicated).
+    On the workspace fast lane the apply lands in the pooled F-ordered
+    ``"tsqr_q"`` buffer (``q1``'s reflectors live in the spent input, so
+    the output cannot go there).
     """
     q1, fused, *rest = step.finish(reduce_fn)
     workspace = step._workspace
-    if workspace is None:
-        q_local = q1 @ fused
-    else:
-        q_out = workspace.get(
-            "tsqr_q", (q1.shape[0], fused.shape[1]), q1.dtype
+    out = None
+    if workspace is not None:
+        out = workspace.get(
+            "tsqr_q", (q1.shape[0], fused.shape[1]), q1.v.dtype, order="F"
         )
-        q_local = np.matmul(q1, fused, out=q_out)
+    with _obs.span("tsqr.apply_q", phase="qr", rank=step._comm.rank):
+        q_local = q1.apply(fused, out=out)
     return (q_local, *rest)
 
 
@@ -299,9 +307,12 @@ class _PipelinedStep:
     :meth:`finish` so backends whose send requests own the wire buffer
     (mpi4py pickle mode) cannot have it collected mid-flight.
 
+    The local QR keeps its ``Q`` as reflectors (``q1``, a
+    :class:`~repro.utils.linalg.HouseholderQ`); on the workspace fast lane
+    they live in the caller's spent input block until applied.
     :meth:`finish` returns ``(q1, fused_correction, *rest)``: the caller
-    owns the final ``q1 @ fused_correction`` product (and its destination
-    buffer).
+    owns the final ``q1.apply(fused_correction)`` (and its destination
+    buffer), and must run it before it reuses the input block.
     """
 
     def __init__(self, comm, a_local: np.ndarray, workspace=None) -> None:
@@ -313,7 +324,9 @@ class _PipelinedStep:
         self._up, self._reply = self._prepost(comm.rank, comm.size)
         scratch = workspace is not None and a_local.flags.writeable
         with _obs.span("tsqr.local_qr", phase="qr", rank=comm.rank):
-            self._q1, self._r1 = qr_positive(a_local, overwrite_a=scratch)
+            self._q1, self._r1 = qr_positive(
+                a_local, overwrite_a=scratch, form_q=False
+            )
         self._ship(comm.rank)
 
     def finish(self, reduce_fn: Callable[[np.ndarray], tuple]) -> tuple:
@@ -356,9 +369,9 @@ class PipelinedGatherStep(_PipelinedStep):
     envelopes per peer pair per step collapse into one, no separate
     ``R``/result broadcast is needed, and the
     correction-combine product is taken *small-matrices-first*: each rank
-    later needs only one tall GEMM ``q1 @ (correction @ combine)``
-    instead of ``(q1 @ correction) @ combine`` — a large cut of the
-    per-step FLOPs when ``combine`` is a truncation.
+    later needs only one tall reflector apply ``q1 @ (correction @
+    combine)`` instead of ``(q1 @ correction) @ combine`` — a large cut of
+    the per-step FLOPs when ``combine`` is a truncation.
     """
 
     def _prepost(self, rank: int, size: int):
@@ -411,7 +424,7 @@ class PipelinedGatherStep(_PipelinedStep):
         )
         for peer in range(1, comm.size):
             # Small-first fuse at the root: the shipped block is the
-            # peer's whole remaining update except its one tall GEMM.
+            # peer's whole remaining update except its one tall apply.
             piece = _frozen_copy(
                 q2[offsets[peer] : offsets[peer + 1]] @ combine
             )
@@ -435,7 +448,7 @@ class PipelinedTreeStep(_PipelinedStep):
     broadcasts at all.  The downsweep keeps full-width corrections (the
     children's chains need them); the ``combine`` fold happens
     small-matrices-first at the leaves, so — like the gather step — each
-    rank performs exactly one tall GEMM, owned by the caller.
+    rank performs exactly one tall reflector apply, owned by the caller.
     """
 
     #: Cached upsweep result, populated either by finish() or eagerly by
@@ -534,7 +547,7 @@ class PipelinedTreeStep(_PipelinedStep):
             )
             correction = combined[:my_rows]
         # Small-first fuse at the leaf: fold the combine factor into the
-        # (n x n) correction before the single tall GEMM the caller runs.
+        # (n x n) correction before the single tall apply the caller runs.
         return correction @ combine, rest
 
 

@@ -1,13 +1,16 @@
-"""Reusable GEMM/stacking workspaces for the streaming hot path.
+"""Reusable factorization/stacking workspaces for the streaming hot path.
 
 The paper's claim is that per-batch cost is independent of the number of
 snapshots seen; the per-step *constant* should then be dominated by FLOPs,
 not by the allocator.  A :class:`Workspace` keeps one named buffer per
-recurring intermediate — the fused scale-and-concat input, the updated
-local modes, the rank-0 R stack — so a steady-state streaming loop writes
-every large intermediate into memory it already owns (``np.multiply``/
-``np.matmul`` with ``out=``) instead of allocating ~3 fresh
-``(M_i, K + batch)`` arrays per step.
+recurring intermediate — the fused scale-and-concat input (factored in
+place by the local QR, whose reflectors then live in it), the updated
+local modes (the destination of the reflector apply), the rank-0 R stack
+— so a steady-state streaming loop writes every large intermediate into
+memory it already owns (``np.multiply``/``np.matmul`` with ``out=``,
+LAPACK with ``overwrite_a``) instead of allocating ~3 fresh
+``(M_i, K + batch)`` arrays per step.  The buffers LAPACK factors in
+place, and the modes the apply writes, are Fortran-ordered.
 
 Buffers are keyed by name and re-created only when the requested shape or
 dtype changes (e.g. a different batch width), so the workspace is safe for
@@ -62,7 +65,11 @@ class Workspace:
         return buf
 
     def take(
-        self, name: str, shape: Tuple[int, ...], dtype: np.dtype
+        self,
+        name: str,
+        shape: Tuple[int, ...],
+        dtype: np.dtype,
+        order: str = "C",
     ) -> np.ndarray:
         """Like :meth:`get`, but *removes* the buffer from the pool.
 
@@ -74,8 +81,8 @@ class Workspace:
         between two stable buffers (double buffering).
         """
         buf = self._buffers.pop(name, None)
-        if buf is None or not self._matches(buf, shape, dtype, "C"):
-            buf = np.empty(shape, dtype=dtype)
+        if buf is None or not self._matches(buf, shape, dtype, order):
+            buf = np.empty(shape, dtype=dtype, order=order)
         return buf
 
     def give_back(self, name: str, buf: np.ndarray) -> None:

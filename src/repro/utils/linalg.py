@@ -14,30 +14,29 @@ Conventions
   and removes the need for hand-placed flips.
 * Singular vectors are defined up to a global sign per mode; comparisons use
   :func:`align_signs` first.
+* A QR whose ``Q`` is only ever multiplied into a small matrix need not form
+  it: ``qr_positive(a, form_q=False)`` keeps ``Q`` as compact-WY Householder
+  reflectors (:class:`HouseholderQ`), applied with one tall GEMM.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+import ctypes
+import functools
+from typing import Any, NamedTuple, Optional, Tuple
 
 import numpy as np
+from scipy.linalg import cython_lapack, get_blas_funcs, get_lapack_funcs
+from scipy.linalg import qr as _scipy_qr
+from scipy.linalg import svd as _scipy_svd
 
 from ..exceptions import ShapeError
-
-try:  # pragma: no cover - exercised via economy_qr/economy_svd
-    from scipy.linalg import qr as _scipy_qr
-    from scipy.linalg import svd as _scipy_svd
-
-    HAVE_SCIPY = True
-except ImportError:  # pragma: no cover - numpy-only environments
-    _scipy_qr = None
-    _scipy_svd = None
-    HAVE_SCIPY = False
 
 __all__ = [
     "as_floating",
     "economy_qr",
     "economy_svd",
+    "HouseholderQ",
     "qr_positive",
     "align_signs",
     "orthogonality_defect",
@@ -74,51 +73,162 @@ def economy_svd(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Economy-size SVD ``a = U @ diag(s) @ Vt``.
 
-    Backed by ``scipy.linalg.svd`` with ``check_finite=False`` when SciPy is
-    available (both route to LAPACK ``gesdd``, so the numbers are identical
-    to :func:`numpy.linalg.svd` — SciPy just skips the finite-ness
-    pre-scan of the whole matrix); falls back to NumPy otherwise.  Kept as
-    a function so callers never accidentally request full factors of a
-    tall-skinny matrix (guide: "ask for an incomplete version of the SVD").
+    Backed by ``scipy.linalg.svd`` with ``check_finite=False`` (LAPACK
+    ``gesdd``, as :func:`numpy.linalg.svd`, without the finite-ness
+    pre-scan of the whole matrix).  Kept as a function so callers never
+    accidentally request full factors of a tall-skinny matrix (guide: "ask
+    for an incomplete version of the SVD").
 
     Parameters
     ----------
     overwrite_a:
-        Allow the backend to destroy ``a``'s contents (SciPy only).  Pass
-        ``True`` only for scratch buffers the caller owns and no longer
-        needs — e.g. the streaming workspace after its factors are taken.
+        Allow LAPACK to destroy ``a``'s contents.  Pass ``True`` only for
+        scratch buffers the caller owns and no longer needs — e.g. the
+        streaming workspace after its factors are taken.
     """
     a = _require_2d(a, "a")
-    if HAVE_SCIPY and np.issubdtype(np.asarray(a).dtype, np.floating):
-        return _scipy_svd(
-            a,
-            full_matrices=False,
-            check_finite=False,
-            overwrite_a=overwrite_a,
-        )
-    return np.linalg.svd(a, full_matrices=False)
+    return _scipy_svd(
+        a, full_matrices=False, check_finite=False, overwrite_a=overwrite_a
+    )
+
+
+_capsule_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+    ("PyCapsule_GetName", ctypes.pythonapi)
+)
+_capsule_pointer = ctypes.PYFUNCTYPE(
+    ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p
+)(("PyCapsule_GetPointer", ctypes.pythonapi))
+
+
+@functools.lru_cache(maxsize=None)
+def _geqrt_nogil(prefix: str) -> Any:
+    """LAPACK ``?geqrt`` of type ``prefix`` from ``scipy.linalg.cython_lapack``
+    as a ctypes function.  SciPy's f2py wrapper of ``?geqrt`` holds the GIL
+    for the whole call, which serialises the factorizations of ranks that
+    are threads; a ctypes call releases it."""
+    capsule = cython_lapack.__pyx_capi__[prefix + "geqrt"]
+    address = _capsule_pointer(capsule, _capsule_name(capsule))
+    return ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * 9)(address)
+
+
+def _int_ref(value: int) -> Any:
+    return ctypes.byref(ctypes.c_int(value))
 
 
 def economy_qr(
-    a: np.ndarray, overwrite_a: bool = False
-) -> Tuple[np.ndarray, np.ndarray]:
+    a: np.ndarray, overwrite_a: bool = False, *, form_q: bool = True
+) -> Tuple[Any, np.ndarray]:
     """Economy-size (reduced) QR factorization ``a = Q @ R``.
 
-    SciPy-backed (``mode="economic"``, ``check_finite=False``) when
-    available, with a NumPy fallback.  ``overwrite_a`` as in
-    :func:`economy_svd`: opt-in scratch destruction, SciPy only.
+    SciPy-backed (``mode="economic"``, ``check_finite=False``).
+    ``overwrite_a`` as in :func:`economy_svd`.
+
+    With ``form_q=False`` ``Q`` is not formed.  The factorization is then
+    LAPACK's ``?geqrt`` with one block of all ``k = min(m, n)`` columns —
+    the recursive compact-WY QR of Elmroth & Gustavson (IBM J. Res. Dev.
+    44(4), 2000) — run with the GIL released, and the first result is its
+    ``(v, t)`` pair, which :class:`HouseholderQ` applies: ``v`` holds the
+    ``k`` reflectors below its diagonal (the ``R`` above it is never read),
+    ``t`` the ``(k, k)`` upper-triangular factor of ``I - v t v^T``.  ``v``
+    is ``a`` itself when ``overwrite_a`` is set and ``a`` is
+    Fortran-ordered with a LAPACK dtype, so the factor is valid only while
+    the caller leaves ``a`` alone.
     """
     a = _require_2d(a, "a")
-    if HAVE_SCIPY and np.issubdtype(np.asarray(a).dtype, np.floating):
+    if form_q:
         return _scipy_qr(
             a, mode="economic", check_finite=False, overwrite_a=overwrite_a
         )
-    return np.linalg.qr(a, mode="reduced")
+    (geqrt,) = get_lapack_funcs(("geqrt",), (a,))
+    dtype = geqrt.dtype
+    m, n = a.shape
+    k = min(m, n)
+    in_place = (
+        overwrite_a
+        and a.dtype == dtype
+        and a.flags.f_contiguous
+        and a.flags.writeable
+        and a.flags.aligned
+    )
+    v = a if in_place else np.array(a, dtype=dtype, order="F")
+    t = np.empty((k, k), dtype=dtype, order="F")
+    if k:  # ?geqrt needs 1 <= nb <= min(m, n)
+        work = np.empty(k * n, dtype=dtype)
+        info = ctypes.c_int()
+        # (m, n, nb, a, lda, t, ldt, work, info); v and t are Fortran-
+        # ordered with leading dimensions m and k, referenced for the call.
+        _geqrt_nogil(geqrt.typecode)(
+            _int_ref(m), _int_ref(n), _int_ref(k), v.ctypes.data, _int_ref(m),
+            t.ctypes.data, _int_ref(k), work.ctypes.data, ctypes.byref(info),
+        )
+        if info.value != 0:
+            name = geqrt.typecode + "geqrt"
+            raise RuntimeError(f"LAPACK {name} failed: info={info.value}")
+    return (v[:, :k], t), np.triu(v[:k])
+
+
+class HouseholderQ(NamedTuple):
+    """The ``(m, k)`` orthonormal factor of ``qr_positive(a, form_q=False)``,
+    kept as the compact-WY reflectors ``(v, t)`` of :func:`economy_qr` and
+    the column ``signs`` that make ``diag(R) >= 0``: ``Q = H[:, :k] *
+    signs`` with ``H = I - V T V^T`` the ``m x m`` product of the
+    reflectors."""
+
+    v: np.ndarray
+    t: np.ndarray
+    signs: np.ndarray
+
+    @property
+    def shape(self) -> Tuple[int, ...]:
+        return self.v.shape
+
+    def apply(self, c: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """``Q @ c`` without forming ``Q``.
+
+        ``Q @ c`` is ``H`` applied to ``c`` times the signs, zero-padded to
+        ``m`` rows.  With ``H = I - V T V^T``, ``V1`` the unit lower
+        triangle of ``v``'s top ``k`` rows and ``V2`` its other rows, that
+        is ``[c + V1 w; V2 w]`` with ``w = -T V1^T c``: three small
+        triangular products and one tall GEMM straight into ``out``, so
+        the zero rows are never read (``?gemqrt`` would spend a second
+        tall pass on them).
+
+        ``out`` is the ``(m, p)`` Fortran-ordered destination, of the
+        reflectors' dtype; it is allocated when ``None``.
+        """
+        m, k = self.v.shape
+        dtype = self.v.dtype
+        c = np.asarray(c)
+        if self.t.shape != (k, k) or self.t.dtype != dtype:
+            raise ShapeError("v and t must be a ?geqrt factor (economy_qr)")
+        if c.ndim != 2 or c.shape[0] != k:
+            raise ShapeError(f"cannot apply a ({m}, {k}) Q to shape {c.shape}")
+        if out is None:
+            out = np.empty((m, c.shape[1]), dtype=dtype, order="F")
+        elif not (
+            out.shape == (m, c.shape[1])
+            and out.dtype == dtype
+            and out.flags.f_contiguous
+        ):
+            raise ShapeError(
+                f"out must be a Fortran-ordered {(m, c.shape[1])} "
+                f"{dtype} array, got {out.shape} {out.dtype}"
+            )
+        if k == 0:
+            out[...] = 0.0
+            return out
+        (trmm,) = get_blas_funcs(("trmm",), (self.v,))
+        v1 = self.v[:k]
+        signed = (c * self.signs[:, np.newaxis]).astype(dtype, copy=False)
+        w = trmm(-1.0, self.t, trmm(1.0, v1, signed, lower=1, trans_a=1, diag=1))
+        np.add(signed, trmm(1.0, v1, w, lower=1, diag=1), out=out[:k])
+        np.matmul(self.v[k:], w, out=out[k:])
+        return out
 
 
 def qr_positive(
-    a: np.ndarray, overwrite_a: bool = False
-) -> Tuple[np.ndarray, np.ndarray]:
+    a: np.ndarray, overwrite_a: bool = False, *, form_q: bool = True
+) -> Tuple[Any, np.ndarray]:
     """Reduced QR with the sign convention ``diag(R) >= 0``.
 
     Flips the sign of each column ``j`` of ``Q`` (and row ``j`` of ``R``)
@@ -128,26 +238,27 @@ def qr_positive(
     sign flips are applied *in place* on the freshly factored ``Q``/``R``
     (no extra full-size temporaries on the streaming hot path).
 
+    With ``form_q=False`` the first result is a :class:`HouseholderQ`: the
+    same ``Q``, never formed, its signs kept for :meth:`HouseholderQ.apply`
+    to fold into the small matrix it multiplies.
+
     Returns
     -------
     (Q, R):
         ``Q`` has orthonormal columns, ``R`` is upper triangular with a
         nonnegative diagonal and ``a == Q @ R`` to round-off.
     """
-    q, r = economy_qr(a, overwrite_a=overwrite_a)
-    k = min(r.shape)
-    signs = np.sign(np.diagonal(r)[:k])
+    q, r = economy_qr(a, overwrite_a=overwrite_a, form_q=form_q)
+    signs = np.sign(np.diagonal(r))
     # sign(0) == 0 would zero out columns of a rank-deficient factor; keep
     # those columns untouched instead.
     signs = np.where(signs == 0.0, 1.0, signs)
-    if k < q.shape[1]:
-        q = q[:, :k]
-    if k < r.shape[0]:
-        r = r[:k, :]
-    # q/r are freshly allocated by the factorization, so canonicalising in
-    # place is safe and saves two full-size copies per QR.
-    q *= signs[np.newaxis, :]
+    # r (and q) are freshly allocated by the factorization, so
+    # canonicalising in place is safe and saves full-size copies per QR.
     r *= signs[:, np.newaxis]
+    if not form_q:
+        return HouseholderQ(*q, signs), r
+    q *= signs[np.newaxis, :]
     return q, r
 
 

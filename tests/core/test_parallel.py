@@ -132,6 +132,44 @@ class TestMultiRank:
         assert np.allclose(gram, np.eye(5), atol=1e-8)
 
 
+class TestEdgeShapes:
+    @pytest.mark.parametrize("workspace", [True, False])
+    @pytest.mark.parametrize("qr_variant", ["gather", "tree"])
+    def test_rank_owning_zero_rows_streams(self, qr_variant, workspace):
+        """3 dofs over 4 ranks: the last rank owns no rows, so its local
+        factorization is 0 x (K + batch) at every step."""
+        data = np.random.default_rng(0).standard_normal((3, 10))
+
+        def job(comm):
+            part = block_partition(3, comm.size)
+            block = data[part.slice_of(comm.rank), :]
+            svd = ParSVDParallel(
+                comm,
+                solver=SolverConfig(
+                    K=2, ff=1.0, qr_variant=qr_variant, workspace=workspace
+                ),
+            )
+            svd.initialize(block[:, :2])
+            for start in range(2, 10, 2):
+                svd.incorporate_data(block[:, start : start + 2])
+            return svd.local_modes.shape, svd.modes, svd.singular_values
+
+        results = run_spmd(4, job)
+        assert [shape for shape, _, _ in results] == [(1, 2)] * 3 + [(0, 2)]
+        _, modes, values = results[0]
+        assert np.allclose(values, [3.55670555, 2.34241133], atol=1e-8)
+        assert np.allclose(modes.T @ modes, np.eye(2), atol=1e-12)
+        serial = ParSVDSerial(K=2, ff=1.0)
+        serial.initialize(data[:, :2])
+        for start in range(2, 10, 2):
+            serial.incorporate_data(data[:, start : start + 2])
+        comparison = compare_modes(
+            serial.modes, serial.singular_values, modes, values, n_modes=2
+        )
+        assert comparison.worst_spectrum_error < 1e-12
+        assert comparison.worst_mode_error < 1e-10
+
+
 class TestGatherPolicies:
     def test_root_policy_only_rank0_has_modes(self, decaying_matrix):
         m = decaying_matrix.shape[0]

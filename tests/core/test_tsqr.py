@@ -122,10 +122,11 @@ class TestTreeHelpers:
 
 
 class TestEdgeShapes:
-    def test_ranks_with_fewer_rows_than_columns(self, rng):
+    @pytest.mark.parametrize("variant", ["gather", "tree"])
+    def test_ranks_with_fewer_rows_than_columns(self, rng, variant):
         """Blocks narrower than the column count still reduce correctly."""
         a = rng.standard_normal((10, 6))  # 4 ranks -> blocks of 3,3,2,2 rows
-        q, r, _ = run_tsqr(a, 4, "gather")
+        q, r, _ = run_tsqr(a, 4, variant)
         assert np.allclose(q @ r, a, atol=1e-10)
         assert orthogonality_defect(q) < 1e-10
 

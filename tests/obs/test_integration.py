@@ -139,6 +139,29 @@ class TestMultiRankRun:
         )
         assert snap["histograms"]["repro.core.step_seconds"]["count"] > 0
 
+    @pytest.mark.parametrize("overlap", [False, True])
+    def test_reflector_apply_is_a_qr_phase_span(self, overlap):
+        """Each step's local QR and the apply of its reflectors both show
+        in the ``qr`` phase, once per step on every rank."""
+        runtime.reset()
+        data = low_rank_data(96, 40)  # batch 8: 1 initialize + 4 steps
+
+        def job(session):
+            return session.fit_stream(data).result().n_seen
+
+        Session.run(obs_config(size=2, overlap=overlap), job)
+        counts = {}
+        for event in runtime.default_tracer().events():
+            if event["name"] in ("tsqr.local_qr", "tsqr.apply_q"):
+                assert event["phase"] == "qr"
+                key = (event["rank"], event["name"])
+                counts[key] = counts.get(key, 0) + 1
+        assert counts == {
+            (rank, name): 4
+            for rank in (0, 1)
+            for name in ("tsqr.local_qr", "tsqr.apply_q")
+        }
+
     def test_prefetch_counters_present(self):
         runtime.reset()
         data = low_rank_data(96, 40)

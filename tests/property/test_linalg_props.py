@@ -1,7 +1,7 @@
 """Property-based tests for the dense linear-algebra helpers."""
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.utils.linalg import (
@@ -32,6 +32,18 @@ def _matrix(min_rows=2, max_rows=20, min_cols=1, max_cols=8):
 def test_qr_positive_reconstructs(a):
     q, r = qr_positive(a)
     assert np.allclose(q @ r, a, atol=1e-8)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_matrix(), st.integers(1, 4))
+def test_reflector_apply_matches_formed_q(a, p):
+    # Q is unique (diag(R) > 0) only for full column rank; the two LAPACK
+    # paths agree to round-off times cond(a), so keep cond(a) modest.
+    assume(np.linalg.cond(a) < 1e3)
+    q, _ = qr_positive(a)
+    reflectors, _ = qr_positive(a, form_q=False)
+    c = np.random.default_rng(0).standard_normal((q.shape[1], p))
+    assert np.max(np.abs(reflectors.apply(c) - q @ c)) <= 1e-12
 
 
 @settings(max_examples=60, deadline=None)

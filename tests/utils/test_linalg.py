@@ -76,6 +76,81 @@ class TestQrPositive:
         assert np.all(np.diagonal(r) >= 0)
 
 
+class TestQrReflectors:
+    """``qr_positive(a, form_q=False)``: the same factorization with ``Q``
+    kept as reflectors and applied without forming it."""
+
+    @staticmethod
+    def check(a, atol):
+        q, r = qr_positive(a)
+        reflectors, r_reflectors = qr_positive(a, form_q=False)
+        assert reflectors.shape == q.shape
+        assert np.allclose(r_reflectors, r, atol=atol)
+        c = np.random.default_rng(1).standard_normal((q.shape[1], 3))
+        applied = reflectors.apply(c)
+        assert applied.shape == (a.shape[0], 3)
+        assert applied.flags.f_contiguous
+        assert np.allclose(applied, q @ c, atol=atol)
+        return applied
+
+    def test_tall_matrix(self, tall_matrix):
+        self.check(tall_matrix, 1e-12)
+
+    def test_wide_matrix(self, rng):
+        self.check(rng.standard_normal((5, 12)), 1e-12)
+
+    def test_zero_rows(self):
+        applied = self.check(np.empty((0, 6)), 0.0)
+        assert applied.shape == (0, 3)
+
+    def test_float32(self, rng):
+        a = rng.standard_normal((60, 9)).astype(np.float32)
+        _, r = qr_positive(a, form_q=False)
+        assert r.dtype == np.float32
+        applied = self.check(a, 1e-5)
+        assert applied.dtype == np.float32
+
+    def test_c_ordered_input(self, rng):
+        a = np.ascontiguousarray(rng.standard_normal((40, 7)))
+        assert not a.flags.f_contiguous
+        self.check(a, 1e-12)
+
+    def test_apply_lands_in_supplied_out(self, rng):
+        a = rng.standard_normal((40, 7))
+        reflectors, _ = qr_positive(a, form_q=False)
+        out = np.empty((40, 4), order="F")
+        c = rng.standard_normal((7, 4))
+        result = reflectors.apply(c, out=out)
+        assert np.shares_memory(result, out)
+        assert np.allclose(out, qr_positive(a)[0] @ c, atol=1e-12)
+        with pytest.raises(ShapeError):
+            reflectors.apply(c, out=np.empty((40, 4), order="C"))
+
+    def test_apply_refuses_a_malformed_factor(self, rng):
+        reflectors, _ = qr_positive(rng.standard_normal((40, 7)), form_q=False)
+        c = rng.standard_normal((7, 2))
+        malformed = (
+            reflectors._replace(v=reflectors.v.astype(np.float32)),
+            reflectors._replace(t=reflectors.t[:, :3]),
+        )
+        for factor in malformed:
+            with pytest.raises(ShapeError):
+                factor.apply(c)
+        with pytest.raises(ShapeError):
+            reflectors.apply(c[:5])
+        with pytest.raises(ShapeError):
+            reflectors.apply(c, out=np.empty((40, 2), dtype=np.float32, order="F"))
+
+    def test_input_destroyed_only_with_overwrite(self, rng):
+        a = np.asfortranarray(rng.standard_normal((40, 7)))
+        original = a.copy()
+        qr_positive(a, form_q=False)
+        assert np.array_equal(a, original)
+        reflectors, _ = qr_positive(a, overwrite_a=True, form_q=False)
+        assert not np.array_equal(a, original)
+        assert np.shares_memory(reflectors.v, a)
+
+
 class TestTruncateSvd:
     def test_truncates(self, tall_matrix):
         u, s, vt = economy_svd(tall_matrix)
