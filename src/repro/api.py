@@ -206,7 +206,9 @@ class SessionResult:
     under ``"bcast"`` (all ranks) and ``"root"`` (rank 0; ``None``
     elsewhere), this rank's local block under ``"none"``.  Arrays may be
     read-only zero-copy snapshots shared between ranks — copy before
-    mutating.
+    mutating.  Under ``"none"`` the block is a read-only view of the
+    driver's double-buffered workspace, valid until the second-next
+    update (:attr:`~repro.core.parallel.ParSVDParallel.local_modes`).
     """
 
     modes: Optional[np.ndarray]

@@ -238,15 +238,17 @@ class SolverConfig(SVDConfig):
     gather:
         Mode-assembly policy for :attr:`~repro.core.parallel.
         ParSVDParallel.modes`: ``"bcast"`` (default), ``"root"`` or
-        ``"none"``.
+        ``"none"`` (the local block, as a read-only view).
     apmos_group_size:
         Group size of the two-level hierarchical APMOS initialisation, or
         ``None`` (default) for the flat single-level gather.
-    workspace:
-        Enable the allocation-free streaming fast lane (default ``True``).
     overlap:
         Pipeline streaming updates: each step's collectives stay in
         flight while the next batch is ingested (default ``False``).
+
+    The streaming step always runs allocation-free in a per-driver
+    workspace (see :class:`~repro.core.parallel.ParSVDParallel`); no
+    option selects another lane.
 
     Examples
     --------
@@ -257,7 +259,6 @@ class SolverConfig(SVDConfig):
     qr_variant: str = "gather"
     gather: str = "bcast"
     apmos_group_size: Optional[int] = None
-    workspace: bool = True
     overlap: bool = False
 
     def __post_init__(self) -> None:
@@ -265,10 +266,6 @@ class SolverConfig(SVDConfig):
         validate_parallel_options(
             self.qr_variant, self.gather, self.apmos_group_size
         )
-        if not isinstance(self.workspace, bool):
-            raise ConfigurationError(
-                f"workspace must be a bool, got {self.workspace!r}"
-            )
         if not isinstance(self.overlap, bool):
             raise ConfigurationError(
                 f"overlap must be a bool, got {self.overlap!r}"

@@ -117,8 +117,8 @@ def write_checkpoint(
     ``run_config`` (when given, e.g. by :class:`~repro.api.Session`)
     embeds the full typed :class:`~repro.config.RunConfig` as a JSON
     payload, so a resume can restore solver *and* backend settings —
-    including knobs the flat fields don't carry (``workspace``,
-    ``overlap``, backend name/size, stream batching).
+    including knobs the flat fields don't carry (``overlap``, backend
+    name/size, stream batching).
     """
     if modes is None or singular_values is None:
         raise NotInitializedError("cannot checkpoint an uninitialised SVD")

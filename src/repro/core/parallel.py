@@ -92,19 +92,8 @@ class ParSVDParallel(ParSVDBase):
         ``"bcast"`` (default): global modes on *every* rank;
         ``"root"``: global modes on rank 0 only (others raise; use
         :attr:`local_modes`);
-        ``"none"``: no gathering; :attr:`modes` is the local block.
-    workspace:
-        ``True`` (default) enables the allocation-free streaming fast
-        lane: a persistent per-instance :class:`~repro.core.workspace.
-        Workspace` backs the fused scale-and-concat input (factored in
-        place), the TSQR ``R``-stack and the updated local modes, so a
-        steady-state ``incorporate_data`` writes its large intermediates
-        into reused buffers.  The numbers are identical to
-        the ``False`` (seed) path — the test suite asserts agreement to
-        1e-12 — but :attr:`local_modes` then aliases workspace memory:
-        a block handed out at step ``t`` is overwritten at step ``t + 2``
-        (double buffering), so copy it if you need it to survive further
-        updates.  Set ``False`` for fresh arrays every step.
+        ``"none"``: no gathering; :attr:`modes` is the local block, the
+        same read-only view as :attr:`local_modes`.
     overlap:
         ``True`` pipelines the streaming update: ``incorporate_data``
         performs the local QR, posts the step's communication
@@ -127,6 +116,17 @@ class ParSVDParallel(ParSVDBase):
 
     Notes
     -----
+    The streaming step is allocation-free in steady state: a persistent
+    per-instance :class:`~repro.core.workspace.Workspace` backs the fused
+    scale-and-concat input (factored in place), the TSQR ``R`` stacks and
+    the updated local modes, so ``incorporate_data`` writes its large
+    intermediates into reused buffers.  The local modes are double
+    buffered, which makes :attr:`local_modes` (and :attr:`modes` under
+    ``gather="none"``) a **read-only view** of workspace memory: writing
+    into it raises ``ValueError``, and the view stays valid until the
+    second-next update, which reuses its buffer.  Copy it if it must
+    outlive that.
+
     Mode assembly is **lazy**: ``initialize``/``incorporate_data`` only
     invalidate the cached gathered modes, and the gather (+ broadcast)
     collective runs on the first :attr:`modes` access after an update.  A
@@ -180,9 +180,7 @@ class ParSVDParallel(ParSVDBase):
         self._qr_variant = solver.qr_variant
         self._gather = solver.gather
         self._apmos_group_size = solver.apmos_group_size
-        self._workspace: Optional[Workspace] = (
-            Workspace() if solver.workspace else None
-        )
+        self._workspace = Workspace()
         self._overlap = bool(solver.overlap)
         # In-flight pipelined step (overlap mode): posted by
         # incorporate_data, completed lazily by the next update or by any
@@ -257,18 +255,16 @@ class ParSVDParallel(ParSVDBase):
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Distributed QR + small SVD of the global R factor (Listing 4).
 
-        Returns ``(q_local, u_new, s_new)`` where ``q_local`` is this rank's
-        explicit block of the global orthonormal factor (the step's
-        reflectors applied to its identity-combined correction; the
-        streaming update never forms it) and ``(u_new, s_new)`` is the
-        (possibly randomized) SVD of the replicated global ``R`` — "step b
-        of Levy-Lindenbaum - small operation" in the listing.
+        Returns ``(q_local, u_new, s_new)`` where ``q_local`` is a fresh
+        array holding this rank's explicit block of the global orthonormal
+        factor (the step's reflectors applied to its identity-combined
+        correction; the streaming update never forms it) and ``(u_new,
+        s_new)`` is the (possibly randomized) SVD of the replicated global
+        ``R`` — "step b of Levy-Lindenbaum - small operation" in the
+        listing.
 
-        With the workspace fast lane enabled (the default) ``a_local`` is
-        treated as caller-owned scratch: the local QR may factor it in
-        place.  Build the driver with ``SolverConfig(workspace=False)`` if
-        you call this directly and need ``a_local`` preserved.  An
-        in-flight overlapped step is completed first.
+        ``a_local`` is left unchanged: the step factors a private copy.
+        An in-flight overlapped step is completed first.
         """
         self._finalize_pending()
 
@@ -280,8 +276,8 @@ class ParSVDParallel(ParSVDBase):
             identity = np.eye(r_final.shape[0], dtype=r_final.dtype)
             return (identity, *self._reduce_r(r_final))
 
-        q_local, u_new, s_new = finish_now(self._post_step(a_local), reduce_fn)
-        return q_local, u_new, s_new
+        step = self._post_step(np.array(a_local, order="F"))
+        return finish_now(step, reduce_fn)
 
     def _post_step(self, a_local: np.ndarray):
         """Post one TSQR step of the configured variant over ``a_local``."""
@@ -290,12 +286,12 @@ class ParSVDParallel(ParSVDBase):
             if self._qr_variant == "tree"
             else PipelinedGatherStep
         )
-        return step_cls(self.comm, a_local, workspace=self._workspace)
+        return step_cls(self.comm, a_local, self._workspace)
 
     def _reduce_r(self, r_final: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Rank-0 reduction of the replicated TSQR ``R``: the streaming
-        update's small (possibly randomized) SVD.  Consumes ``r_final`` in
-        place on the workspace fast lane."""
+        update's small (possibly randomized) SVD.  May consume
+        ``r_final``."""
         cfg = self._config
         if cfg.low_rank:
             return low_rank_svd(
@@ -306,10 +302,8 @@ class ParSVDParallel(ParSVDBase):
                 rng=self._rng,
             )
         # r_final is dead after this factorization (only its SVD travels
-        # on); on the fast lane let LAPACK consume it.
-        u_new, s_new, _ = economy_svd(
-            r_final, overwrite_a=self._workspace is not None
-        )
+        # on): let LAPACK consume it.
+        u_new, s_new, _ = economy_svd(r_final, overwrite_a=True)
         return u_new, s_new
 
     # -- streaming driver (paper Listing 2) -----------------------------------
@@ -327,15 +321,14 @@ class ParSVDParallel(ParSVDBase):
     def incorporate_data(self, A: np.ndarray) -> "ParSVDParallel":
         """Ingest one more (local block of a) batch via distributed QR.
 
-        Every lane factors the scaled-modes ‖ batch concatenation with
-        the compact-WY ``?geqrt`` and never forms its local ``Q``: the
-        reflectors are applied once, with one tall GEMM, to the small
-        fused correction when the step finishes, writing the new
-        Fortran-ordered local modes directly.  On the workspace fast lane
-        (default) the concatenation is factored in place in a persistent
-        buffer, where the reflectors stay until that apply, and the modes
-        land in a double buffer, so a steady-state streaming loop
-        allocates no ``(M_i, K + batch)`` arrays at all.
+        The scaled-modes ‖ batch concatenation is built in a persistent
+        workspace buffer and factored there in place with the compact-WY
+        ``?geqrt``; the local ``Q`` is never formed.  Its reflectors stay
+        in that buffer until the step finishes, when they are applied
+        once, with one tall GEMM, to the small fused correction, writing
+        the new Fortran-ordered local modes straight into a double
+        buffer.  A steady-state streaming loop therefore allocates no
+        ``(M_i, K + batch)`` arrays at all.
 
         With ``overlap=True`` the call returns with the step's
         communication in flight (see the class docstring); the previous
@@ -348,10 +341,9 @@ class ParSVDParallel(ParSVDBase):
 
         with _obs.span("parsvd.ingest", phase="ingest", rank=self.comm.rank):
             ll = self._scale_concat(A)
-        # Every lane shares the pipelined step (identical numbers); the
-        # lanes differ only in buffer reuse (workspace) and in *when* the
-        # finish phase runs.  With overlap=True the step stays in flight —
-        # the merge / reduce / fused reply completes at the next update or
+        # overlap only changes *when* the finish phase runs (identical
+        # numbers).  With overlap=True the step stays in flight — the
+        # merge / reduce / fused reply completes at the next update or
         # result access, overlapping whatever the caller does in between.
         self._pending = self._post_step(ll)
         self._pending_posted_t = (
@@ -365,16 +357,10 @@ class ParSVDParallel(ParSVDBase):
         return self
 
     def _scale_concat(self, A: np.ndarray) -> np.ndarray:
-        """Build ``[ff * U diag(D) | A]`` — fused into a reused F-ordered
-        workspace buffer on the fast lane, fresh arrays on the seed path."""
+        """Build ``[ff * U diag(D) | A]`` fused into the reused workspace
+        buffer: ``ll[:, :k] = ulocal * (ff * s); ll[:, k:] = A``, F-ordered
+        so the TSQR's local QR can factor it in place."""
         scale = self._config.ff * self._singular_values
-        if self._workspace is None:
-            # Seed path: fresh arrays every step (reference semantics).
-            ll = self._ulocal * scale[np.newaxis, :]
-            return np.concatenate((ll, A), axis=1)
-        # Fused scale-and-concat straight into the reusable workspace
-        # buffer: ll[:, :k] = ulocal * (ff * s); ll[:, k:] = A.
-        # F-ordered so the TSQR's local QR can factor it in place.
         m_i, k = self._ulocal.shape
         dtype = np.result_type(self._ulocal.dtype, A.dtype)
         ll = self._workspace.get("ll", (m_i, k + A.shape[1]), dtype, order="F")
@@ -401,19 +387,15 @@ class ParSVDParallel(ParSVDBase):
         """Lift the fused correction through the local Q factor — the one
         apply of the step's reflectors ``q1`` (a
         :class:`~repro.utils.linalg.HouseholderQ`), landed in the
-        Fortran-ordered, double-buffered modes."""
-        new_u = None
-        if self._workspace is not None:
-            # Double-buffered update: take a stable destination from the
-            # pool (never the buffer q1's reflectors live in), apply into
-            # it, and recycle the previous generation's block.
-            new_u = self._workspace.take(
-                "ulocal", (q1.shape[0], fused.shape[1]), q1.v.dtype, order="F"
-            )
+        Fortran-ordered, double-buffered modes: take a stable destination
+        from the pool (never the buffer q1's reflectors live in), apply
+        into it, and recycle the previous generation's block."""
+        new_u = self._workspace.take(
+            "ulocal", (q1.shape[0], fused.shape[1]), q1.v.dtype, order="F"
+        )
         with _obs.span("tsqr.apply_q", phase="qr", rank=self.comm.rank):
-            new_u = q1.apply(fused, out=new_u)
-        if self._workspace is not None:
-            self._workspace.give_back("ulocal", self._ulocal)
+            q1.apply(fused, out=new_u)
+        self._workspace.give_back("ulocal", self._ulocal)
         self._ulocal = new_u
         self._singular_values = s_new
 
@@ -529,11 +511,18 @@ class ParSVDParallel(ParSVDBase):
     def local_modes(self) -> np.ndarray:
         """This rank's ``(M_i, K)`` block of the global left singular
         vectors (no mode-assembly communication; completes an in-flight
-        overlapped step first)."""
+        overlapped step first).
+
+        A read-only view of the double-buffered workspace, valid until the
+        second-next update (see the class notes)."""
         self._require_initialized()
         self._finalize_pending()
-        assert self._ulocal is not None
-        return self._ulocal
+        return self._local_view()
+
+    def _local_view(self) -> np.ndarray:
+        view = self._ulocal.view()
+        view.flags.writeable = False
+        return view
 
     @property
     def singular_values(self) -> np.ndarray:
@@ -570,16 +559,12 @@ class ParSVDParallel(ParSVDBase):
             return self._modes
         assert self._ulocal is not None
         if self._gather == "none":
-            # Documented alias of the local block: same lifetime caveats
-            # as :attr:`local_modes` (workspace double buffering).
-            self._modes = self._ulocal
+            # The same read-only view as :attr:`local_modes`, with the
+            # same lifetime (workspace double buffering).
+            self._modes = self._local_view()
         else:
             stacked = self.comm.gatherv_rows(self._ulocal, root=0)
-            if (
-                stacked is not None
-                and self._workspace is not None
-                and np.shares_memory(stacked, self._ulocal)
-            ):
+            if stacked is not None and np.shares_memory(stacked, self._ulocal):
                 # Single-rank backends return the send buffer aliased;
                 # with the workspace recycling _ulocal every other step,
                 # an assembled-modes result must not share that storage
@@ -760,8 +745,7 @@ class ParSVDParallel(ParSVDBase):
         unless ``solver`` overrides it as a whole (a full
         :class:`~repro.config.SolverConfig`, e.g. the one embedded in the
         checkpoint's :class:`~repro.config.RunConfig` payload — how
-        :meth:`repro.api.Session.resume` also restores ``workspace``/
-        ``overlap``).
+        :meth:`repro.api.Session.resume` also restores ``overlap``).
 
         Two layouts restart:
 

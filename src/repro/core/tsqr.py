@@ -29,19 +29,20 @@ unrelated work (ingest the next batch, prefetch IO) while the collectives
 are in flight; :class:`~repro.core.parallel.ParSVDParallel`'s
 ``overlap=True`` streaming update is built on this.
 
-The local QR never forms its ``Q``: it factors the block with LAPACK's
-recursive compact-WY ``?geqrt`` (in place on the workspace fast lane) and
-keeps the reflectors (:class:`~repro.utils.linalg.HouseholderQ`).  The
+The local QR never forms its ``Q``: it factors the block in place with
+LAPACK's recursive compact-WY ``?geqrt`` and keeps the reflectors
+(:class:`~repro.utils.linalg.HouseholderQ`) in it.  The ``R`` stacks the
+step refactors live in its :class:`~repro.core.workspace.Workspace`.  The
 caller turns the finished step into its result with one apply of those
 reflectors to the small fused correction — one tall GEMM, straight into
 the new local modes on the streaming path.
 
 Blocking means post, then finish right away: :func:`tsqr_gather` /
-:func:`tsqr_tree` build a step and finish it at once with an identity
-reduce, so ``R`` travels in the fused reply, and :func:`finish_now` runs
-the one apply.  Both return ``(Q_local, R)`` with ``Q_local`` the
-caller's explicit row block of the global orthonormal factor and ``R``
-replicated on every rank.
+:func:`tsqr_tree` build a step over a private copy of the caller's block
+and finish it at once with an identity reduce, so ``R`` travels in the
+fused reply, and :func:`finish_now` runs the one apply.  Both return
+``(Q_local, R)`` with ``Q_local`` a fresh explicit row block of the global
+orthonormal factor and ``R`` replicated on every rank.
 """
 
 from __future__ import annotations
@@ -53,6 +54,7 @@ import numpy as np
 from ..exceptions import ShapeError
 from ..obs import runtime as _obs
 from ..utils.linalg import as_floating, qr_positive
+from .workspace import Workspace
 
 __all__ = [
     "PipelinedGatherStep",
@@ -77,28 +79,25 @@ def _validate_local(a_local: np.ndarray) -> np.ndarray:
     return a_local
 
 
-def _stack_and_refactor(blocks, n: int, workspace):
+def _stack_and_refactor(blocks, n: int, workspace: Workspace):
     """Rank-0 core of the gather variant: stack the per-rank ``R`` factors
     and take the canonical QR of the stack.
 
-    With a workspace the stack lands in a reused F-ordered buffer that
-    LAPACK may refactor in place (it copies non-Fortran input regardless);
-    the buffer is scratch either way once the factors are out.  Returns
+    The stack lands in a reused F-ordered workspace buffer that LAPACK
+    refactors in place; it is scratch once the factors are out.  Returns
     ``(q2, r_final, offsets)`` with ``offsets`` delimiting each rank's
     rows of ``q2`` (counts can differ when a rank owns fewer rows than
     columns).
     """
     counts = [blk.shape[0] for blk in blocks]
     total = sum(counts)
-    dtype = blocks[0].dtype
-    if workspace is None:
-        stacked = np.empty((total, n), dtype=dtype)
-    else:
-        stacked = workspace.get("tsqr_rstack", (total, n), dtype, order="F")
+    stacked = workspace.get(
+        "tsqr_rstack", (total, n), blocks[0].dtype, order="F"
+    )
     offsets = np.cumsum([0] + counts)
     for peer, blk in enumerate(blocks):
         stacked[offsets[peer] : offsets[peer + 1]] = blk
-    q2, r_final = qr_positive(stacked, overwrite_a=workspace is not None)
+    q2, r_final = qr_positive(stacked, overwrite_a=True)
     return q2, r_final, offsets
 
 
@@ -110,28 +109,25 @@ def _identity_reduce(r: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 def finish_now(step, reduce_fn: Callable[[np.ndarray], tuple]) -> tuple:
     """Finish ``step`` at once and run its one reflector apply.
 
-    Returns ``(q_local, *rest)``: ``q_local = q1 @ fused`` is this rank's
-    explicit row block of the global ``Q`` times ``reduce_fn``'s combine
-    factor, ``rest`` the remaining results of ``reduce_fn`` (replicated).
-    On the workspace fast lane the apply lands in the pooled F-ordered
-    ``"tsqr_q"`` buffer (``q1``'s reflectors live in the spent input, so
-    the output cannot go there).
+    Returns ``(q_local, *rest)``: ``q_local = q1 @ fused`` is a fresh
+    F-ordered array holding this rank's explicit row block of the global
+    ``Q`` times ``reduce_fn``'s combine factor, ``rest`` the remaining
+    results of ``reduce_fn`` (replicated).
     """
     q1, fused, *rest = step.finish(reduce_fn)
-    workspace = step._workspace
-    out = None
-    if workspace is not None:
-        out = workspace.get(
-            "tsqr_q", (q1.shape[0], fused.shape[1]), q1.v.dtype, order="F"
-        )
     with _obs.span("tsqr.apply_q", phase="qr", rank=step._comm.rank):
-        q_local = q1.apply(fused, out=out)
+        q_local = q1.apply(fused)
     return (q_local, *rest)
 
 
-def tsqr_gather(
-    comm, a_local: np.ndarray, workspace=None
-) -> Tuple[np.ndarray, np.ndarray]:
+def _blocking_tsqr(step_cls, comm, a_local) -> Tuple[np.ndarray, np.ndarray]:
+    """Post ``step_cls`` over a private F-ordered copy of ``a_local`` (the
+    step factors its input in place) and finish it at once."""
+    step = step_cls(comm, np.array(a_local, order="F"), Workspace())
+    return finish_now(step, _identity_reduce)
+
+
+def tsqr_gather(comm, a_local: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Gather-based TSQR (the paper's ``parallel_qr`` communication pattern).
 
     Parameters
@@ -140,29 +136,19 @@ def tsqr_gather(
         Communicator.
     a_local:
         ``(M_i, n)`` local row block, all ranks agreeing on ``n`` and with
-        ``sum_i M_i >= n`` for a full-rank result.
-    workspace:
-        Optional :class:`~repro.core.workspace.Workspace` enabling the
-        allocation-free fast lane.  Passing it asserts that ``a_local`` is
-        caller-owned *scratch*: the local QR may factor it in place, rank 0
-        stacks the gathered ``R`` factors into a reused workspace buffer
-        (no ``np.concatenate``) that the stacked refactorization may
-        destroy, and ``q_local`` lands in a pooled workspace buffer.
+        ``sum_i M_i >= n`` for a full-rank result.  It is left unchanged:
+        the step factors a private copy.
 
     Returns
     -------
     (q_local, r):
-        ``q_local`` — ``(M_i, n)`` row block of the global ``Q``;
+        ``q_local`` — fresh ``(M_i, n)`` row block of the global ``Q``;
         ``r`` — the global ``(n, n)`` upper-triangular factor, replicated.
     """
-    step = PipelinedGatherStep(comm, a_local, workspace=workspace)
-    q_local, r = finish_now(step, _identity_reduce)
-    return q_local, r
+    return _blocking_tsqr(PipelinedGatherStep, comm, a_local)
 
 
-def tsqr_tree(
-    comm, a_local: np.ndarray, workspace=None
-) -> Tuple[np.ndarray, np.ndarray]:
+def tsqr_tree(comm, a_local: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Binary-reduction TSQR (Benson, Gleich & Demmel 2013).
 
     Communication structure: ``ceil(log2 p)`` rounds.  In round ``d`` the
@@ -170,15 +156,13 @@ def tsqr_tree(
     (``rank - 2^d``), which stacks the two ``R`` factors, refactors, and
     keeps the product chain of correction blocks.  The downsweep then sends
     each child its slice of the correction factor (and ``R``) so every rank
-    can update its local ``Q``.  ``workspace`` is as in
-    :func:`tsqr_gather`; it also pools the per-level stacked ``R`` pairs.
+    can update its local ``Q``.  Arguments and results are as in
+    :func:`tsqr_gather`.
 
     Results match :func:`tsqr_gather` to round-off because both are
     canonicalised (``diag(R) >= 0``), which the tests assert.
     """
-    step = PipelinedTreeStep(comm, a_local, workspace=workspace)
-    q_local, r = finish_now(step, _identity_reduce)
-    return q_local, r
+    return _blocking_tsqr(PipelinedTreeStep, comm, a_local)
 
 
 def _tree_recv_schedule(rank: int, size: int, comm) -> Dict[int, object]:
@@ -204,17 +188,17 @@ def _tree_upsweep(
     comm,
     r_current: np.ndarray,
     up_requests: Dict[int, object],
-    workspace,
+    workspace: Workspace,
     n: int,
 ):
     """Run the binary reduction of R factors (receives preposted).
 
     Returns ``(r_current, q_factors, merge_meta)`` — the reduced factor
     (final global ``R`` on rank 0), the correction chain and its metadata.
-    With a workspace, each level's stacked R pair lands in a pooled
-    F-ordered buffer that LAPACK may refactor in place.  Odd ranks are
-    absorbed at level 0 and shipped their ``R`` at post time, so they
-    take no part here.
+    Each level's stacked R pair lands in a pooled F-ordered workspace
+    buffer that LAPACK refactors in place.  Odd ranks are absorbed at
+    level 0 and shipped their ``R`` at post time, so they take no part
+    here.
     """
     rank, size = comm.rank, comm.size
     q_factors = []  # correction chain, innermost (local) first
@@ -240,24 +224,17 @@ def _tree_upsweep(
                         r_partner = np.asarray(up_requests[depth].wait())
                     my_rows = r_current.shape[0]
                     partner_rows = r_partner.shape[0]
-                    if workspace is None:
-                        stacked = np.concatenate(
-                            (r_current, r_partner), axis=0
-                        )
-                    else:
-                        # F-ordered so the in-place refactorization below
-                        # needs no LAPACK-side copy.
-                        stacked = workspace.get(
-                            f"tree_stack_{depth}",
-                            (my_rows + partner_rows, n),
-                            np.result_type(r_current.dtype, r_partner.dtype),
-                            order="F",
-                        )
-                        stacked[:my_rows] = r_current
-                        stacked[my_rows:] = r_partner
-                    q_merge, r_current = qr_positive(
-                        stacked, overwrite_a=workspace is not None
+                    # F-ordered so the in-place refactorization below
+                    # needs no LAPACK-side copy.
+                    stacked = workspace.get(
+                        f"tree_stack_{depth}",
+                        (my_rows + partner_rows, n),
+                        np.result_type(r_current.dtype, r_partner.dtype),
+                        order="F",
                     )
+                    stacked[:my_rows] = r_current
+                    stacked[my_rows:] = r_partner
+                    q_merge, r_current = qr_positive(stacked, overwrite_a=True)
                     merge_meta.append((partner, my_rows, partner_rows))
                     q_factors.append(q_merge)
         stride <<= 1
@@ -302,30 +279,31 @@ class _PipelinedStep:
     receives — ``_up`` for the ``R`` factors it will merge, ``_reply`` for
     its fused reply (``None`` on the root) — **before** the local QR (the
     MPI prepost idiom: partners' traffic lands while this rank factors its
-    own block, in place on the workspace fast lane); ``_ship`` then sends
-    whatever ``R`` is already final.  Sends stay in ``_outbox`` until
-    :meth:`finish` so backends whose send requests own the wire buffer
-    (mpi4py pickle mode) cannot have it collected mid-flight.
+    own block); ``_ship`` then sends whatever ``R`` is already final.
+    Sends stay in ``_outbox`` until :meth:`finish` so backends whose send
+    requests own the wire buffer (mpi4py pickle mode) cannot have it
+    collected mid-flight.
 
-    The local QR keeps its ``Q`` as reflectors (``q1``, a
-    :class:`~repro.utils.linalg.HouseholderQ`); on the workspace fast lane
-    they live in the caller's spent input block until applied.
-    :meth:`finish` returns ``(q1, fused_correction, *rest)``: the caller
-    owns the final ``q1.apply(fused_correction)`` (and its destination
-    buffer), and must run it before it reuses the input block.
+    ``a_local`` is the caller's scratch: a writeable F-ordered block is
+    factored in place (any other is copied first), and the local QR keeps
+    its ``Q`` as reflectors (``q1``, a
+    :class:`~repro.utils.linalg.HouseholderQ`) in it.  The ``R`` stacks
+    the step refactors are pooled in ``workspace``.  :meth:`finish`
+    returns ``(q1, fused_correction, *rest)``: the caller owns the final
+    ``q1.apply(fused_correction)`` (and its destination buffer), and must
+    run it before it reuses the input block.
     """
 
-    def __init__(self, comm, a_local: np.ndarray, workspace=None) -> None:
+    def __init__(self, comm, a_local: np.ndarray, workspace: Workspace) -> None:
         a_local = _validate_local(a_local)
         self._comm = comm
         self._workspace = workspace
         self._n = a_local.shape[1]
         self._outbox: list = []
         self._up, self._reply = self._prepost(comm.rank, comm.size)
-        scratch = workspace is not None and a_local.flags.writeable
         with _obs.span("tsqr.local_qr", phase="qr", rank=comm.rank):
             self._q1, self._r1 = qr_positive(
-                a_local, overwrite_a=scratch, form_q=False
+                a_local, overwrite_a=True, form_q=False
             )
         self._ship(comm.rank)
 

@@ -2,15 +2,18 @@
 
 The paper's claim is that per-batch cost is independent of the number of
 snapshots seen; the per-step *constant* should then be dominated by FLOPs,
-not by the allocator.  A :class:`Workspace` keeps one named buffer per
-recurring intermediate — the fused scale-and-concat input (factored in
-place by the local QR, whose reflectors then live in it), the updated
-local modes (the destination of the reflector apply), the rank-0 R stack
-— so a steady-state streaming loop writes every large intermediate into
+not by the allocator.  Every :class:`~repro.core.parallel.ParSVDParallel`
+owns one :class:`Workspace`, which keeps one named buffer per recurring
+intermediate — the fused scale-and-concat input (factored in place by the
+local QR, whose reflectors then live in it), the double-buffered local
+modes (the destination of the reflector apply), the TSQR ``R`` stacks —
+so a steady-state streaming loop writes every large intermediate into
 memory it already owns (``np.multiply``/``np.matmul`` with ``out=``,
-LAPACK with ``overwrite_a``) instead of allocating ~3 fresh
+LAPACK with ``overwrite_a``) instead of allocating fresh
 ``(M_i, K + batch)`` arrays per step.  The buffers LAPACK factors in
-place, and the modes the apply writes, are Fortran-ordered.
+place, and the modes the apply writes, are Fortran-ordered.  The blocking
+:func:`~repro.core.tsqr.tsqr_gather`/:func:`~repro.core.tsqr.tsqr_tree`
+use a private workspace per call.
 
 Buffers are keyed by name and re-created only when the requested shape or
 dtype changes (e.g. a different batch width), so the workspace is safe for
@@ -58,10 +61,7 @@ class Workspace:
         overwrite.  ``order="F"`` suits buffers handed to LAPACK with
         ``overwrite_a`` (in-place factorization needs Fortran layout).
         """
-        buf = self._buffers.get(name)
-        if buf is None or not self._matches(buf, shape, dtype, order):
-            buf = np.empty(shape, dtype=dtype, order=order)
-            self._buffers[name] = buf
+        buf = self._buffers[name] = self.take(name, shape, dtype, order)
         return buf
 
     def take(
@@ -89,25 +89,3 @@ class Workspace:
         """Return an escaped buffer to the pool under ``name`` (it must no
         longer be referenced by live results)."""
         self._buffers[name] = buf
-
-    def drop(self, name: str) -> None:
-        """Forget the buffer registered under ``name``, if any."""
-        self._buffers.pop(name, None)
-
-    def clear(self) -> None:
-        """Forget all buffers."""
-        self._buffers.clear()
-
-    @property
-    def nbytes(self) -> int:
-        """Total bytes currently held by pooled buffers."""
-        return sum(int(b.nbytes) for b in self._buffers.values())
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._buffers
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        entries = ", ".join(
-            f"{k}:{v.shape}" for k, v in self._buffers.items()
-        )
-        return f"Workspace({entries})"

@@ -71,12 +71,17 @@ class Request:
         return self.headers.get("connection", "keep-alive").lower() != "close"
 
     def json(self) -> Any:
-        """The body decoded as JSON; :class:`HttpError` 400 on garbage."""
+        """The body decoded as JSON; :class:`HttpError` 400 on garbage,
+        on nesting too deep to decode, and on integers too long to read."""
         if not self.body:
             raise HttpError(400, "request body must be a JSON object")
         try:
             return json.loads(self.body.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except RecursionError:
+            raise HttpError(400, "request body is nested too deeply")
+        # ValueError covers JSONDecodeError, UnicodeDecodeError and the
+        # int() digit limit an over-long number literal hits.
+        except ValueError as exc:
             raise HttpError(400, f"request body is not valid JSON: {exc}")
 
     def query_float(self, name: str) -> Optional[float]:
@@ -122,25 +127,29 @@ async def read_request(
         name, sep, value = line.partition(":")
         if not sep:
             raise HttpError(400, f"malformed header line {line!r}")
-        headers[name.strip().lower()] = value.strip()
+        name, value = name.strip().lower(), value.strip()
+        if name == "content-length" and headers.get(name, value) != value:
+            raise HttpError(400, "conflicting Content-Length headers")
+        headers[name] = value
     if headers.get("transfer-encoding"):
         raise HttpError(501, "chunked request bodies are not supported")
     body = b""
     length = headers.get("content-length")
     if length is not None:
-        try:
-            n = int(length)
-        except ValueError:
+        # Digits only: int() would also take "+5", " 5" and "1_0".
+        if not (length.isascii() and length.isdigit()):
             raise HttpError(400, f"bad Content-Length {length!r}")
-        if n < 0:
-            raise HttpError(400, f"bad Content-Length {length!r}")
+        n = int(length)
         if n > max_body_bytes:
             raise HttpError(413, f"request body exceeds {max_body_bytes} bytes")
         try:
             body = await reader.readexactly(n)
         except asyncio.IncompleteReadError:
             raise HttpError(400, "connection closed mid-body")
-    split = urlsplit(target)
+    try:
+        split = urlsplit(target)
+    except ValueError:  # e.g. an unclosed "[" read as an IPv6 host
+        raise HttpError(400, f"malformed request target {target!r}")
     query = {
         key: values[-1]
         for key, values in parse_qs(

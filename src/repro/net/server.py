@@ -139,6 +139,9 @@ class NetServer:
         self._timer: Optional[asyncio.TimerHandle] = None
         self._deadline_flush: Optional[asyncio.Task] = None
         self._flush_warned = False
+        # Open client connections, closed by stop() so that no handler
+        # outlives the server.
+        self._connections: set[asyncio.StreamWriter] = set()
         self._auth = TenantAuth(self._scfg.tenants)
         self._jobs = JobTable()
         self._requests = 0
@@ -191,6 +194,12 @@ class NetServer:
         server, self._server = self._server, None
         if server is not None:
             server.close()
+            # An idle keep-alive client would hold wait_closed() (it waits
+            # for every connection on Python >= 3.12.1) or leave its
+            # handler to be cancelled at loop teardown: close each
+            # connection, so its handler reads EOF and ends normally.
+            for writer in list(self._connections):
+                writer.close()
             await server.wait_closed()
         # Without an engine nothing re-arms the deadline; a deadline
         # flush already on the engine thread is awaited, not abandoned.
@@ -286,6 +295,7 @@ class NetServer:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        self._connections.add(writer)
         try:
             while True:
                 try:
@@ -316,6 +326,7 @@ class NetServer:
         except (ConnectionResetError, BrokenPipeError, TimeoutError):
             pass
         finally:
+            self._connections.discard(writer)
             writer.close()
             with contextlib.suppress(Exception):
                 await writer.wait_closed()
@@ -392,14 +403,17 @@ class NetServer:
         if not isinstance(kind, str):
             raise HttpError(400, "'kind' must be a string")
         version = body.get("version")
-        if version is not None and not isinstance(version, int):
+        # bool is an int subclass, but true is not version 1.
+        if version is not None and (
+            isinstance(version, bool) or not isinstance(version, int)
+        ):
             raise HttpError(400, f"'version' must be an integer, got {version!r}")
         raw = body.get("payload")
         if raw is None:
             raise HttpError(400, "'payload' (nested lists of numbers) is required")
         try:
             payload = np.asarray(raw, dtype=np.float64)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise HttpError(400, f"'payload' is not numeric: {exc}")
         if not np.isfinite(payload).all():
             # json.loads accepts NaN and Infinity; no basis can answer

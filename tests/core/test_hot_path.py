@@ -1,11 +1,11 @@
-"""Allocation-free streaming fast lane: equality + allocation regression.
+"""The allocation-free streaming step: agreement, buffer contract and
+allocation regression.
 
-Satellite coverage for the zero-copy / workspace-reuse PR:
-
-* the workspace fast lane (``workspace=True``, the default) produces
-  modes/singular values within 1e-12 of the seed allocation-per-step path
-  (``workspace=False``) across qr-variant x dtype;
-* both lanes still agree with the serial reference;
+* the streaming step agrees with the serial reference, and its
+  overlapped schedule with the blocking one to 1e-12 (every lane is also
+  pinned to frozen outputs in ``test_step_references.py``);
+* the local modes are a read-only view of the double-buffered workspace,
+  and ``parallel_qr`` hands out fresh arrays;
 * per-step allocated bytes are *flat* after warmup over 50 streaming
   steps (tracemalloc) — the workspace cannot leak or grow with the
   number of snapshots seen.
@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from repro import ParSVDParallel, ParSVDSerial, SolverConfig
+from repro.api import BackendConfig, Session
 from repro.core.metrics import compare_modes
 from repro.smpi import create_communicator, run_spmd
 from repro.utils.partition import block_partition
@@ -36,7 +37,7 @@ def stream_matrix(rng):
     return left @ right
 
 
-def run_stream(data, nranks, *, workspace, qr_variant, dtype, overlap=False):
+def run_stream(data, nranks, *, qr_variant, dtype, overlap=False):
     data = data.astype(dtype)
 
     def job(comm):
@@ -45,11 +46,7 @@ def run_stream(data, nranks, *, workspace, qr_variant, dtype, overlap=False):
         svd = ParSVDParallel(
             comm,
             solver=SolverConfig(
-                K=K,
-                ff=0.97,
-                qr_variant=qr_variant,
-                workspace=workspace,
-                overlap=overlap,
+                K=K, ff=0.97, qr_variant=qr_variant, overlap=overlap
             ),
         )
         svd.initialize(block[:, :BATCH])
@@ -60,45 +57,20 @@ def run_stream(data, nranks, *, workspace, qr_variant, dtype, overlap=False):
     return run_spmd(nranks, job)[0]
 
 
-class TestFastLaneEquality:
+def serial_reference(stream_matrix):
+    serial = ParSVDSerial(K=K, ff=0.97)
+    serial.initialize(stream_matrix[:, :BATCH])
+    for start in range(BATCH, stream_matrix.shape[1], BATCH):
+        serial.incorporate_data(stream_matrix[:, start : start + BATCH])
+    return serial
+
+
+class TestSerialReference:
     @pytest.mark.parametrize("qr_variant", ["gather", "tree"])
-    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    def test_workspace_matches_seed_path(
-        self, stream_matrix, qr_variant, dtype
-    ):
-        """Fast lane == seed path to <= 1e-12 (identical FP operations,
-        only the destination buffers differ)."""
-        fast_modes, fast_values = run_stream(
-            stream_matrix,
-            NRANKS,
-            workspace=True,
-            qr_variant=qr_variant,
-            dtype=dtype,
-        )
-        seed_modes, seed_values = run_stream(
-            stream_matrix,
-            NRANKS,
-            workspace=False,
-            qr_variant=qr_variant,
-            dtype=dtype,
-        )
-        assert fast_modes.dtype == seed_modes.dtype
-        assert np.max(np.abs(fast_modes - seed_modes)) <= 1e-12
-        assert np.max(np.abs(fast_values - seed_values)) <= 1e-12
-
-    @pytest.mark.parametrize("workspace", [True, False])
-    def test_both_lanes_match_serial_reference(self, stream_matrix, workspace):
-        serial = ParSVDSerial(K=K, ff=0.97)
-        serial.initialize(stream_matrix[:, :BATCH])
-        for start in range(BATCH, stream_matrix.shape[1], BATCH):
-            serial.incorporate_data(stream_matrix[:, start : start + BATCH])
-
+    def test_matches_serial_reference(self, stream_matrix, qr_variant):
+        serial = serial_reference(stream_matrix)
         modes, values = run_stream(
-            stream_matrix,
-            NRANKS,
-            workspace=workspace,
-            qr_variant="gather",
-            dtype=np.float64,
+            stream_matrix, NRANKS, qr_variant=qr_variant, dtype=np.float64
         )
         comparison = compare_modes(
             serial.modes, serial.singular_values, modes, values, n_modes=3
@@ -106,21 +78,28 @@ class TestFastLaneEquality:
         assert comparison.worst_spectrum_error < 1e-8
         assert comparison.worst_mode_error < 1e-6
 
-    def test_single_rank_self_backend(self, stream_matrix):
-        """The fast lane also runs on the zero-overhead self backend."""
+    @pytest.mark.parametrize("overlap", [False, True])
+    def test_single_rank_self_backend(self, stream_matrix, overlap):
+        """The streaming step also runs on the zero-overhead self backend,
+        blocking or with each step left in flight until the next one."""
         comm = create_communicator("self")
-        svd = ParSVDParallel(comm, solver=SolverConfig(K=K, ff=0.97))
+        svd = ParSVDParallel(
+            comm, solver=SolverConfig(K=K, ff=0.97, overlap=overlap)
+        )
         svd.initialize(stream_matrix[:, :BATCH])
         for start in range(BATCH, stream_matrix.shape[1], BATCH):
             svd.incorporate_data(stream_matrix[:, start : start + BATCH])
 
-        seed = ParSVDParallel(comm, solver=SolverConfig(K=K, ff=0.97, workspace=False))
-        seed.initialize(stream_matrix[:, :BATCH])
-        for start in range(BATCH, stream_matrix.shape[1], BATCH):
-            seed.incorporate_data(stream_matrix[:, start : start + BATCH])
-
-        assert np.max(np.abs(svd.modes - seed.modes)) <= 1e-12
-        assert np.max(np.abs(svd.singular_values - seed.singular_values)) <= 1e-12
+        serial = serial_reference(stream_matrix)
+        comparison = compare_modes(
+            serial.modes,
+            serial.singular_values,
+            svd.modes,
+            svd.singular_values,
+            n_modes=3,
+        )
+        assert comparison.worst_spectrum_error < 1e-8
+        assert comparison.worst_mode_error < 1e-6
 
 
 class TestOverlapEquality:
@@ -131,16 +110,11 @@ class TestOverlapEquality:
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_overlap_matches_fast_lane(self, stream_matrix, qr_variant, dtype):
         fast = run_stream(
-            stream_matrix,
-            NRANKS,
-            workspace=True,
-            qr_variant=qr_variant,
-            dtype=dtype,
+            stream_matrix, NRANKS, qr_variant=qr_variant, dtype=dtype
         )
         overlapped = run_stream(
             stream_matrix,
             NRANKS,
-            workspace=True,
             qr_variant=qr_variant,
             dtype=dtype,
             overlap=True,
@@ -148,28 +122,6 @@ class TestOverlapEquality:
         assert overlapped[0].dtype == fast[0].dtype
         assert np.max(np.abs(overlapped[0] - fast[0])) <= 1e-12
         assert np.max(np.abs(overlapped[1] - fast[1])) <= 1e-12
-
-    @pytest.mark.parametrize("qr_variant", ["gather", "tree"])
-    def test_overlap_without_workspace_matches_seed(
-        self, stream_matrix, qr_variant
-    ):
-        seed = run_stream(
-            stream_matrix,
-            NRANKS,
-            workspace=False,
-            qr_variant=qr_variant,
-            dtype=np.float64,
-        )
-        overlapped = run_stream(
-            stream_matrix,
-            NRANKS,
-            workspace=False,
-            qr_variant=qr_variant,
-            dtype=np.float64,
-            overlap=True,
-        )
-        assert np.max(np.abs(overlapped[0] - seed[0])) <= 1e-12
-        assert np.max(np.abs(overlapped[1] - seed[1])) <= 1e-12
 
     def test_parallel_qr_pins_pipelined_update(self, stream_matrix):
         """The public blocking parallel_qr stays consistent with the
@@ -180,17 +132,11 @@ class TestOverlapEquality:
         def job(comm):
             part = block_partition(M, comm.size)
             block = stream_matrix[part.slice_of(comm.rank), :]
-            ref = ParSVDParallel(
-                comm,
-                solver=SolverConfig(K=K, ff=0.97, workspace=False),
-            )
+            ref = ParSVDParallel(comm, solver=SolverConfig(K=K, ff=0.97))
             ref.initialize(block[:, :BATCH])
             ref.incorporate_data(block[:, BATCH : 2 * BATCH])
 
-            manual = ParSVDParallel(
-                comm,
-                solver=SolverConfig(K=K, ff=0.97, workspace=False),
-            )
+            manual = ParSVDParallel(comm, solver=SolverConfig(K=K, ff=0.97))
             manual.initialize(block[:, :BATCH])
             scale = 0.97 * manual.singular_values
             ll = np.concatenate(
@@ -342,8 +288,8 @@ class TestLocalModesBufferContract:
         assert np.array_equal(held, snapshot)
 
     def test_local_modes_snapshot_survives_two_updates(self, stream_matrix):
-        """Copies of local_modes are stable; the live view is documented to
-        alias workspace memory (double-buffered, overwritten at t + 2)."""
+        """Copies of local_modes are stable; the live view aliases
+        workspace memory (double-buffered, overwritten at t + 2)."""
         comm = create_communicator("self")
         svd = ParSVDParallel(comm, solver=SolverConfig(K=K, ff=0.97))
         svd.initialize(stream_matrix[:, :BATCH])
@@ -353,6 +299,112 @@ class TestLocalModesBufferContract:
         svd.incorporate_data(stream_matrix[:, 2 * BATCH : 3 * BATCH])
         # One update later the handed-out generation is still intact.
         assert np.array_equal(held, snapshot)
+
+    @pytest.mark.parametrize("updates", [0, 1, 2])
+    def test_local_block_views_are_read_only(self, stream_matrix, updates):
+        """A write into local_modes, into modes under gather="none" or
+        into the session result's modes would change the next step's
+        input; each raises instead, before and after updates."""
+        solver = SolverConfig(K=K, ff=0.97, gather="none")
+        with Session(solver=solver, backend=BackendConfig(name="self")) as session:
+            session.initialize(stream_matrix[:, :BATCH])
+            for step in range(1, updates + 1):
+                batch = stream_matrix[:, step * BATCH : (step + 1) * BATCH]
+                session.incorporate_data(batch)
+            before = np.array(session.local_modes)
+            views = (
+                session.local_modes,
+                session.modes,
+                session.result().modes,
+            )
+            for view in views:
+                with pytest.raises(ValueError, match="read-only"):
+                    view[0, 0] = 1.0
+                with pytest.raises(ValueError, match="read-only"):
+                    view *= 2.0
+            assert np.array_equal(session.local_modes, before)
+
+    @pytest.mark.parametrize("overlap", [False, True])
+    @pytest.mark.parametrize("qr_variant", ["gather", "tree"])
+    def test_views_read_only_on_every_rank(
+        self, stream_matrix, qr_variant, overlap
+    ):
+        """On every rank, local_modes and modes under gather="none" are one
+        read-only view of that rank's own double buffer, whether the last
+        step ran blocking or was still in flight when they were read; a
+        refused write changes nothing."""
+
+        def refuses_write(view):
+            try:
+                view[0, 0] = 1.0
+            except ValueError:
+                return True
+            return False
+
+        def job(comm):
+            part = block_partition(M, comm.size)
+            block = stream_matrix[part.slice_of(comm.rank), :]
+            svd = ParSVDParallel(
+                comm,
+                solver=SolverConfig(
+                    K=K,
+                    ff=0.97,
+                    qr_variant=qr_variant,
+                    gather="none",
+                    overlap=overlap,
+                ),
+            )
+            svd.initialize(block[:, :BATCH])
+            svd.incorporate_data(block[:, BATCH : 2 * BATCH])
+            local, modes = svd.local_modes, svd.modes
+            before = local.copy()
+            return (
+                refuses_write(local),
+                refuses_write(modes),
+                np.shares_memory(local, modes),
+                np.array_equal(svd.local_modes, before),
+            )
+
+        for local_refused, modes_refused, one_buffer, unchanged in run_spmd(
+            NRANKS, job
+        ):
+            assert local_refused
+            assert modes_refused
+            assert one_buffer
+            assert unchanged
+
+    @pytest.mark.parametrize("qr_variant", ["gather", "tree"])
+    def test_parallel_qr_results_are_fresh(self, stream_matrix, qr_variant):
+        """Two parallel_qr calls return q_local arrays that share no
+        memory (nor with the driver's modes), and the caller's block is
+        left unchanged."""
+
+        def job(comm):
+            part = block_partition(M, comm.size)
+            block = stream_matrix[part.slice_of(comm.rank), :]
+            svd = ParSVDParallel(
+                comm, solver=SolverConfig(K=K, ff=0.97, qr_variant=qr_variant)
+            )
+            svd.initialize(block[:, :BATCH])
+            probe = np.array(block[:, BATCH : 2 * BATCH], order="F")
+            before = probe.copy()
+            first, _, _ = svd.parallel_qr(probe)
+            held = first.copy()
+            second, _, _ = svd.parallel_qr(probe)
+            return (
+                np.shares_memory(first, second),
+                np.shares_memory(first, svd.local_modes),
+                np.array_equal(first, held),
+                np.array_equal(first, second),
+                np.array_equal(probe, before),
+            )
+
+        for shares, aliases_modes, kept, same, untouched in run_spmd(NRANKS, job):
+            assert not shares
+            assert not aliases_modes
+            assert kept
+            assert same
+            assert untouched
 
 
 class TestAllocationFlatness:

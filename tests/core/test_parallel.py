@@ -133,11 +133,12 @@ class TestMultiRank:
 
 
 class TestEdgeShapes:
-    @pytest.mark.parametrize("workspace", [True, False])
+    @pytest.mark.parametrize("overlap", [True, False])
     @pytest.mark.parametrize("qr_variant", ["gather", "tree"])
-    def test_rank_owning_zero_rows_streams(self, qr_variant, workspace):
+    def test_rank_owning_zero_rows_streams(self, qr_variant, overlap):
         """3 dofs over 4 ranks: the last rank owns no rows, so its local
-        factorization is 0 x (K + batch) at every step."""
+        factorization is 0 x (K + batch) at every step, blocking or with
+        the step left in flight until the next update."""
         data = np.random.default_rng(0).standard_normal((3, 10))
 
         def job(comm):
@@ -146,7 +147,7 @@ class TestEdgeShapes:
             svd = ParSVDParallel(
                 comm,
                 solver=SolverConfig(
-                    K=2, ff=1.0, qr_variant=qr_variant, workspace=workspace
+                    K=2, ff=1.0, qr_variant=qr_variant, overlap=overlap
                 ),
             )
             svd.initialize(block[:, :2])

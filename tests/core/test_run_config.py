@@ -24,8 +24,9 @@ class TestSolverConfig:
         assert cfg.qr_variant == "gather"
         assert cfg.gather == "bcast"
         assert cfg.apmos_group_size is None
-        assert cfg.workspace is True
         assert cfg.overlap is False
+        # The paper's eight algorithm parameters plus four run options.
+        assert len(dataclasses.fields(cfg)) == 12
 
     def test_is_an_svd_config(self):
         assert isinstance(SolverConfig(), SVDConfig)
@@ -42,7 +43,6 @@ class TestSolverConfig:
             ("qr_variant", "sideways"),
             ("gather", "sometimes"),
             ("apmos_group_size", 0),
-            ("workspace", "yes"),
             ("overlap", 1),
         ],
     )
@@ -230,6 +230,12 @@ class TestRunConfig:
     def test_unknown_key_rejected_with_name(self):
         with pytest.raises(ConfigurationError, match="frobnicate"):
             RunConfig.from_dict({"backend": {"frobnicate": 1}})
+
+    def test_solver_section_naming_workspace_rejected(self):
+        """The streaming step has one lane; a run config from when it had
+        two names the retired option and must say which key is wrong."""
+        with pytest.raises(ConfigurationError, match="'workspace'"):
+            RunConfig.from_dict({"solver": {"K": 4, "workspace": True}})
 
     def test_invalid_value_surfaces_specific_error(self):
         with pytest.raises(ConfigurationError, match="forget factor"):

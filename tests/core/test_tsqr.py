@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 from repro.core.tsqr import (
+    PipelinedGatherStep,
+    PipelinedTreeStep,
+    finish_now,
     level_of_absorption,
     stride_of_absorption,
     tsqr_gather,
@@ -15,11 +18,29 @@ from repro.utils.linalg import orthogonality_defect, qr_positive
 from repro.utils.partition import block_partition
 
 
+STEPS = {"gather": PipelinedGatherStep, "tree": PipelinedTreeStep}
+
+
+def identity_reduce(r):
+    """The plain-TSQR reduce: no combine factor, ``R`` rides the reply."""
+    return np.eye(r.shape[0], dtype=r.dtype), r
+
+
+def pooled_tsqr(comm, block, variant, workspace):
+    """One step as the streaming driver runs it: posted over an F-ordered
+    scratch copy of ``block`` (factored in place) with the rank's
+    long-lived ``workspace`` pooling the ``R`` stacks, finished at once."""
+    step = STEPS[variant](comm, np.array(block, order="F"), workspace)
+    return finish_now(step, identity_reduce)
+
+
 def run_tsqr(data, nranks, variant, workspace=False):
     """Run one TSQR variant over row blocks of ``data``.
 
-    ``workspace=True`` takes the in-place lane: each rank hands a private
-    F-ordered copy of its block (declared scratch) and its own Workspace.
+    ``workspace=True`` takes the pooled lane instead of the blocking
+    functions: each rank keeps one Workspace, and a first step over other
+    data of the same shape leaves its ``R`` stacks dirty for the checked
+    one.
     """
     m = data.shape[0]
     fn = tsqr_gather if variant == "gather" else tsqr_tree
@@ -29,9 +50,9 @@ def run_tsqr(data, nranks, variant, workspace=False):
         block = data[part.slice_of(comm.rank), :]
         if not workspace:
             return fn(comm, block)
-        scratch = np.array(block, order="F")
-        q, r = fn(comm, scratch, workspace=Workspace())
-        return np.array(q), r
+        pool = Workspace()
+        pooled_tsqr(comm, block[::-1] + 1.0, variant, pool)
+        return pooled_tsqr(comm, block, variant, pool)
 
     results = run_spmd(nranks, job)
     q = np.concatenate([r[0] for r in results], axis=0)
@@ -40,7 +61,7 @@ def run_tsqr(data, nranks, variant, workspace=False):
 
 @pytest.mark.parametrize("variant", ["gather", "tree"])
 class TestTsqrCommon:
-    #: Whether the checks run on the in-place workspace lane.
+    #: Whether the checks run on the pooled step lane.
     workspace = False
 
     @pytest.mark.parametrize("nranks", [1, 2, 3, 4, 5, 7, 8])
@@ -77,7 +98,7 @@ class TestTsqrCommon:
         fn = tsqr_gather if variant == "gather" else tsqr_tree
         q_ref, r_ref = qr_positive(a)
         if self.workspace:
-            q, r = fn(SelfCommunicator(), np.asfortranarray(a), Workspace())
+            q, r = pooled_tsqr(SelfCommunicator(), a, variant, Workspace())
         else:
             q, r = fn(SelfCommunicator(), a)
         assert np.allclose(q, q_ref)
@@ -85,9 +106,63 @@ class TestTsqrCommon:
 
 
 class TestTsqrCommonWorkspace(TestTsqrCommon):
-    """The same checks on the in-place workspace lane."""
+    """The same checks on the pooled lane the streaming driver runs."""
 
     workspace = True
+
+    @pytest.mark.parametrize("nranks", [1, 2, 3, 4])
+    def test_results_survive_the_next_step(self, rng, variant, nranks):
+        """A step's ``q_local`` and ``R`` own their memory: the next step
+        on the same workspace, which refactors in the pooled ``R`` stacks,
+        leaves them intact and gets its own factors right."""
+        a = rng.standard_normal((90, 7))
+        b = rng.standard_normal((90, 7))
+
+        def job(comm):
+            rows = block_partition(a.shape[0], comm.size).slice_of(comm.rank)
+            pool = Workspace()
+            q_a, r_a = pooled_tsqr(comm, a[rows], variant, pool)
+            kept = q_a.copy(), r_a.copy()
+            q_b, r_b = pooled_tsqr(comm, b[rows], variant, pool)
+            intact = np.array_equal(q_a, kept[0]) and np.array_equal(r_a, kept[1])
+            return intact, q_b, r_b
+
+        results = run_spmd(nranks, job)
+        assert all(intact for intact, _, _ in results)
+        q_ref, r_ref = qr_positive(b)
+        q_b = np.concatenate([q for _, q, _ in results], axis=0)
+        assert np.allclose(q_b, q_ref, atol=1e-8)
+        assert np.allclose(results[0][2], r_ref, atol=1e-9)
+
+
+class TestBlockingCallerContract:
+    @pytest.mark.parametrize("variant", ["gather", "tree"])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_caller_block_unchanged_and_q_fresh(self, rng, variant, order):
+        """The steps factor their input in place; the blocking functions
+        hand them a private copy, so the caller's block survives and
+        ``q_local`` owns its memory, on every rank."""
+        a = rng.standard_normal((90, 7))
+        fn = tsqr_gather if variant == "gather" else tsqr_tree
+
+        def job(comm):
+            part = block_partition(a.shape[0], comm.size)
+            block = np.array(a[part.slice_of(comm.rank), :], order=order)
+            before = block.copy()
+            q, _ = fn(comm, block)
+            again, _ = fn(comm, block)
+            return (
+                np.array_equal(block, before),
+                np.shares_memory(q, block),
+                np.shares_memory(q, again),
+                np.array_equal(q, again),
+            )
+
+        for unchanged, q_aliases_input, calls_alias, same in run_spmd(3, job):
+            assert unchanged
+            assert not q_aliases_input
+            assert not calls_alias
+            assert same
 
 
 class TestVariantsAgree:

@@ -91,10 +91,23 @@ class TestReadRequest:
         assert err.value.status == 413
 
     def test_bad_content_length_rejected(self):
-        for value in (b"nope", b"-5"):
+        # int() reads "1_0" as 10 and "+5" as 5; a length is digits only.
+        for value in (b"nope", b"-5", b"1_0", b"+5"):
             with pytest.raises(HttpError) as err:
                 parse(b"POST / HTTP/1.1\r\nContent-Length: " + value + b"\r\n\r\n")
             assert err.value.status == 400
+        # Two lengths that differ leave the body's end ambiguous.
+        with pytest.raises(HttpError) as err:
+            parse(
+                b"POST / HTTP/1.1\r\nContent-Length: 3\r\n"
+                b"Content-Length: 5\r\n\r\nabcde"
+            )
+        assert err.value.status == 400
+        agreeing = parse(
+            b"POST / HTTP/1.1\r\nContent-Length: 3\r\n"
+            b"Content-Length: 3\r\n\r\nabc"
+        )
+        assert agreeing.body == b"abc"
 
     def test_empty_body_json_is_400(self):
         req = parse(b"POST / HTTP/1.1\r\n\r\n")
@@ -104,6 +117,16 @@ class TestReadRequest:
 
     def test_garbage_body_json_is_400(self):
         req = parse(b"POST / HTTP/1.1\r\nContent-Length: 3\r\n\r\n{{{")
+        with pytest.raises(HttpError) as err:
+            req.json()
+        assert err.value.status == 400
+
+    @pytest.mark.parametrize("body", [b"[" * 100_000, b"1" * 5000])
+    def test_undecodable_body_json_is_400(self, body):
+        """Nesting past the decoder's recursion limit, and an integer
+        past Python's digit limit, are client errors, not crashes."""
+        head = b"POST / HTTP/1.1\r\nContent-Length: %d\r\n\r\n" % len(body)
+        req = parse(head + body)
         with pytest.raises(HttpError) as err:
             req.json()
         assert err.value.status == 400

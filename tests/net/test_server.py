@@ -194,6 +194,10 @@ class TestValidationErrors:
             ({"basis": "nope", "payload": [[1.0]]}, 404),  # unknown basis
             ({"basis": "wave", "payload": [[1.0, 2.0]]}, 400),  # bad rows
             ({"basis": "wave", "payload": [[1.0]], "version": "x"}, 400),
+            # A bool is an int to Python, but true is not version 1.
+            ({"basis": "wave", "payload": [[1.0]] * NDOF, "version": True}, 400),
+            # Too large for a float64.
+            ({"basis": "wave", "payload": [[10**400]] * NDOF}, 400),
         ],
     )
     def test_bad_submissions(self, client, body, status):
@@ -383,16 +387,25 @@ class TestDeadlineTimer:
         assert names[0].startswith("repro-net-engine_")
         assert names[1] == "repro-net-server"
 
+    @pytest.mark.parametrize("client_open", [False, True])
     @pytest.mark.parametrize("deadline_ms", [1.0, 5.0, 60_000.0])
-    def test_stop_with_work_pending_is_clean(self, corpus, caplog, deadline_ms):
+    def test_stop_with_work_pending_is_clean(
+        self, corpus, caplog, deadline_ms, client_open
+    ):
+        """Stopping is prompt and quiet, also while a keep-alive client
+        is still connected (its connection is closed, and its handler
+        ends instead of being cancelled at loop teardown)."""
         store, data, _ = corpus
         with caplog.at_level("DEBUG"):
             handle = start_in_thread(store, serving(flush_deadline_ms=deadline_ms))
             with ServingClient.from_url(handle.url) as client:
                 assert client.submit("wave", data[:, :1])["status"] == "pending"
-            handle.stop()
+                if not client_open:
+                    client.close()
+                handle.stop(timeout=5)
         assert "Task exception was never retrieved" not in caplog.text
         assert "cannot schedule new futures after shutdown" not in caplog.text
+        assert "Exception in callback" not in caplog.text
 
     def test_failed_flush_fails_its_job_and_the_server_recovers(
         self, corpus, monkeypatch, caplog
