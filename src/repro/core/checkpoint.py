@@ -31,6 +31,7 @@ checkpoint intact.
 from __future__ import annotations
 
 import dataclasses
+import json
 import os
 import pathlib
 import uuid
@@ -165,22 +166,65 @@ def write_checkpoint(
     return path
 
 
-def read_checkpoint(path: PathLike, load_arrays: bool = True) -> dict:
+#: ``(section, key)`` pairs of an embedded run config that this build
+#: retired.  A checkpoint written before the retirement keeps the rest of
+#: its config; the key is dropped with one warning naming it.
+RETIRED_RUN_CONFIG_KEYS = (("solver", "workspace"),)
+
+
+def _embedded_run_config(path: pathlib.Path, text: str) -> Optional["RunConfig"]:
+    """The embedded run config minus retired keys, or ``None`` with a
+    warning when anything else in it does not parse."""
+    from ..config import RunConfig
+
+    retired = []
+    try:
+        payload = json.loads(text)
+        for section, key in RETIRED_RUN_CONFIG_KEYS:
+            fields = payload.get(section) if isinstance(payload, dict) else None
+            if isinstance(fields, dict) and key in fields:
+                del fields[key]
+                retired.append(f"{section}.{key}")
+        run_config = RunConfig.from_dict(payload)
+    except ValueError as exc:  # bad JSON, or a ConfigurationError
+        warnings.warn(
+            f"{path}: ignoring embedded run config this build cannot parse "
+            f"({exc}); restoring from the flat checkpoint fields instead",
+            stacklevel=3,
+        )
+        return None
+    if retired:
+        warnings.warn(
+            f"{path}: dropped retired key(s) {', '.join(retired)} from the "
+            f"embedded run config; the rest of it is restored",
+            stacklevel=3,
+        )
+    return run_config
+
+
+def read_checkpoint(
+    path: PathLike, load_arrays: bool = True, load_run_config: bool = True
+) -> dict:
     """Load and validate a checkpoint written by :func:`write_checkpoint`.
 
     Returns a dict with ``config`` (an :class:`SVDConfig`), the state
     arrays, counters, the ``kind``/``rank``/``nranks`` identity fields,
     and ``run_config`` — the embedded :class:`~repro.config.RunConfig`
     when the checkpoint was written through the :mod:`repro.api` layer,
-    else ``None``.  An embedded config this build cannot parse (e.g. a
-    newer format) degrades to ``None`` with a warning rather than making
-    the whole checkpoint unreadable — the flat fields still restore it.
+    else ``None``.  A key in :data:`RETIRED_RUN_CONFIG_KEYS` is dropped
+    from it with a warning.  An embedded config this build cannot parse
+    otherwise (e.g. a newer format) degrades to ``None`` with a warning
+    rather than making the whole checkpoint unreadable — the flat fields
+    still restore it.
 
     ``load_arrays=False`` skips materialising the ``modes`` /
     ``singular_values`` arrays (both ``None`` in the result) — for
     callers that only need configuration/identity, e.g.
     :func:`repro.api.checkpoint_run_config`, which would otherwise pay
-    the full mode-matrix read twice per resume.
+    the full mode-matrix read twice per resume.  ``load_run_config=False``
+    skips the embedded config (``run_config`` is ``None``, and nothing is
+    warned about it) — for restarts that take their solver settings from
+    the caller, so that a resume warns about its config once.
     """
     path = pathlib.Path(path)
     try:
@@ -212,21 +256,10 @@ def read_checkpoint(path: PathLike, load_arrays: bool = True) -> dict:
                 else -1
             )
             run_config: Optional["RunConfig"] = None
-            if "run_config_json" in data:
-                from ..config import RunConfig
-                from ..exceptions import ConfigurationError
-
-                try:
-                    run_config = RunConfig.from_json(
-                        str(data["run_config_json"])
-                    )
-                except ConfigurationError as exc:
-                    warnings.warn(
-                        f"{path}: ignoring embedded run config this build "
-                        f"cannot parse ({exc}); restoring from the flat "
-                        f"checkpoint fields instead",
-                        stacklevel=2,
-                    )
+            if load_run_config and "run_config_json" in data:
+                run_config = _embedded_run_config(
+                    path, str(data["run_config_json"])
+                )
             return {
                 "run_config": run_config,
                 "config": config,

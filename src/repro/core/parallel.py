@@ -766,7 +766,7 @@ class ParSVDParallel(ParSVDBase):
             # only a readable kind="gathered" checkpoint selects the
             # single-file restart, otherwise fall back to the shards.
             try:
-                state = read_checkpoint(gathered_file)
+                state = read_checkpoint(gathered_file, load_run_config=False)
             except DataFormatError:
                 state = None
             if state is not None and state["kind"] == "gathered":
@@ -790,7 +790,7 @@ class ParSVDParallel(ParSVDBase):
                     f"{state['kind']!r} is not 'gathered'; per-rank "
                     f"restarts load '<stem>.rank<i>.npz' shards"
                 )
-        state = read_checkpoint(shard)
+        state = read_checkpoint(shard, load_run_config=False)
         if state["kind"] != "parallel":
             raise DataFormatError(
                 f"{shard}: checkpoint kind {state['kind']!r} is not "

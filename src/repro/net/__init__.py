@@ -5,9 +5,11 @@ The network door onto :mod:`repro.serving`: an asyncio HTTP server
 :class:`~repro.api.Session` and its :class:`~repro.serving.QueryEngine`
 on a dedicated executor thread, a flush deadline (SLO) the event loop
 keeps with one timer, per-tenant API-key auth, and job-table
-long-polling.  Start it from the CLI (``repro serve``), in-process on a
-background thread (:func:`start_in_thread` — tests/benchmarks), or
-embedded in your own event loop (:class:`NetServer`).
+long-polling.  Query arrays cross the wire as nested lists or as base64
+``.npy`` (:mod:`repro.net.codec`).  Start it from the CLI (``repro
+serve``), in-process on a background thread (:func:`start_in_thread` —
+tests/benchmarks), or embedded in your own event loop
+(:class:`NetServer`).
 
 Configured by the ``serving`` section of
 :class:`~repro.config.RunConfig` (:class:`~repro.config.ServingConfig`):

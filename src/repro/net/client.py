@@ -6,6 +6,13 @@ reference consumer of the wire protocol: the end-to-end tests, the load
 benchmark and the CI smoke all drive the server through it, so protocol
 drift breaks loudly in one place.
 
+Numeric ``np.ndarray`` payloads travel in the ``npy`` wire form
+(:mod:`repro.net.codec`): base64 ``.npy`` inside the JSON body, float32
+and float64 as they are and other real dtypes as float64.  The server
+answers such a submit's array results in the same form, which
+:meth:`ServingClient.result` reads back with ``allow_pickle=False``.
+Any other payload is sent as nested lists, and answered in them.
+
 >>> client = ServingClient("127.0.0.1", 8080, api_key="s3cret")
 >>> job = client.submit("burgers", snapshots, kind="project")
 >>> coeffs = client.result(job, wait=5.0)
@@ -13,13 +20,16 @@ drift breaks loudly in one place.
 
 from __future__ import annotations
 
+import base64
 import http.client
+import io
 import json
 from typing import Any, Optional
 
 import numpy as np
 
 from ..exceptions import ServingError
+from .codec import encode_array
 
 __all__ = ["ServingClient", "ServingHTTPError"]
 
@@ -111,9 +121,12 @@ class ServingClient:
     ) -> dict:
         """``POST /v1/query``; returns the job payload (``"job"`` id,
         ``"status"`` of ``"pending"`` or — on a result-cache hit —
-        ``"done"`` with the result inline)."""
+        ``"done"`` with the result inline).  A numeric ndarray
+        ``payload`` is sent in the ``npy`` form; a complex, string or
+        object array keeps the list form, which no cast would preserve."""
         if isinstance(payload, np.ndarray):
-            payload = payload.tolist()
+            numeric = payload.dtype.kind in "biuf"
+            payload = encode_array(payload) if numeric else payload.tolist()
         body = {"basis": basis, "kind": kind, "payload": payload}
         if version is not None:
             body["version"] = version
@@ -141,6 +154,9 @@ class ServingClient:
                 f"job {job_id} still pending after wait={wait:g}s"
             )
         value = payload["result"]
+        if isinstance(value, dict):  # the npy form
+            raw = base64.b64decode(value["npy"], validate=True)
+            return np.load(io.BytesIO(raw), allow_pickle=False)
         return np.asarray(value) if isinstance(value, list) else value
 
     def metrics(self) -> dict:

@@ -22,14 +22,17 @@ __all__ = ["Job", "JobTable"]
 
 
 class Job:
-    """One submitted query as the HTTP surface sees it."""
+    """One submitted query as the HTTP surface sees it.  ``npy`` records
+    whether its payload came in the ``npy`` wire form, which its array
+    result then answers in."""
 
-    __slots__ = ("id", "tenant", "ticket", "event")
+    __slots__ = ("id", "tenant", "ticket", "npy", "event")
 
-    def __init__(self, job_id: str, tenant: str, ticket) -> None:
+    def __init__(self, job_id: str, tenant: str, ticket, npy: bool) -> None:
         self.id = job_id
         self.tenant = tenant
         self.ticket = ticket
+        self.npy = npy
         self.event = asyncio.Event()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -61,10 +64,11 @@ class JobTable:
         self._created = 0
         self._evicted = 0
 
-    def create(self, tenant: str, ticket) -> Job:
-        """Register a fresh job for ``ticket`` and return it."""
+    def create(self, tenant: str, ticket, npy: bool) -> Job:
+        """Register a fresh job for ``ticket`` and return it; ``npy``
+        says whether its payload came in the ``npy`` wire form."""
         job_id = f"j{next(self._seq):06d}-{secrets.token_hex(3)}"
-        job = Job(job_id, tenant, ticket)
+        job = Job(job_id, tenant, ticket, npy)
         self._jobs[job_id] = job
         self._created += 1
         if ticket.done:

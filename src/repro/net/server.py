@@ -33,6 +33,15 @@ Endpoints (JSON in / JSON out)::
     GET  /metrics         repro.obs registry + engine/tenant/job counters
     GET  /healthz         repro.health rank states; 503 when degraded
 
+A ``payload`` is nested lists of numbers, or ``{"npy": "<base64>"}``:
+a base64 ``.npy`` file of ``<f8`` or ``<f4``, 1-D or 2-D, validated
+before any array exists (:mod:`repro.net.codec`).  Both forms yield the
+same float64 payload, so the same answer and the same result-cache
+entry.  A job answers in the form its submit used: an array ``result``
+is ``{"npy": ...}`` (float64) for an ``npy`` submit and nested lists
+for a list submit; a ``reconstruction_error`` is a JSON number either
+way.
+
 ``/v1/*`` requests are authenticated per tenant
 (:class:`~repro.net.auth.TenantAuth`) when ``serving.tenants`` is
 configured; jobs are tenant-isolated (a tenant polling another tenant's
@@ -60,6 +69,7 @@ from ..exceptions import (
 )
 from ..obs import runtime as _obs
 from .auth import TenantAuth
+from .codec import decode_array, encode_array
 from .http import (
     DEFAULT_MAX_BODY_BYTES,
     MAX_HEADER_BYTES,
@@ -410,11 +420,19 @@ class NetServer:
             raise HttpError(400, f"'version' must be an integer, got {version!r}")
         raw = body.get("payload")
         if raw is None:
-            raise HttpError(400, "'payload' (nested lists of numbers) is required")
-        try:
-            payload = np.asarray(raw, dtype=np.float64)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise HttpError(400, f"'payload' is not numeric: {exc}")
+            raise HttpError(
+                400,
+                "'payload' (nested lists of numbers, or {\"npy\": base64}) "
+                "is required",
+            )
+        npy = isinstance(raw, dict)
+        if npy:
+            payload = decode_array(raw)
+        else:
+            try:
+                payload = np.asarray(raw, dtype=np.float64)
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise HttpError(400, f"'payload' is not numeric: {exc}")
         if not np.isfinite(payload).all():
             # json.loads accepts NaN and Infinity; no basis can answer
             # them, and their answers would not be valid JSON.
@@ -422,7 +440,7 @@ class NetServer:
         ticket = await self._on_engine(
             self._engine.submit, kind, basis, payload, version
         )
-        job = self._jobs.create(tenant, ticket)
+        job = self._jobs.create(tenant, ticket, npy=npy)
         self._auth.count(tenant, "queries")
         # A result-cache hit answers at submit.
         return (200 if ticket.done else 202), self._job_payload(job)
@@ -461,9 +479,9 @@ class NetServer:
                 # The flush that held this ticket failed: a server-side
                 # fault, answered at once and naming its cause.
                 raise HttpError(500, f"job {job.id} failed: {exc}") from exc
-            payload["result"] = (
-                value.tolist() if isinstance(value, np.ndarray) else value
-            )
+            if isinstance(value, np.ndarray):
+                value = encode_array(value) if job.npy else value.tolist()
+            payload["result"] = value
             payload["degraded"] = ticket.degraded
             payload["cached"] = ticket.cached
         return payload

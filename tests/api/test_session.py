@@ -332,6 +332,37 @@ class TestCheckpointEmbedding:
             cfg = checkpoint_run_config(base)
         assert cfg.solver.K == 3  # reconstructed from the flat fields
 
+    def test_retired_workspace_key_keeps_the_embedded_config(
+        self, data, tmp_path
+    ):
+        """Checkpoints written before ``SolverConfig.workspace`` was
+        retired embed ``"workspace": true``: resuming one drops that key
+        with one warning and keeps the rest of the run config."""
+        import json
+
+        base = tmp_path / "retired"
+        with Session(
+            solver=SolverConfig(K=3, ff=1.0, overlap=True),
+            backend=BackendConfig(name="self"),
+            stream=StreamConfig(batch=10),
+        ) as session:
+            session.fit_stream(data)
+            path = session.save_checkpoint(base, gathered=True)
+        with np.load(path) as archive:
+            payload = {name: archive[name] for name in archive.files}
+        embedded = json.loads(str(payload["run_config_json"]))
+        embedded["solver"]["workspace"] = True
+        payload["run_config_json"] = np.asarray(json.dumps(embedded))
+        np.savez(path, **payload)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with Session.resume(base) as resumed:
+                cfg = resumed.config
+        assert cfg.solver.overlap is True
+        assert cfg.stream.batch == 10
+        assert len(caught) == 1, [str(w.message) for w in caught]
+        assert "solver.workspace" in str(caught[0].message)
+
     def test_load_run_config_errors_are_specific(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"solver": {"K": -1}}')

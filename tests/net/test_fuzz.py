@@ -11,12 +11,17 @@ Hypothesis properties with fixed example budgets and no deadline, like
 * generated JSON bodies posted to a live server never get a 500, a valid
   query is accepted, a boolean ``version`` gets a 400, and a fresh
   connection is still served afterwards.
+* generated ``{"npy": ...}`` payloads — headers, dtypes and shapes, cut
+  files and corrupted base64 — get the same treatment: never a 500, a
+  valid one is accepted, and the server keeps serving.
 """
 
 import asyncio
+import base64
 import http.client
 import json
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -280,4 +285,85 @@ def test_submissions_never_answer_500(live_port, submission):
     elif isinstance(submission, dict) and type(submission.get("version")) is bool:
         assert status == 400, (status, reply[:200])
     # The server keeps serving: a fresh connection gets its answer.
+    assert _request(live_port, "GET", "/healthz")[0] == 200
+
+
+#: What one mutation of a valid ``npy`` payload may change.
+_NPY_PARTS = [
+    "descr", "shape", "fill", "header", "version", "data", "cut", "base64",
+    "type", "extra",
+]
+_NPY_BAD_DESCRS = [">f8", ">f4", "<f2", "<i8", "|b1", "<c16", "|O", "|V8"]
+_NPY_BAD_SHAPES = st.sampled_from(
+    [(NDOF - 1, 1), (), (NDOF, 1, 1), (-NDOF, -1), (2**40, 2**40), (10**9,)]
+    + [(10**4000, 10**4000), (0, 2**63)]  # too long to print; past intp
+) | st.lists(
+    st.sampled_from([0, 1, 2, -1, -(2**40), 2**31, 2**63, True]), max_size=3
+).map(tuple)
+
+
+@st.composite
+def _npy_payload(draw):
+    """A ``project`` payload in the ``npy`` form and whether it is valid:
+    a valid one (``<f8`` or ``<f4``, 1-D or 2-D, either order, header
+    version 1.0 or 2.0) with up to two parts changed — dtype, shape,
+    values, raw header text, version, data length, a cut anywhere in
+    the file, corrupted base64, a non-string value, an extra key."""
+    parts = st.lists(st.sampled_from(_NPY_PARTS), max_size=2, unique=True)
+    changed = set(draw(parts))
+    descr = draw(st.sampled_from(["<f8", "<f4"]))
+    if "descr" in changed:
+        descr = draw(st.sampled_from(_NPY_BAD_DESCRS))
+    shape = draw(st.sampled_from([(NDOF,), (NDOF, 1), (NDOF, 2)]))
+    if "shape" in changed:
+        shape = draw(_NPY_BAD_SHAPES)
+    fill = draw(st.sampled_from([0.5, -2.0, 1e-30]))
+    if "fill" in changed:
+        fill = draw(st.sampled_from([float("nan"), float("inf"), -float("inf")]))
+    fortran = draw(st.booleans())
+    header = repr({"descr": descr, "fortran_order": fortran, "shape": shape})
+    if "header" in changed:
+        header = draw(st.text(max_size=40))
+    version = draw(st.sampled_from([(1, 0), (2, 0)]))
+    if "version" in changed:
+        version = draw(st.sampled_from([(3, 0), (0, 9), (2, 1), (255, 255)]))
+    if {"descr", "shape"} & changed:
+        data = draw(st.binary(max_size=16 * NDOF))
+    else:
+        data = np.full(shape, fill, dtype=descr).tobytes()
+    if "data" in changed:
+        cut = draw(st.integers(1, 16))
+        data = data[:-cut] if draw(st.booleans()) else data + bytes(cut)
+    text = header.encode("utf-8") + b"\n"
+    size = struct.pack("<H" if version == (1, 0) else "<I", len(text))
+    raw = b"\x93NUMPY" + bytes(version) + size + text + data
+    if "cut" in changed:
+        raw = raw[: draw(st.integers(0, len(raw) - 1))]
+    encoded = base64.b64encode(raw).decode("ascii")
+    if "base64" in changed:
+        if draw(st.booleans()):
+            encoded = encoded[:-1]  # a length that is no multiple of 4
+        else:
+            at = draw(st.integers(0, max(len(encoded) - 1, 0)))
+            bad = draw(st.sampled_from("!*-_ \n\xe9"))
+            encoded = encoded[:at] + bad + encoded[at + 1 :]
+    value = {"npy": encoded}
+    if "type" in changed:
+        value["npy"] = draw(_json_scalars.filter(lambda v: not isinstance(v, str)))
+    if "extra" in changed:
+        value["extra"] = 1
+    return value, not changed
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(payload=_npy_payload())
+def test_npy_payloads_never_answer_500(live_port, payload):
+    value, valid = payload
+    body = json.dumps({"basis": "wave", "kind": "project", "payload": value})
+    status, reply = _request(live_port, "POST", "/v1/query", body)
+    assert status != 500 and 200 <= status < 500, (status, reply[:200])
+    if valid:
+        assert status in (200, 202), (status, reply[:200])
+    else:
+        assert status == 400, (status, reply[:200])
     assert _request(live_port, "GET", "/healthz")[0] == 200

@@ -173,14 +173,22 @@ class TestJobsEndpoint:
             client.job("j999999-000000")
         assert err.value.status == 404
 
-    def test_result_cache_hit_answers_at_submit(self, corpus, client):
+    @pytest.mark.parametrize("form", ["list", "ndarray"])
+    def test_result_cache_hit_answers_at_submit(self, corpus, client, form):
         _, data, _ = corpus
         payload = data[:, 5:8]
+        if form == "list":
+            payload = payload.tolist()
         first = client.result(client.submit("wave", payload), wait=10.0)
         again = client.submit("wave", payload)
         assert again["status"] == "done"
         assert again["cached"] is True
-        assert np.max(np.abs(np.asarray(again["result"]) - first)) == 0.0
+        if form == "list":
+            inline = np.asarray(again["result"])
+        else:  # the npy form, read back by the client
+            assert set(again["result"]) == {"npy"}
+            inline = client.result(again)
+        assert np.max(np.abs(inline - first)) == 0.0
 
 
 class TestValidationErrors:
