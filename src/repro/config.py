@@ -627,8 +627,8 @@ class HealthConfig(_SectionMixin):
     Disabled by default: nothing beats, nothing polls, the hot path is
     untouched.  Enabled, every :class:`~repro.api.Session` starts a
     background progress daemon that publishes a monotonic heartbeat on
-    this rank's mailbox, advances in-flight overlapped collectives, and
-    classifies its peers from their beat ages:
+    this rank's mailbox, advances the receives of in-flight overlapped
+    steps, and classifies its peers from their beat ages:
 
     ``alive``
         beat age ``<= straggler_factor * heartbeat_interval``.

@@ -65,8 +65,8 @@ class ObservedCommunicator(InterceptedCommunicator):
             calls.inc()
             payload = op.payload_of(args)
             if payload is None and not op.nonblocking:
-                # A blocking receive side (recv, bcast(None, root),
-                # non-root scatter) hands nothing over: meter what it got.
+                # A blocking receive side (recv, bcast(None, root))
+                # hands nothing over: meter what it got.
                 payload = result
             size = payload_nbytes(payload)
             if size:

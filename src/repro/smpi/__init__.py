@@ -18,9 +18,10 @@ factory (:func:`create_communicator` / :func:`run_backend`):
   :data:`repro.smpi.mpi.HAVE_MPI4PY`).
 
 Communicator protocol (full table in :mod:`repro.smpi.factory`): ``rank`` /
-``size``, ``send`` / ``recv`` (plus nonblocking variants), ``bcast``,
+``size``, ``send`` / ``recv`` / ``isend`` / ``irecv``, ``bcast``,
 ``gather`` / ``gatherv_rows``, ``allreduce`` (deterministic rank-ordered
-fold), and ``split`` / ``dup``.  Anything implementing it can drive
+fold, ``SUM``), ``barrier``, and ``split`` / ``dup`` — the ops the
+algorithms call, and nothing else.  Anything implementing it can drive
 :class:`~repro.core.parallel.ParSVDParallel` and the APMOS/TSQR kernels.
 
 The API intentionally mirrors mpi4py's lowercase ("pickle") methods, which
@@ -35,7 +36,7 @@ fault injector of :mod:`repro.obs` / :mod:`repro.faults` are proxies on
 the same op table.
 """
 
-from .communicator import ANY_SOURCE, ANY_TAG, Communicator
+from .communicator import ANY_SOURCE, ANY_TAG, NB_TAG_BASE, Communicator
 from .exceptions import (
     DeadlockError,
     FailedRankError,
@@ -47,10 +48,9 @@ from .executor import ParallelFailure, run_spmd
 from .factory import BACKENDS, DEFAULT_BACKEND, create_communicator, run_backend
 from .mailbox import DEFAULT_TIMEOUT
 from .mpi import HAVE_MPI4PY
-from .nonblocking import NB_TAG_BASE
 from .provenance import Leak, RequestTracker, TRACKER, pending_summary, track
-from .reduction import LAND, LOR, MAX, MAXLOC, MIN, MINLOC, PROD, SUM, ReduceOp
-from .request import CollectiveRequest, RecvRequest, Request, SendRequest, waitall
+from .reduction import SUM, ReduceOp
+from .request import RecvRequest, Request, SendRequest
 from .selfcomm import SelfCommunicator
 from .tracer import COLLECTIVE_OPS, CommRecord, CommTracer, TrafficSummary
 
@@ -73,20 +73,11 @@ __all__ = [
     "Request",
     "SendRequest",
     "RecvRequest",
-    "CollectiveRequest",
-    "waitall",
     "run_spmd",
     "run_backend",
     "create_communicator",
     "ReduceOp",
     "SUM",
-    "PROD",
-    "MAX",
-    "MIN",
-    "LAND",
-    "LOR",
-    "MAXLOC",
-    "MINLOC",
     "CommTracer",
     "CommRecord",
     "COLLECTIVE_OPS",

@@ -24,39 +24,36 @@ Semantics guaranteed (and exercised by the test suite):
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Sequence
 
 import numpy as np
 
-from .derived import DerivedCollectivesMixin, rows_output_buffer
+from .derived import DerivedCollectivesMixin, as_row_block
 from .exceptions import RankError, SmpiError, TagError
-from .message import Envelope, copy_payload, freeze_payload, take_payload
-from .nonblocking import NonblockingCollectivesMixin
-from .reduction import ReduceOp
+from .message import Envelope, freeze_payload, take_payload
 from .request import RecvRequest, SendRequest
 from .world import World
 
-__all__ = ["ANY_SOURCE", "ANY_TAG", "Communicator"]
+__all__ = ["ANY_SOURCE", "ANY_TAG", "NB_TAG_BASE", "Communicator"]
 
 #: Wildcard source for ``recv`` (matches any sender).
 ANY_SOURCE = -1
 #: Wildcard tag for ``recv`` (matches any tag).
 ANY_TAG = -1
+#: First tag of the band reserved for library-internal traffic on backends
+#: without a private tag space; application tags stay below it (``SPMD003``).
+NB_TAG_BASE = 1 << 24
 
 # Internal tag space for collective plumbing.  User tags must be >= 0, so
 # negative tags can never collide with application traffic.
 _TAG_BCAST = -10
 _TAG_GATHER = -11
-_TAG_SCATTER = -12
 _TAG_BARRIER_IN = -13
 _TAG_BARRIER_OUT = -14
-_TAG_ALLTOALL = -15
-_TAG_SPLIT = -16
-_TAG_SENDRECV = -17
 _TAG_GATHERV = -18
 
 
-class Communicator(NonblockingCollectivesMixin, DerivedCollectivesMixin):
+class Communicator(DerivedCollectivesMixin):
     """A group of ranks that can exchange messages within one context.
 
     Each SPMD thread holds its *own* ``Communicator`` instance; instances of
@@ -163,24 +160,6 @@ class Communicator(NonblockingCollectivesMixin, DerivedCollectivesMixin):
             self._check_tag(tag)
         return RecvRequest(self._mailbox_of(self.rank), source, tag)
 
-    def sendrecv(self, obj: Any, dest: int, source: int) -> Any:
-        """Combined send+receive (deadlock-free by construction here)."""
-        self._check_peer(dest, "dest")
-        self._check_peer(source, "source")
-        self._post(dest, _TAG_SENDRECV, obj)
-        return self._take(source, _TAG_SENDRECV)
-
-    def iprobe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> bool:
-        """Non-blocking probe: is a matching message already queued?
-
-        Unlike ``recv`` this does not consume the message.
-        """
-        if source != ANY_SOURCE:
-            self._check_peer(source, "source")
-        if tag != ANY_TAG:
-            self._check_tag(tag)
-        return self._mailbox_of(self.rank).peek(source, tag) is not None
-
     # -- collectives ---------------------------------------------------------
     def bcast(self, obj: Any, root: int = 0) -> Any:
         """Broadcast ``obj`` from ``root``; every rank returns the value.
@@ -233,52 +212,22 @@ class Communicator(NonblockingCollectivesMixin, DerivedCollectivesMixin):
         self._post(root, _TAG_GATHER, obj)
         return None
 
-    def allgather(self, obj: Any) -> List[Any]:
-        """Gather to rank 0 then broadcast: every rank gets the full list."""
-        gathered = self.gather(obj, root=0)
-        return self.bcast(gathered, root=0)
-
-    def scatter(self, objs: Optional[Sequence[Any]], root: int = 0) -> Any:
-        """Scatter ``objs[i]`` from ``root`` to rank ``i``; returns own item."""
-        self._check_peer(root, "root")
-        if self.rank == root:
-            if objs is None or len(objs) != self.size:
-                got = "None" if objs is None else str(len(objs))
-                raise SmpiError(
-                    f"scatter root needs exactly {self.size} items, got {got}"
-                )
-            for peer in range(self.size):
-                if peer != root:
-                    self._post(peer, _TAG_SCATTER, objs[peer])
-            return objs[root]
-        return self._take(root, _TAG_SCATTER)
-
-    # (scatterv_rows / reduce / allreduce / scan / exscan / reduce_scatter
-    # come from DerivedCollectivesMixin; gatherv_rows is overridden below
-    # with a zero-copy assembly path.)
+    # (allreduce comes from DerivedCollectivesMixin; gatherv_rows is
+    # overridden below with a zero-copy assembly path.)
 
     def gatherv_rows(
-        self,
-        sendbuf: np.ndarray,
-        root: int = 0,
-        out: Optional[np.ndarray] = None,
+        self, sendbuf: np.ndarray, root: int = 0
     ) -> Optional[np.ndarray]:
         """Gather per-rank row blocks, assembled directly into one buffer.
 
         Fast-lane override of the generic mixin implementation: row counts
-        are exchanged once (a tiny int gather), the root allocates — or
-        reuses the caller-provided ``out`` — the full ``(sum_i M_i, n)``
-        result, and every remote block is copied straight from its envelope
-        snapshot into the right row slice.  No list of blocks is held and
-        no ``np.concatenate`` re-copy happens; with ``out`` reuse a
-        streaming loop's repeated assemblies allocate nothing at all.
+        are exchanged once (a tiny int gather), the root allocates the full
+        ``(sum_i M_i, n)`` result, and every remote block is copied
+        straight from its envelope snapshot into the right row slice.  No
+        list of blocks is held and no ``np.concatenate`` re-copy happens.
         """
         self._check_peer(root, "root")
-        arr = np.asarray(sendbuf)
-        if arr.ndim != 2:
-            raise SmpiError(
-                f"gatherv_rows expects a 2-D row block, got ndim={arr.ndim}"
-            )
+        arr = as_row_block(sendbuf)
         # One tiny header gather carries each block's row count and dtype:
         # the root sizes (and dtype-promotes, matching the generic mixin /
         # np.concatenate behavior) the output before any block arrives.
@@ -290,7 +239,7 @@ class Communicator(NonblockingCollectivesMixin, DerivedCollectivesMixin):
         counts = [count for count, _ in headers]
         total = int(sum(counts))
         dtype = np.result_type(*[np.dtype(d) for _, d in headers])
-        out = rows_output_buffer(total, arr.shape[1], dtype, out)
+        out = np.empty((total, arr.shape[1]), dtype=dtype)
         offsets = [0]
         for count in counts:
             offsets.append(offsets[-1] + count)
@@ -308,53 +257,6 @@ class Communicator(NonblockingCollectivesMixin, DerivedCollectivesMixin):
                 )
             out[offsets[peer] : offsets[peer + 1]] = block
         return out
-
-    def alltoall(self, objs: Sequence[Any]) -> List[Any]:
-        """Personalised all-to-all: send ``objs[j]`` to rank ``j``; receive
-        one object from every rank, rank-ordered."""
-        if len(objs) != self.size:
-            raise SmpiError(
-                f"alltoall needs exactly {self.size} items, got {len(objs)}"
-            )
-        for peer in range(self.size):
-            if peer != self.rank:
-                self._post(peer, _TAG_ALLTOALL, objs[peer])
-        out: List[Any] = [None] * self.size
-        # Self-delivery: one snapshot preserves value semantics without the
-        # envelope round trip (and, formerly, its eager sizing walk).
-        out[self.rank] = copy_payload(objs[self.rank])
-        for peer in range(self.size):
-            if peer != self.rank:
-                envelope = self._mailbox_of(self.rank).get(peer, _TAG_ALLTOALL)
-                out[peer] = take_payload(envelope)
-        return out
-
-    # -- nonblocking collectives (zero-copy threads posting hooks) -----------
-    # The collective protocols come from NonblockingCollectivesMixin; these
-    # hooks swap its generic isend/send posting for the threads transport's
-    # fast lanes: direct mailbox posts (no request objects to retain — the
-    # buffered transport completes sends at post time) and the blocking
-    # bcast's freeze-once snapshot sharing for fan-outs.
-
-    def _nb_post(self, obj: Any, dest: int, tag: int) -> None:
-        self._post(dest, tag, obj)
-        return None
-
-    def _nb_fanout_posted(self, obj: Any, skip: int, tag: int) -> List[Any]:
-        self._nb_fanout_deferred(obj, skip, tag)
-        return []
-
-    def _nb_fanout_deferred(self, obj: Any, skip: int, tag: int) -> None:
-        """Fan ``obj`` out, sharing one frozen snapshot across all
-        envelopes when the payload allows it."""
-        snapshot, shareable = freeze_payload(obj)
-        for peer in range(self.size):
-            if peer != skip:
-                if shareable:
-                    envelope = Envelope.presnapshotted(self.rank, tag, snapshot)
-                else:
-                    envelope = Envelope.make(self.rank, tag, obj)
-                self._mailbox_of(peer).put(envelope)
 
     def barrier(self) -> None:
         """Synchronise all ranks (fan-in to rank 0, fan-out back)."""

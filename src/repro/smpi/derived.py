@@ -1,21 +1,20 @@
 """Collectives derived purely from the protocol primitives.
 
-``gatherv_rows``/``scatterv_rows``, the deterministic reductions and the
-prefix scans need nothing backend-specific: they are compositions of
-``gather``/``scatter``/``bcast``/``alltoall``.  Keeping them in one mixin
-shared by :class:`~repro.smpi.communicator.Communicator` and
-:class:`~repro.smpi.mpi.Mpi4pyCommunicator` guarantees the backends cannot
-drift (and that reductions stay a deterministic rank-ascending left fold
-everywhere, instead of depending on an MPI library's reduction tree).
+``gatherv_rows`` and the deterministic ``allreduce`` need nothing
+backend-specific: they are compositions of ``gather``/``bcast``.  Keeping
+them in one mixin shared by :class:`~repro.smpi.communicator.Communicator`
+and :class:`~repro.smpi.mpi.Mpi4pyCommunicator` guarantees the backends
+cannot drift (and that reductions stay a deterministic rank-ascending left
+fold everywhere, instead of depending on an MPI library's reduction tree).
 
 :class:`~repro.smpi.selfcomm.SelfCommunicator` intentionally does *not* use
 this mixin: its collectives short-circuit to the identity without the
-gather/scatter round trips.
+gather/bcast round trips.
 """
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Sequence
+from typing import Any, Optional, Sequence
 
 import numpy as np
 
@@ -24,76 +23,30 @@ from .reduction import ReduceOp
 
 __all__ = [
     "DerivedCollectivesMixin",
-    "assemble_row_blocks",
+    "as_row_block",
     "copy_result_into",
     "fold_output_usable",
-    "rows_output_buffer",
-    "rows_output_usable",
 ]
 
 
-def rows_output_usable(
-    total: int, width: int, dtype, out: Optional[np.ndarray]
-) -> bool:
-    """Is ``out`` a usable ``gatherv_rows`` destination?  (Matching
-    shape/dtype, C-contiguous, writable.)  The single predicate every
-    backend consults, so the accepted-``out`` contract cannot drift."""
-    return (
-        out is not None
-        and out.shape == (total, width)
-        and out.dtype == dtype
-        and out.flags.c_contiguous
-        and out.flags.writeable
-    )
+def as_row_block(sendbuf: Any) -> np.ndarray:
+    """``sendbuf`` as the 2-D row block ``gatherv_rows`` requires.
 
-
-def rows_output_buffer(
-    total: int, width: int, dtype, out: Optional[np.ndarray]
-) -> np.ndarray:
-    """Validate a caller-provided ``gatherv_rows`` output buffer.
-
-    Returns ``out`` when :func:`rows_output_usable`; otherwise allocates a
-    fresh ``(total, width)`` array — an unusable ``out`` degrades to
-    allocation, never to an error mid-collective.
+    The single check every backend makes before any traffic, so a block
+    of the wrong rank fails the same way everywhere.
     """
-    if rows_output_usable(total, width, dtype, out):
-        return out
-    return np.empty((total, width), dtype=dtype)
-
-
-def assemble_row_blocks(
-    blocks: Sequence[np.ndarray], out: Optional[np.ndarray]
-) -> np.ndarray:
-    """Stack per-rank row blocks into one array (the ``gatherv_rows``
-    assembly step, shared by the blocking and nonblocking variants).
-
-    Sizing, dtype promotion (matching ``np.concatenate``) and the
-    stray-block shape guard are identical to the historical inline
-    implementation; ``out`` reuse follows :func:`rows_output_buffer`.
-    """
-    arrays = [np.asarray(block) for block in blocks]
-    total = sum(int(block.shape[0]) for block in arrays)
-    width = int(arrays[0].shape[1]) if arrays[0].ndim == 2 else -1
-    dtype = np.result_type(*[block.dtype for block in arrays])
-    out = rows_output_buffer(total, width, dtype, out)
-    offset = 0
-    for peer, block in enumerate(arrays):
-        if block.ndim != 2 or block.shape[1] != width:
-            # Guard explicitly: a stray (r, 1) block would otherwise
-            # numpy-broadcast across the full output width.
-            raise SmpiError(
-                f"gatherv_rows: rank {peer} sent a block of shape "
-                f"{block.shape}, expected ({block.shape[0]}, {width})"
-            )
-        out[offset : offset + block.shape[0]] = block
-        offset += block.shape[0]
-    return out
+    arr = np.asarray(sendbuf)
+    if arr.ndim != 2:
+        raise SmpiError(
+            f"gatherv_rows expects a 2-D row block, got ndim={arr.ndim}"
+        )
+    return arr
 
 
 def copy_result_into(result: Any, out: Optional[np.ndarray]) -> Any:
     """Land ``result`` in the caller's ``out`` buffer when it fits.
 
-    The receive-side half of the ``out=``-aware reductions: a writable,
+    The receive-side half of ``allreduce(..., out=)``: a writable,
     exactly-matching ``out`` is filled and returned (the caller gets its
     own buffer back instead of a shared read-only broadcast snapshot);
     anything else returns ``result`` unchanged.
@@ -111,11 +64,13 @@ def copy_result_into(result: Any, out: Optional[np.ndarray]) -> Any:
 
 
 def fold_output_usable(
-    out: Optional[np.ndarray], values: Sequence[Any]
+    op: ReduceOp, out: Optional[np.ndarray], values: Sequence[Any]
 ) -> bool:
-    """Is ``out`` a usable destination for an elementwise reduction of
-    ``values``?  (Every contribution an array of ``out``'s shape, their
-    promoted dtype exactly ``out``'s, and ``out`` writable.)"""
+    """Can ``op`` fold ``values`` straight into ``out``?  (The op has a
+    ufunc, every contribution is an array of ``out``'s shape, their
+    promoted dtype is exactly ``out``'s, and ``out`` is writable.)"""
+    if op.ufunc is None:
+        return False
     if not isinstance(out, np.ndarray) or not out.flags.writeable:
         return False
     for value in values:
@@ -125,71 +80,46 @@ def fold_output_usable(
 
 
 class DerivedCollectivesMixin:
-    """Row-block convenience collectives, reductions and scans, built on
-    the host class's ``gather``/``scatter``/``bcast``/``alltoall``."""
+    """``gatherv_rows`` and ``allreduce``, built on the host class's
+    ``gather``/``bcast``."""
 
     # provided by the host class
     rank: int
     size: int
 
     def gatherv_rows(
-        self,
-        sendbuf: np.ndarray,
-        root: int = 0,
-        out: Optional[np.ndarray] = None,
+        self, sendbuf: np.ndarray, root: int = 0
     ) -> Optional[np.ndarray]:
         """Gather per-rank row blocks into one vertically stacked array.
 
         Convenience equivalent of MPI ``Gatherv`` for the common "assemble
         the distributed modes at rank 0" operation (paper's
-        ``_gather_modes``).  Row counts may differ across ranks.
-
-        ``out`` (root only) is an optional preallocated destination; when
-        its shape/dtype match the result it is filled and returned instead
-        of allocating a fresh stack, so repeated assemblies (streaming
-        loops) reuse one buffer.  (The threaded backend overrides this with
-        a fully zero-copy path; this generic version serves any backend
-        that only provides the protocol primitives.)
+        ``_gather_modes``).  Row counts may differ across ranks; dtypes
+        promote as in ``np.concatenate``.  (The threaded backend overrides
+        this with a fully zero-copy path; this generic version serves any
+        backend that only provides the protocol primitives.)
         """
-        blocks = self.gather(np.asarray(sendbuf), root=root)  # type: ignore[attr-defined]
+        arr = as_row_block(sendbuf)
+        blocks = self.gather(arr, root=root)  # type: ignore[attr-defined]
         if blocks is None:
             return None
-        return assemble_row_blocks(blocks, out)
-
-    def scatterv_rows(
-        self, sendbuf: Optional[np.ndarray], counts: Sequence[int], root: int = 0
-    ) -> np.ndarray:
-        """Scatter contiguous row blocks of ``sendbuf`` (``counts[i]`` rows
-        to rank ``i``).  Inverse of :meth:`gatherv_rows`."""
-        if len(counts) != self.size:
-            raise SmpiError(
-                f"counts must have one entry per rank, got {len(counts)} "
-                f"for size {self.size}"
-            )
-        if self.rank == root:
-            if sendbuf is None:
-                raise SmpiError("scatterv_rows root requires a send buffer")
-            sendbuf = np.asarray(sendbuf)
-            if sendbuf.shape[0] != int(np.sum(counts)):
+        arrays = [np.asarray(block) for block in blocks]
+        width = arr.shape[1]
+        total = sum(int(block.shape[0]) for block in arrays)
+        dtype = np.result_type(*[block.dtype for block in arrays])
+        out = np.empty((total, width), dtype=dtype)
+        offset = 0
+        for peer, block in enumerate(arrays):
+            if block.ndim != 2 or block.shape[1] != width:
+                # Guard explicitly: a stray (r, 1) block would otherwise
+                # numpy-broadcast across the full output width.
                 raise SmpiError(
-                    f"send buffer has {sendbuf.shape[0]} rows, counts sum to "
-                    f"{int(np.sum(counts))}"
+                    f"gatherv_rows: rank {peer} sent a block of shape "
+                    f"{block.shape}, expected ({block.shape[0]}, {width})"
                 )
-            offsets = np.concatenate(([0], np.cumsum(counts)))
-            blocks = [
-                sendbuf[offsets[i] : offsets[i + 1]] for i in range(self.size)
-            ]
-        else:
-            blocks = None
-        return self.scatter(blocks, root=root)  # type: ignore[attr-defined]
-
-    def reduce(self, obj: Any, op: ReduceOp, root: int = 0) -> Any:
-        """Reduce rank contributions with ``op`` at ``root`` (rank-ordered
-        left fold, hence deterministic).  Non-roots return ``None``."""
-        gathered = self.gather(obj, root=root)  # type: ignore[attr-defined]
-        if gathered is None:
-            return None
-        return op.reduce_sequence(gathered)
+            out[offset : offset + block.shape[0]] = block
+            offset += block.shape[0]
+        return out
 
     def allreduce(
         self, obj: Any, op: ReduceOp, out: Optional[np.ndarray] = None
@@ -203,14 +133,14 @@ class DerivedCollectivesMixin:
         and each rank gets back its own *writable* buffer — so a streaming
         loop's repeated reductions reuse one workspace buffer instead of
         allocating the result per call.  An unusable ``out`` (shape/dtype
-        mismatch, pair-valued ops) degrades to the allocating fold, never
-        to an error; the result is then the usual shared read-only
+        mismatch, an op without a ufunc) degrades to the allocating fold,
+        never to an error; the result is then the usual shared read-only
         broadcast snapshot on non-root ranks.
         """
         gathered = self.gather(obj, root=0)  # type: ignore[attr-defined]
         if self.rank == 0:
             assert gathered is not None
-            if fold_output_usable(out, gathered):
+            if fold_output_usable(op, out, gathered):
                 reduced = op.fold_into(out, gathered)
             else:
                 reduced = op.reduce_sequence(gathered)
@@ -220,45 +150,3 @@ class DerivedCollectivesMixin:
         if self.rank != 0:
             return copy_result_into(reduced, out)
         return reduced
-
-    def scan(self, obj: Any, op: ReduceOp) -> Any:
-        """Inclusive prefix reduction: rank ``i`` receives
-        ``op(obj_0, ..., obj_i)`` (deterministic rank-ordered fold)."""
-        gathered = self.gather(obj, root=0)  # type: ignore[attr-defined]
-        if self.rank == 0:
-            assert gathered is not None
-            prefixes: List[Any] = []
-            acc = None
-            for item in gathered:
-                acc = item if acc is None else op(acc, item)
-                prefixes.append(acc)
-        else:
-            prefixes = None
-        return self.scatter(prefixes, root=0)  # type: ignore[attr-defined]
-
-    def exscan(self, obj: Any, op: ReduceOp) -> Any:
-        """Exclusive prefix reduction: rank ``i`` receives
-        ``op(obj_0, ..., obj_{i-1})``; rank 0 receives ``None`` (as MPI
-        leaves the rank-0 exscan buffer undefined)."""
-        gathered = self.gather(obj, root=0)  # type: ignore[attr-defined]
-        if self.rank == 0:
-            assert gathered is not None
-            prefixes: List[Any] = [None]
-            acc = None
-            for item in gathered[:-1]:
-                acc = item if acc is None else op(acc, item)
-                prefixes.append(acc)
-        else:
-            prefixes = None
-        return self.scatter(prefixes, root=0)  # type: ignore[attr-defined]
-
-    def reduce_scatter(self, objs: Sequence[Any], op: ReduceOp) -> Any:
-        """Reduce ``objs[j]`` across ranks, delivering block ``j`` to rank
-        ``j``: rank ``j`` receives ``op(objs_0[j], ..., objs_{p-1}[j])``."""
-        if len(objs) != self.size:
-            raise SmpiError(
-                f"reduce_scatter needs exactly {self.size} blocks, got "
-                f"{len(objs)}"
-            )
-        received = self.alltoall(list(objs))  # type: ignore[attr-defined]
-        return op.reduce_sequence(received)

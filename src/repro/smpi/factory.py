@@ -20,32 +20,25 @@ the tracer):
                      ``ANY_SOURCE``/``ANY_TAG`` wildcards; value
                      semantics (payloads snapshotted at send time).
 ``isend/irecv``      Nonblocking variants returning request objects with
-                     ``wait()``/``test()``.
+                     ``wait(timeout=)``/``test()`` (a threads-backend
+                     :class:`~repro.smpi.request.RecvRequest` also has
+                     ``cancel()``).
 ``bcast``            Root's object on every rank.
 ``gather``           Rank-ordered list at the root, ``None`` elsewhere.
-``gatherv_rows``     Per-rank row blocks vertically stacked at the root
-                     (row counts may differ) — the modes-assembly op.
-                     ``out=`` (root) reuses a preallocated result buffer.
-``allreduce``        Deterministic rank-ordered reduction, result on all
-                     ranks (``reduce`` for root-only).  ``out=`` folds
-                     into a caller-provided buffer on every rank
+``gatherv_rows``     Per-rank 2-D row blocks vertically stacked at the
+                     root (row counts may differ) — the modes-assembly
+                     op.
+``allreduce``        Deterministic rank-ordered reduction (``SUM``),
+                     result on all ranks.  ``out=`` folds into a
+                     caller-provided buffer on every rank
                      (allocation-free repeated reductions).
-``ibcast`` /         Nonblocking collectives returning composable
-``igatherv_rows`` /  :class:`~repro.smpi.request.CollectiveRequest`
-``iallreduce`` /     objects (``test()`` / ``wait(timeout=)`` /
-``ialltoall``        :func:`~repro.smpi.request.waitall`).  All ranks
-                     must issue them in the same program order; a rank's
-                     deferred share (e.g. the root's fold) runs inside
-                     its own completion call.  Results mirror the
-                     blocking ops (including ``out=`` reuse).
+``barrier``          Synchronise all ranks.
 ``split/dup``        Context-isolated sub/duplicate communicators.
 =================== =====================================================
 
-(Backends also provide ``allgather``, ``scatter``, ``scatterv_rows``,
-``alltoall``, ``scan``/``exscan``, ``reduce_scatter``, ``barrier``,
-``iprobe`` and ``sendrecv`` — see
-:class:`~repro.smpi.communicator.Communicator` for the reference
-semantics.)
+These are the ops the algorithms call; every backend implements them
+and no other communicator op.  :data:`~repro.smpi.intercept.OPS` lists
+the data-moving ones the proxies intercept.
 
 Every communicator this module, :func:`~repro.smpi.executor.run_spmd`
 and :class:`repro.api.Session` hand out goes through
@@ -63,36 +56,32 @@ rules statically (rule codes below) and at runtime; the contract itself
 is:
 
 * **Collective ordering** — every rank must issue the same collectives
-  (blocking and nonblocking alike) in the same program order, with
-  matching roots.  A collective issued under a rank-dependent branch
-  (``if comm.rank == 0: comm.bcast(...)``) deadlocks the other ranks —
-  unless every arm of the branch issues the *matched* call, as the
-  root/receiver split requires.  Statically flagged as ``SPMD001``;
+  in the same program order, with matching roots.  A collective issued
+  under a rank-dependent branch (``if comm.rank == 0: comm.bcast(...)``)
+  deadlocks the other ranks — unless every arm of the branch issues the
+  *matched* call, as the root/receiver split requires.  Statically flagged as ``SPMD001``;
   divergence between recorded per-rank schedules is what
   ``repro verify --schedule`` reports.
-* **Nonblocking completion** — every request (``isend``/``irecv``/
-  ``ibcast``/…) must reach ``wait()``/``test()``/``waitall``.  A rank's
-  deferred share of a collective (e.g. the ``iallreduce`` root's fold)
-  runs inside its completion call, so a dropped request can deadlock
-  *other* ranks, not just leak locally.  Statically flagged as
-  ``SPMD002``; at runtime, un-awaited requests emit a
+* **Nonblocking completion** — every request (``isend``/``irecv``) must
+  reach ``wait()``/``test()`` (or ``cancel()``, for a receive abandoned
+  on purpose); a dropped receive loses its message.  Statically flagged
+  as ``SPMD002``; at runtime, un-awaited requests emit a
   :class:`ResourceWarning` on garbage collection and are reported by the
   leak detector (:mod:`repro.smpi.provenance`).
 * **Tag band** — user point-to-point tags must stay below
-  :data:`~repro.smpi.nonblocking.NB_TAG_BASE` (``1 << 24``); the band at
-  and above it is reserved for the derived nonblocking collectives'
-  internal traffic on backends without a private tag space (the threads
-  backend uses its negative internal tags and a zero-copy snapshot
-  fan-out instead).  A hardcoded tag inside the reserved band is
-  ``SPMD003``.
+  :data:`~repro.smpi.communicator.NB_TAG_BASE` (``1 << 24``); the band
+  at and above it is reserved for library-internal traffic on backends
+  without a private tag space (the threads backend keeps its internal
+  traffic on negative tags).  A hardcoded tag inside the reserved band
+  is ``SPMD003``.
 * **Buffer aliasing** — an ``out=`` buffer passed to a collective must
   not alias that collective's input (``allreduce(x, SUM, out=x)``): the
   deterministic rank-ordered fold reads contributions while writing the
   output.  Statically flagged as ``SPMD004``.
 * **Snapshot immutability** — arrays received from the zero-copy
-  fast lanes (``bcast`` payloads, snapshot-shared nonblocking fan-outs)
-  may be *shared* read-only views; receivers must copy before mutating.
-  Writes to received payloads are flagged as ``SPMD005``.
+  ``bcast`` fast lane may be *shared* read-only views; receivers must
+  copy before mutating.  Writes to received payloads are flagged as
+  ``SPMD005``.
 
 The threads transport recycles delivered envelope shells through a
 bounded arena (:class:`~repro.smpi.message.EnvelopePool`), so
@@ -115,8 +104,8 @@ immediately instead of waiting out the ``DeadlockError`` timeout — and a
 rank that exits cleanly calls :meth:`World.retire_rank
 <repro.smpi.world.World.retire_rank>` so its silence is never
 misread as death.  :class:`~repro.health.ProgressDaemon` services the
-beat in the background and ``test()``-polls in-flight
-:class:`~repro.smpi.request.CollectiveRequest` pipelines.
+beat in the background and ``test()``-polls the in-flight
+receive requests of a pipelined streaming step.
 :class:`~repro.health.ElasticSession` owns a whole world, drives one
 session per rank through :func:`~repro.smpi.executor.fan_out` (the
 thread fan-out :func:`run_spmd` uses) and rebuilds the world at a new
@@ -270,8 +259,8 @@ def run_backend(
     Returns the rank-ordered list of per-rank results (``[fn(...)]`` for
     single-rank backends), or ``(results, tracers)`` when ``trace=True``.
     For ``"mpi4py"`` every participating process returns the full
-    rank-ordered result list (via ``allgather``); run under an MPI
-    launcher.
+    rank-ordered result list (a ``gather`` to rank 0, then a ``bcast``);
+    run under an MPI launcher.
     """
     _check_name(backend)
     if backend == "threads":
@@ -287,5 +276,8 @@ def run_backend(
         )
     traced = wrap_communicator(comm, trace=trace)
     result = fn(traced, *args, **kwargs)
-    results = [result] if backend == "self" else comm.allgather(result)
+    if backend == "self":
+        results = [result]
+    else:
+        results = comm.bcast(comm.gather(result, root=0), root=0)
     return (results, [traced]) if trace else results

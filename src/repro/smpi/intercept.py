@@ -7,7 +7,8 @@ communicator without changing its surface, and share everything here:
 the op table :data:`OPS`, the proxy base :class:`InterceptedCommunicator`,
 the request wrapper :class:`InterceptedRequest`, and
 :func:`wrap_communicator`, the one place that decides the wrapper order.
-Methods outside the table (``iprobe``, internals) pass through untouched.
+Methods outside the table (internals, backend extras such as
+``world``) pass through untouched.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ class Op(NamedTuple):
     """One row of the op table.
 
     ``record`` is the name the tracer records under (nonblocking variants
-    use their blocking op's; ``sendrecv`` records a send and a recv).
+    use their blocking op's).
     ``payload`` is the position of the payload this rank hands over —
     ``None`` for ops that hand over nothing (receive sides, ``barrier``).
     ``nonblocking`` ops return a request; a ``droppable`` send's message
@@ -52,23 +53,10 @@ OPS = {
     "isend": Op("send", 0, nonblocking=True, droppable=True),
     "recv": Op("recv"),
     "irecv": Op("recv", nonblocking=True),
-    "sendrecv": Op("sendrecv", 0),
     "bcast": Op("bcast", 0),
-    "ibcast": Op("bcast", 0, nonblocking=True),
     "gather": Op("gather", 0),
-    "allgather": Op("allgather", 0),
-    "scatter": Op("scatter", 0),
     "gatherv_rows": Op("gatherv", 0),
-    "igatherv_rows": Op("gatherv", 0, nonblocking=True),
-    "scatterv_rows": Op("scatterv", 0),
-    "reduce": Op("reduce", 0),
     "allreduce": Op("allreduce", 0),
-    "iallreduce": Op("allreduce", 0, nonblocking=True),
-    "alltoall": Op("alltoall", 0),
-    "ialltoall": Op("alltoall", 0, nonblocking=True),
-    "scan": Op("scan", 0),
-    "exscan": Op("exscan", 0),
-    "reduce_scatter": Op("reduce_scatter", 0),
     "barrier": Op("barrier"),
 }
 

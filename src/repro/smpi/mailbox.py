@@ -156,15 +156,6 @@ class Mailbox:
         with self._cond:
             return self._find(source, tag)
 
-    def peek(self, source: int, tag: int) -> Optional[Envelope]:
-        """Non-destructive probe: the matching envelope stays queued, so
-        delivery order (non-overtaking) is unaffected."""
-        with self._cond:
-            for envelope in self._queue:
-                if envelope.matches(source, tag):
-                    return envelope
-            return None
-
     def pending(self) -> int:
         """Number of queued (undelivered) envelopes."""
         with self._cond:

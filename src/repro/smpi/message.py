@@ -21,8 +21,7 @@ Two fast lanes keep the snapshot cost off the streaming hot path:
   (payload-stripped) shell to a bounded arena (:class:`EnvelopePool`), so
   a steady-state streaming loop's request churn allocates no envelope
   objects at all.  Consumers release shells through :func:`take_payload`;
-  anything still *referenced* (e.g. a ``peek``-ed envelope) is simply
-  never released.
+  an envelope nobody takes is simply never released.
 """
 
 from __future__ import annotations
@@ -245,8 +244,8 @@ class EnvelopePool:
     def release(self, envelope: Envelope) -> None:
         """Return a delivered envelope's shell to the arena.
 
-        The caller must own the envelope (taken via ``get``/``poll``, not
-        ``peek``) and must have extracted the payload already.
+        The caller must own the envelope (taken via ``get``/``poll``) and
+        must have extracted the payload already.
         """
         if TRACKER.enabled:
             TRACKER.forget_envelope(envelope)
@@ -268,9 +267,8 @@ ENVELOPE_POOL = EnvelopePool()
 def take_payload(envelope: Envelope) -> Any:
     """Extract a delivered envelope's payload and recycle its shell.
 
-    The single helper every consuming call site uses, so ownership rules
-    (release exactly once, never release a ``peek``-ed envelope) live in
-    one place.
+    The single helper every consuming call site uses, so the ownership
+    rule (release exactly once) lives in one place.
     """
     payload = envelope.payload
     ENVELOPE_POOL.release(envelope)

@@ -5,17 +5,11 @@ The protocol (see :mod:`repro.smpi.factory`) deliberately mirrors mpi4py's
 lowercase pickle methods, so most operations delegate one-to-one.  The
 adapter fills the gaps:
 
-* the derived collectives (``gatherv_rows``/``scatterv_rows``, the
-  :class:`~repro.smpi.reduction.ReduceOp` reductions and scans) come from
-  the same :class:`~repro.smpi.derived.DerivedCollectivesMixin` the
-  threaded backend uses, so reductions stay a deterministic rank-ordered
-  fold — bit-identical to the in-process backends instead of depending on
-  the MPI library's reduction tree;
-* the nonblocking collectives (``ibcast``/``igatherv_rows``/
-  ``iallreduce``/``ialltoall``) come from :class:`~repro.smpi.nonblocking.
-  NonblockingCollectivesMixin`, layered on mpi4py's native pickle-mode
-  ``isend``/``irecv`` (their requests duck-type ``wait``/``test``);
-  traffic uses the reserved high tag band documented there;
+* ``gatherv_rows`` and ``allreduce`` come from the same
+  :class:`~repro.smpi.derived.DerivedCollectivesMixin` the threaded
+  backend uses, so reductions stay a deterministic rank-ordered fold —
+  bit-identical to the in-process backends instead of depending on the
+  MPI library's reduction tree;
 * ``split``/``dup`` — re-wrap the child communicator in the adapter.
 
 mpi4py is optional: this module imports without it, and
@@ -26,11 +20,10 @@ launcher, e.g. ``mpiexec -n 4 python driver.py``.
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Sequence
+from typing import Any, List, Optional
 
 from .derived import DerivedCollectivesMixin
 from .exceptions import SmpiError
-from .nonblocking import NonblockingCollectivesMixin
 
 __all__ = ["HAVE_MPI4PY", "Mpi4pyCommunicator"]
 
@@ -43,7 +36,7 @@ except ImportError:  # pragma: no cover - the common case in this container
     HAVE_MPI4PY = False
 
 
-class Mpi4pyCommunicator(NonblockingCollectivesMixin, DerivedCollectivesMixin):
+class Mpi4pyCommunicator(DerivedCollectivesMixin):
     """Wrap an ``mpi4py`` communicator behind the smpi protocol.
 
     Parameters
@@ -111,17 +104,6 @@ class Mpi4pyCommunicator(NonblockingCollectivesMixin, DerivedCollectivesMixin):
             tag=_MPI.ANY_TAG if tag == -1 else tag,
         )
 
-    def sendrecv(self, obj: Any, dest: int, source: int) -> Any:
-        return self._comm.sendrecv(obj, dest=dest, source=source)
-
-    def iprobe(self, source: int = -1, tag: int = -1) -> bool:
-        return bool(
-            self._comm.iprobe(
-                source=_MPI.ANY_SOURCE if source == -1 else source,
-                tag=_MPI.ANY_TAG if tag == -1 else tag,
-            )
-        )
-
     # -- collectives -------------------------------------------------------
     def bcast(self, obj: Any, root: int = 0) -> Any:
         return self._comm.bcast(obj, root=root)
@@ -129,21 +111,11 @@ class Mpi4pyCommunicator(NonblockingCollectivesMixin, DerivedCollectivesMixin):
     def gather(self, obj: Any, root: int = 0) -> Optional[List[Any]]:
         return self._comm.gather(obj, root=root)
 
-    def allgather(self, obj: Any) -> List[Any]:
-        return self._comm.allgather(obj)
-
-    def scatter(self, objs: Optional[Sequence[Any]], root: int = 0) -> Any:
-        return self._comm.scatter(objs, root=root)
-
-    def alltoall(self, objs: Sequence[Any]) -> List[Any]:
-        return self._comm.alltoall(objs)
-
     def barrier(self) -> None:
         self._comm.barrier()
 
-    # (gatherv_rows / scatterv_rows / reduce / allreduce / scan / exscan /
-    # reduce_scatter come from DerivedCollectivesMixin — deterministic
-    # rank-ordered folds, shared with the threaded backend.)
+    # (gatherv_rows / allreduce come from DerivedCollectivesMixin —
+    # deterministic rank-ordered folds, shared with the threaded backend.)
 
     # -- communicator management -------------------------------------------
     def split(

@@ -4,10 +4,8 @@ The SPMD contract leaves two resource classes that nothing structurally
 forces a program to retire:
 
 * **nonblocking requests** — a :class:`~repro.smpi.request.RecvRequest`
-  or :class:`~repro.smpi.request.CollectiveRequest` whose ``wait()`` /
-  ``test()`` is never called.  For a collective whose deferred share runs
-  inside the completion call (an ``iallreduce`` root's fold), the peers
-  then deadlock; for a plain receive, the message is silently dropped.
+  whose ``wait()`` / ``test()`` is never called: its message is silently
+  dropped.
 * **envelopes** — shells drawn from the
   :class:`~repro.smpi.message.EnvelopePool` arena that are never recycled
   through :func:`~repro.smpi.message.take_payload`, i.e. messages that

@@ -1,8 +1,8 @@
-"""Reduction operations for ``reduce``/``allreduce``.
+"""Reduction operations for ``allreduce``.
 
-Each :class:`ReduceOp` is a named, associative binary operation.  Operations
-work elementwise on NumPy arrays and on plain Python scalars.  ``MAXLOC`` and
-``MINLOC`` operate on ``(value, location)`` pairs, as in MPI.
+Each :class:`ReduceOp` is a named, associative binary operation.  The one
+the algorithms use, :data:`SUM`, works elementwise on NumPy arrays and on
+plain Python scalars.
 
 Reductions are applied in rank order (``((v0 op v1) op v2) ...``) so that
 floating-point results are deterministic for a fixed rank count — the same
@@ -11,20 +11,13 @@ guarantee most MPI implementations give in practice for a fixed topology.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional, Sequence, Tuple
+from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
 
 __all__ = [
     "ReduceOp",
     "SUM",
-    "PROD",
-    "MAX",
-    "MIN",
-    "LAND",
-    "LOR",
-    "MAXLOC",
-    "MINLOC",
 ]
 
 
@@ -42,7 +35,7 @@ class ReduceOp:
         ``out=`` support.  When present, :meth:`fold_into` accumulates a
         whole reduction into a caller-provided buffer without allocating
         any intermediate — the allocation-free ``allreduce(..., out=)``
-        lane uses it.
+        lane uses it; ops without one always take the allocating fold.
     """
 
     def __init__(
@@ -72,15 +65,10 @@ class ReduceOp:
 
         Identical numbers to :meth:`reduce_sequence` (same rank-ascending
         fold, same elementwise operation), but every partial lands in
-        ``out`` via the op's ufunc — zero intermediates.  Ops without a
-        ufunc (``MAXLOC``/``MINLOC`` operate on pairs, not arrays) fall
-        back to the allocating fold and copy the result in.
+        ``out`` via the op's ufunc — zero intermediates.
         """
         if len(values) == 0:
             raise ValueError(f"cannot {self.name}-reduce an empty sequence")
-        if self.ufunc is None:
-            out[...] = self.reduce_sequence(values)
-            return out
         np.copyto(out, values[0])
         for value in values[1:]:
             self.ufunc(out, value, out=out)
@@ -90,24 +78,4 @@ class ReduceOp:
         return f"ReduceOp({self.name})"
 
 
-def _maxloc(a: Tuple[Any, Any], b: Tuple[Any, Any]) -> Tuple[Any, Any]:
-    # Ties resolve to the lower location, matching MPI_MAXLOC.
-    if b[0] > a[0] or (b[0] == a[0] and b[1] < a[1]):
-        return b
-    return a
-
-
-def _minloc(a: Tuple[Any, Any], b: Tuple[Any, Any]) -> Tuple[Any, Any]:
-    if b[0] < a[0] or (b[0] == a[0] and b[1] < a[1]):
-        return b
-    return a
-
-
 SUM = ReduceOp("SUM", lambda a, b: a + b, ufunc=np.add)
-PROD = ReduceOp("PROD", lambda a, b: a * b, ufunc=np.multiply)
-MAX = ReduceOp("MAX", lambda a, b: np.maximum(a, b), ufunc=np.maximum)
-MIN = ReduceOp("MIN", lambda a, b: np.minimum(a, b), ufunc=np.minimum)
-LAND = ReduceOp("LAND", lambda a, b: np.logical_and(a, b), ufunc=np.logical_and)
-LOR = ReduceOp("LOR", lambda a, b: np.logical_or(a, b), ufunc=np.logical_or)
-MAXLOC = ReduceOp("MAXLOC", _maxloc)
-MINLOC = ReduceOp("MINLOC", _minloc)

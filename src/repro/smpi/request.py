@@ -1,28 +1,19 @@
-"""Nonblocking communication requests (``isend``/``irecv`` and the
-composable collective handles).
+"""Nonblocking point-to-point requests (``isend``/``irecv``).
 
 In this in-process runtime a send never blocks (mailboxes are unbounded), so
 an :class:`SendRequest` is complete at creation — matching MPI's *buffered*
 send semantics, which is also what mpi4py's pickle-mode ``isend`` gives for
 small messages.  An :class:`RecvRequest` completes when a matching envelope
 is taken from the mailbox; ``wait`` blocks (optionally bounded by
-``timeout=``), ``test`` polls.
-
-Nonblocking *collectives* (:meth:`~repro.smpi.nonblocking.
-NonblockingCollectivesMixin.ibcast` and friends) return a
-:class:`CollectiveRequest`: a composition of child requests plus a
-finalizer that assembles the collective's result exactly once when the
-last child completes.  Collective requests compose — :func:`waitall`
-completes any mixture of requests and is idempotent (every request caches
-its result, so repeated ``wait``/``waitall`` calls are free).
+``timeout=``), ``test`` polls, and both cache the payload, so repeated
+completion calls are free.
 """
 
 from __future__ import annotations
 
 import inspect
-import time
 import warnings
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import Any, Optional, Tuple
 
 from .exceptions import DeadlockError, SmpiError
 from .mailbox import Mailbox
@@ -33,18 +24,15 @@ __all__ = [
     "Request",
     "SendRequest",
     "RecvRequest",
-    "CollectiveRequest",
-    "waitall",
 ]
 
 
 def _warn_unawaited(request: "Request", what: str) -> None:
-    """Finalizer body shared by the leak-prone request classes.
+    """Finalizer body of a leak-prone request.
 
     A request garbage-collected without ``wait()``/``test()`` ever
-    observing completion is an SPMD hazard (dropped message, or a peer
-    blocked on this rank's deferred collective share) — the runtime twin
-    of the static never-awaited rule ``SPMD002``.  Emits a
+    observing completion is an SPMD hazard (a dropped message) — the
+    runtime twin of the static never-awaited rule ``SPMD002``.  Emits a
     :class:`ResourceWarning`, with the creation traceback appended when
     provenance tracking captured one.
     """
@@ -80,8 +68,8 @@ def _wait_child(child: Any, timeout: Optional[float]) -> Any:
     argument instead) are waited unbounded, matching their native
     semantics.  Support is decided by *signature inspection*, never by
     catching ``TypeError`` from the call — a ``TypeError`` raised inside
-    the wait's execution (e.g. a finalizer folding mismatched payloads)
-    must propagate, not silently retry and re-run side effects.
+    the wait's execution must propagate, not silently retry and re-run
+    side effects.
     """
     if timeout is None:
         return child.wait()
@@ -182,183 +170,3 @@ class RecvRequest(Request):
             raise SmpiError("cannot cancel a completed receive request")
         self._done = True
         self._payload = None
-
-
-class CollectiveRequest(Request):
-    """Completion handle for a nonblocking collective.
-
-    Composes zero or more *child* requests (typically pending receives)
-    with a ``finalize`` callback that turns the children's payloads into
-    the collective's result.  ``finalize`` runs exactly once, on whichever
-    ``wait``/``test`` call observes the last child completing — this is
-    where a root rank performs its deferred share of the collective (e.g.
-    folding gathered contributions and fanning the reduction back out).
-    The result is cached, so repeated completion calls (and
-    :func:`waitall` over already-completed requests) are free.
-    """
-
-    def __init__(
-        self,
-        children: Sequence[Any] = (),
-        finalize: Optional[Callable[[List[Any]], Any]] = None,
-        *,
-        op: str = "collective",
-        root: Optional[int] = None,
-        tag: Optional[int] = None,
-    ) -> None:
-        self._children = list(children)
-        self._finalize = finalize
-        self._done = not self._children and finalize is None
-        self._result: Any = None
-        # Operation metadata: who/what this handle completes.  Purely
-        # diagnostic — it names the op, root and tag in timeout errors,
-        # finalizer warnings and leak reports.
-        self.op = op
-        self.root = root
-        self.tag = tag
-        # Child payloads are collected *incrementally*: foreign requests
-        # (mpi4py) consume their message on the first successful test(),
-        # so a partial poll must bank what it saw — re-testing would lose
-        # already-delivered payloads.
-        self._collected = [False] * len(self._children)
-        self._payloads: List[Any] = [None] * len(self._children)
-        self._origin: Optional[str] = None
-        if not self._done and TRACKER.enabled:
-            self._origin = TRACKER.note_request(
-                self, "CollectiveRequest", self._describe()
-            )
-
-    def _describe(self) -> str:
-        parts = [self.op]
-        if self.root is not None:
-            parts.append(f"root={self.root}")
-        if self.tag is not None:
-            parts.append(f"tag={self.tag}")
-        return ", ".join(parts)
-
-    def __del__(self) -> None:
-        try:
-            if not self._done:
-                _warn_unawaited(
-                    self, f"CollectiveRequest({self._describe()})"
-                )
-        except Exception:  # pragma: no cover - interpreter shutdown
-            pass
-
-    @classmethod
-    def completed(cls, result: Any = None) -> "CollectiveRequest":
-        """An already-complete request carrying ``result`` (the degenerate
-        single-rank / root-side case)."""
-        request = cls()
-        request._result = result
-        request._done = True
-        return request
-
-    def _complete(self, payloads: List[Any]) -> None:
-        if self._finalize is not None:
-            self._result = self._finalize(payloads)
-        self._done = True
-
-    def _timeout_error(self, timeout: Optional[float]) -> DeadlockError:
-        spent = f" after {timeout}s" if timeout is not None else ""
-        return DeadlockError(
-            f"CollectiveRequest.wait({self._describe()}) timed out{spent} "
-            f"with {self._collected.count(False)} child request(s) still "
-            f"pending — a peer likely never issued (or never completed) "
-            f"its matching collective"
-        )
-
-    def wait(self, timeout: Optional[float] = None) -> Any:
-        if self._done:
-            return self._result
-        deadline = None if timeout is None else time.monotonic() + timeout
-        for index, child in enumerate(self._children):
-            if self._collected[index]:
-                continue
-            if deadline is None:
-                remaining = None
-            else:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0.0:
-                    raise self._timeout_error(timeout)
-            try:
-                payload = _wait_child(child, remaining)
-            except DeadlockError as exc:
-                # Name the collective (op, root, tag), not just the
-                # child receive — that is what the user issued.
-                raise self._timeout_error(timeout) from exc
-            self._collected[index] = True
-            self._payloads[index] = payload
-        self._complete(self._payloads)
-        return self._result
-
-    def test(self) -> Tuple[bool, Any]:
-        if self._done:
-            return True, self._result
-        for index, child in enumerate(self._children):
-            if self._collected[index]:
-                continue
-            done, payload = child.test()
-            if not done:
-                return False, None
-            self._collected[index] = True
-            self._payloads[index] = payload
-        self._complete(self._payloads)
-        return True, self._result
-
-    def cancel(self) -> None:
-        """Abandon the collective: cancel still-pending child receives and
-        mark this handle done (without running ``finalize``).
-
-        The abort path for a crashed pipelined step — peers are unwinding
-        too, so the children can never complete; cancelling keeps the
-        abandoned requests out of leak reports and silences their
-        unawaited-request warnings.  Waiting afterwards returns ``None``.
-        """
-        if self._done:
-            raise SmpiError("cannot cancel a completed collective request")
-        for index, child in enumerate(self._children):
-            if self._collected[index]:
-                continue
-            cancel = getattr(child, "cancel", None)
-            if cancel is None:
-                continue
-            try:
-                cancel()
-            except SmpiError:
-                pass  # child completed concurrently — nothing to abandon
-        self._done = True
-        self._result = None
-
-    @staticmethod
-    def waitall(
-        requests: Sequence["Request"], timeout: Optional[float] = None
-    ) -> List[Any]:
-        """Complete every request; returns their results in order.  See
-        :func:`waitall`."""
-        return waitall(requests, timeout=timeout)
-
-
-def waitall(
-    requests: Sequence[Request], timeout: Optional[float] = None
-) -> List[Any]:
-    """Complete ``requests`` in order and return their payloads/results.
-
-    Idempotent: requests cache their result on first completion, so
-    calling ``waitall`` again (or mixing it with individual ``wait``
-    calls, in any order) returns the same values without re-communicating.
-    ``timeout`` bounds the *total* wall time across all pending requests.
-    """
-    if timeout is None:
-        return [_wait_child(request, None) for request in requests]
-    deadline = time.monotonic() + timeout
-    results = []
-    for request in requests:
-        remaining = deadline - time.monotonic()
-        if remaining <= 0.0:
-            raise DeadlockError(
-                f"waitall timed out after {timeout}s with "
-                f"{len(requests) - len(results)} request(s) still pending"
-            )
-        results.append(_wait_child(request, remaining))
-    return results

@@ -14,15 +14,15 @@ behaves exactly as under the threaded backend.
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Tuple
 
 import numpy as np
 
-from .derived import fold_output_usable, rows_output_usable
-from .exceptions import DeadlockError, RankError, SmpiError, TagError
-from .message import Envelope, copy_payload, take_payload
+from .derived import as_row_block, fold_output_usable
+from .exceptions import DeadlockError, RankError, TagError
+from .message import Envelope, take_payload
 from .reduction import ReduceOp
-from .request import CollectiveRequest, Request, SendRequest
+from .request import Request, SendRequest
 
 __all__ = ["SelfCommunicator"]
 
@@ -132,18 +132,6 @@ class SelfCommunicator:
             self._check_tag(tag)
         return _SelfRecvRequest(self, source, tag)
 
-    def sendrecv(self, obj: Any, dest: int, source: int) -> Any:
-        self._check_peer(dest, "dest")
-        self._check_peer(source, "source")
-        return copy_payload(obj)
-
-    def iprobe(self, source: int = _ANY, tag: int = _ANY) -> bool:
-        if source != _ANY:
-            self._check_peer(source, "source")
-        if tag != _ANY:
-            self._check_tag(tag)
-        return any(e.matches(source, tag) for e in self._queue)
-
     # -- collectives (identity short-circuits) ------------------------------
     def bcast(self, obj: Any, root: int = 0) -> Any:
         self._check_peer(root, "root")
@@ -153,107 +141,19 @@ class SelfCommunicator:
         self._check_peer(root, "root")
         return [obj]
 
-    def allgather(self, obj: Any) -> List[Any]:
-        return [obj]
-
-    def scatter(self, objs: Optional[Sequence[Any]], root: int = 0) -> Any:
+    def gatherv_rows(self, sendbuf: np.ndarray, root: int = 0) -> np.ndarray:
         self._check_peer(root, "root")
-        if objs is None or len(objs) != 1:
-            got = "None" if objs is None else str(len(objs))
-            raise SmpiError(f"scatter root needs exactly 1 item, got {got}")
-        return objs[0]
-
-    def gatherv_rows(
-        self,
-        sendbuf: np.ndarray,
-        root: int = 0,
-        out: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        self._check_peer(root, "root")
-        arr = np.asarray(sendbuf)
-        # Shared usability predicate; an unusable ``out`` degrades to the
-        # zero-copy identity (returning the send buffer), not allocation.
-        if arr.ndim == 2 and rows_output_usable(
-            arr.shape[0], arr.shape[1], arr.dtype, out
-        ):
-            out[...] = arr
-            return out
-        return arr
-
-    def scatterv_rows(
-        self, sendbuf: Optional[np.ndarray], counts: Sequence[int], root: int = 0
-    ) -> np.ndarray:
-        if len(counts) != 1:
-            raise SmpiError(
-                f"counts must have one entry per rank, got {len(counts)} "
-                f"for size 1"
-            )
-        if sendbuf is None:
-            raise SmpiError("scatterv_rows root requires a send buffer")
-        sendbuf = np.asarray(sendbuf)
-        if sendbuf.shape[0] != int(counts[0]):
-            raise SmpiError(
-                f"send buffer has {sendbuf.shape[0]} rows, counts sum to "
-                f"{int(counts[0])}"
-            )
-        return sendbuf
-
-    def reduce(self, obj: Any, op: ReduceOp, root: int = 0) -> Any:
-        self._check_peer(root, "root")
-        return op.reduce_sequence([obj])
+        return as_row_block(sendbuf)
 
     def allreduce(
         self, obj: Any, op: ReduceOp, out: Optional[np.ndarray] = None
     ) -> Any:
-        if fold_output_usable(out, [obj]):
+        if fold_output_usable(op, out, [obj]):
             return op.fold_into(out, [obj])
         return op.reduce_sequence([obj])
 
-    def alltoall(self, objs: Sequence[Any]) -> List[Any]:
-        if len(objs) != 1:
-            raise SmpiError(f"alltoall needs exactly 1 item, got {len(objs)}")
-        return [objs[0]]
-
-    def scan(self, obj: Any, op: ReduceOp) -> Any:
-        return op.reduce_sequence([obj])
-
-    def exscan(self, obj: Any, op: ReduceOp) -> Any:
-        # MPI leaves the rank-0 exscan buffer undefined; mirror the threaded
-        # backend, which returns None there.
-        return None
-
-    def reduce_scatter(self, objs: Sequence[Any], op: ReduceOp) -> Any:
-        if len(objs) != 1:
-            raise SmpiError(
-                f"reduce_scatter needs exactly 1 block, got {len(objs)}"
-            )
-        return op.reduce_sequence([objs[0]])
-
     def barrier(self) -> None:
         return None
-
-    # -- nonblocking collectives (immediately complete) ----------------------
-    def ibcast(self, obj: Any, root: int = 0) -> CollectiveRequest:
-        self._check_peer(root, "root")
-        return CollectiveRequest.completed(obj)
-
-    def igatherv_rows(
-        self,
-        sendbuf: np.ndarray,
-        root: int = 0,
-        out: Optional[np.ndarray] = None,
-    ) -> CollectiveRequest:
-        return CollectiveRequest.completed(
-            self.gatherv_rows(sendbuf, root, out=out)
-        )
-
-    def iallreduce(
-        self, obj: Any, op: ReduceOp, out: Optional[np.ndarray] = None
-    ) -> CollectiveRequest:
-        return CollectiveRequest.completed(self.allreduce(obj, op, out=out))
-
-    def ialltoall(self, objs: Sequence[Any]) -> CollectiveRequest:
-        return CollectiveRequest.completed(self.alltoall(objs))
 
     # -- communicator management -------------------------------------------
     def split(

@@ -14,15 +14,15 @@ Accounting conventions (bytes are payload sizes from
 
 * ``send``/``recv``: size of the object sent/received.
 * ``bcast``: root records ``(size-1) * nbytes``; receivers record ``nbytes``.
-* ``gather``: senders record ``nbytes``; root records the sum of received
-  contributions (its own, memory-local copy is not traffic).
-* ``reduce``/``allreduce``/``allgather``/``alltoall``/``scatter``: analogous.
+* ``gather``/``gatherv``: senders record ``nbytes``; root records the sum
+  of received contributions (its own, memory-local copy is not traffic).
+* ``allreduce``: every rank records twice its contribution (up and down).
 * ``barrier``: zero bytes, one record (latency-only event).
 
 The tracer is one concern on the shared interception layer
 (:mod:`repro.smpi.intercept`): a per-op accounting table applies these
-conventions, and nonblocking receive sides record from the ``wait``/
-``test`` call that completes their request.
+conventions, and a nonblocking receive records from the ``wait``/
+``test`` call that completes its request.
 """
 
 from __future__ import annotations
@@ -38,15 +38,13 @@ from .message import payload_nbytes
 
 __all__ = ["COLLECTIVE_OPS", "CommRecord", "CommTracer", "TrafficSummary"]
 
-#: Operation names recorded for collective calls (nonblocking variants
-#: record under their blocking op's name) — the subset that must agree in
-#: kind and order across every rank of an SPMD program, and therefore the
-#: stream :meth:`CommTracer.schedule` exports for the cross-rank
-#: conformance checker in :mod:`repro.verify.schedule`.
+#: Operation names recorded for collective calls — the subset that must
+#: agree in kind and order across every rank of an SPMD program, and
+#: therefore the stream :meth:`CommTracer.schedule` exports for the
+#: cross-rank conformance checker in :mod:`repro.verify.schedule`.
 COLLECTIVE_OPS = frozenset(op.record for op in OPS.values()) - {
     "send",
     "recv",
-    "sendrecv",
 }
 
 
@@ -186,11 +184,6 @@ class CommTracer(InterceptedCommunicator):
     def _account_irecv(self, call, _, source=-1, tag=-1):
         return lambda done, obj: self._account_recv(done, obj, source)
 
-    def _account_sendrecv(self, call, out, obj, dest, source):
-        sent = call._replace(op="send", duration_s=0.0)
-        self._record(sent, payload_nbytes(obj), peer=dest)
-        self._record(call._replace(op="recv"), payload_nbytes(out), peer=source)
-
     def _account_bcast(self, call, out, obj, root=0):
         if self.rank == root:
             fanout = payload_nbytes(obj) * (self.size - 1)
@@ -198,29 +191,13 @@ class CommTracer(InterceptedCommunicator):
         else:
             self._record(call, payload_nbytes(out), root=root, obj=out)
 
-    def _account_ibcast(self, call, _, obj, root=0):
-        if self.rank == root:
-            return self._account_bcast(call, None, obj, root)
-        return lambda done, out: self._account_bcast(done, out, obj, root)
-
     def _account_gather(self, call, out, obj, root=0):
         if self.rank == root:
             self._record(call, _others(out, root), root=root, obj=obj)
         else:
             self._record(call, payload_nbytes(obj), root=root, obj=obj)
 
-    def _account_allgather(self, call, out, obj):
-        received = _others(out, self.rank)
-        self._record(call, payload_nbytes(obj) + received, obj=obj)
-
-    def _account_scatter(self, call, out, objs, root=0):
-        if self.rank == root:
-            sent = 0 if objs is None else _others(objs, root)
-            self._record(call, sent, root=root, obj=out)
-        else:
-            self._record(call, payload_nbytes(out), root=root, obj=out)
-
-    def _account_gatherv_rows(self, call, stacked, sendbuf, root=0, out=None):
+    def _account_gatherv_rows(self, call, stacked, sendbuf, root=0):
         own = payload_nbytes(sendbuf)
         if self.rank == root:
             received = max(payload_nbytes(stacked) - own, 0)
@@ -228,48 +205,9 @@ class CommTracer(InterceptedCommunicator):
         else:
             self._record(call, own, root=root, obj=sendbuf)
 
-    def _account_igatherv_rows(self, call, _, sendbuf, root=0, out=None):
-        if self.rank != root:
-            return self._account_gatherv_rows(call, None, sendbuf, root)
-        return lambda done, stacked: self._account_gatherv_rows(
-            done, stacked, sendbuf, root
-        )
-
-    def _account_scatterv_rows(self, call, out, sendbuf, counts, root=0):
-        if self.rank == root:
-            sent = payload_nbytes(sendbuf) - payload_nbytes(out)  # 0 for None
-            self._record(call, max(sent, 0), root=root, obj=out)
-        else:
-            self._record(call, payload_nbytes(out), root=root, obj=out)
-
-    def _account_reduce(self, call, _, obj, op, root=0):
-        fanin = self.size - 1 if self.rank == root else 1
-        self._record(call, payload_nbytes(obj) * fanin, root=root, obj=obj)
-
     def _account_allreduce(self, call, _, obj, op, out=None):
         # up: own contribution; down: the reduced result
         self._record(call, payload_nbytes(obj) * 2, obj=obj)
-
-    _account_iallreduce = _account_allreduce
-
-    def _account_alltoall(self, call, out, objs):
-        rank = self.rank
-        self._record(call, _others(objs, rank) + _others(out, rank), obj=objs[rank])
-
-    def _account_ialltoall(self, call, _, objs):
-        rank = self.rank
-        self._record(call, _others(objs, rank), obj=objs[rank])
-        return lambda done, out: self._record(done, _others(out, rank))
-
-    def _account_scan(self, call, out, obj, op):
-        # up: own contribution; down: the received prefix
-        self._record(call, payload_nbytes(obj) + payload_nbytes(out), obj=obj)
-
-    _account_exscan = _account_scan
-
-    def _account_reduce_scatter(self, call, out, objs, op):
-        sent = _others(objs, self.rank)
-        self._record(call, sent + payload_nbytes(out), obj=objs[self.rank])
 
     def _account_barrier(self, call, _):
         self._record(call, 0)
@@ -286,10 +224,10 @@ class CommTracer(InterceptedCommunicator):
         (same kinds, same order, compatible roots/dtypes); the cross-rank
         conformance checker (:mod:`repro.verify.schedule`) aligns these
         per-rank streams and reports the first divergence.  Point-to-point
-        traffic is excluded — it legitimately differs per rank.  Caveat:
-        receive-side *nonblocking* collectives record at completion time,
-        so heavily overlapped runs can reorder records relative to issue
-        order; the checker is exact for blocking-dominant schedules.
+        traffic is excluded — it legitimately differs per rank.  Every
+        collective is blocking, so its record is written when the call
+        returns and the stream is in issue order on every lane, the
+        overlapped step included (it overlaps only point-to-point ops).
         """
         return [r for r in self.records if r.op in COLLECTIVE_OPS]
 

@@ -3,9 +3,11 @@
 Static mode (default) lints the given paths (files or directory trees)
 with :func:`repro.verify.static.lint_paths` and prints one finding per
 violation with its fix-it.  ``--schedule`` additionally runs a small
-built-in streaming-SVD workload under :func:`repro.verify.schedule.
-checked_run` and reports cross-rank schedule conformance and resource
-leaks.  Exit status is nonzero when anything is found.
+built-in streaming-SVD workload on every streaming lane (each
+``qr_variant`` with ``overlap`` off and on) under
+:func:`repro.verify.schedule.checked_run` and reports each lane's
+cross-rank schedule conformance and resource leaks.  Exit status is
+nonzero when anything is found.
 """
 
 from __future__ import annotations
@@ -56,7 +58,8 @@ def add_verify_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _schedule_smoke(ranks: int):
-    """A tiny deterministic streaming-SVD run for the dynamic check."""
+    """A tiny deterministic streaming-SVD run per streaming lane for the
+    dynamic check: ``[(lane label, CheckedRun), ...]``."""
     import numpy as np
 
     from repro.api import (
@@ -66,20 +69,28 @@ def _schedule_smoke(ranks: int):
         SolverConfig,
         StreamConfig,
     )
+    from repro.config import QR_VARIANTS
     from repro.verify.schedule import checked_run
 
     rng = np.random.default_rng(7)
     data = rng.standard_normal((64, 48))
-    config = RunConfig(
-        solver=SolverConfig(K=4, ff=1.0, r1=20),
-        backend=BackendConfig(name="threads", size=ranks),
-        stream=StreamConfig(batch=16),
-    )
 
     def job(session: Session):
         return session.fit_stream(data).result().singular_values
 
-    return checked_run(config, job)
+    runs = []
+    for qr_variant in QR_VARIANTS:
+        for overlap in (False, True):
+            config = RunConfig(
+                solver=SolverConfig(
+                    K=4, ff=1.0, r1=20, qr_variant=qr_variant, overlap=overlap
+                ),
+                backend=BackendConfig(name="threads", size=ranks),
+                stream=StreamConfig(batch=16),
+            )
+            lane = f"qr_variant={qr_variant}, overlap={'on' if overlap else 'off'}"
+            runs.append((lane, checked_run(config, job)))
+    return runs
 
 
 def run_verify(args: argparse.Namespace) -> int:
@@ -95,23 +106,31 @@ def run_verify(args: argparse.Namespace) -> int:
         }
         findings = [f for f in findings if f.code in selected]
 
-    checked = None
-    if args.schedule:
-        checked = _schedule_smoke(args.ranks)
+    runs = _schedule_smoke(args.ranks) if args.schedule else []
 
-    failed = bool(findings) or (checked is not None and not checked.ok)
+    failed = bool(findings) or any(not run.ok for _, run in runs)
     if args.output_format == "json":
         payload = {"findings": [f.to_dict() for f in findings]}
-        if checked is not None:
+        if runs:
+            divergences = [
+                f"{lane}: {run.schedule.divergence.describe()}"
+                for lane, run in runs
+                if not run.schedule.ok
+            ]
             payload["schedule"] = {
-                "ok": checked.schedule.ok,
-                "divergence": (
-                    None
-                    if checked.schedule.ok
-                    else checked.schedule.divergence.describe()
-                ),
-                "leaks": [leak.describe() for leak in checked.leaks],
-                "unawaited": list(checked.unawaited),
+                "ok": all(run.ok for _, run in runs),
+                "divergence": divergences[0] if divergences else None,
+                "leaks": [
+                    f"{lane}: {leak.describe()}"
+                    for lane, run in runs
+                    for leak in run.leaks
+                ],
+                "unawaited": [
+                    f"{lane}: {message}"
+                    for lane, run in runs
+                    for message in run.unawaited
+                ],
+                "lanes": {lane: run.ok for lane, run in runs},
             }
         print(json.dumps(payload, indent=2))
         return 1 if failed else 0
@@ -123,7 +142,9 @@ def run_verify(args: argparse.Namespace) -> int:
         lines.append(f"{len(findings)} finding(s)")
     else:
         lines.append(f"static: no findings in {' '.join(paths)}")
-    if checked is not None:
-        lines.append("dynamic: " + checked.describe().replace("\n", "\n  "))
+    for lane, run in runs:
+        lines.append(
+            f"dynamic: [{lane}] " + run.describe().replace("\n", "\n  ")
+        )
     print("\n".join(lines))
     return 1 if failed else 0

@@ -64,7 +64,7 @@ def _spmd_global_leak_check(request) -> Iterator[None]:
         details = "\n".join("  " + leak.describe() for leak in pending)
         pytest.fail(
             f"test leaked {len(pending)} un-awaited SPMD request(s) "
-            f"(complete them with wait()/test()/waitall(), cancel() "
+            f"(complete them with wait()/test(), cancel() "
             f"deliberate abandons, or mark the test with "
             f"@pytest.mark.spmd_allow_leaks):\n{details}",
             pytrace=False,

@@ -50,27 +50,25 @@ _RULES = (
         name="unawaited-request",
         summary=(
             "nonblocking request is discarded or never reaches "
-            "wait()/test()/waitall()"
+            "wait()/test()"
         ),
         fixit=(
             "keep the returned request and complete it with "
-            "wait()/test()/waitall() (or cancel() a deliberately "
-            "abandoned receive) — a dropped request loses its message, "
-            "and a dropped collective request can deadlock peers "
-            "waiting on this rank's deferred share"
+            "wait()/test() (or cancel() a deliberately abandoned "
+            "receive) — a dropped receive loses its message"
         ),
     ),
     Rule(
         code="SPMD003",
         name="reserved-tag",
         summary=(
-            "hardcoded tag inside the reserved nonblocking-collective "
-            "band (tags >= NB_TAG_BASE = 1 << 24)"
+            "hardcoded tag inside the reserved band "
+            "(tags >= NB_TAG_BASE = 1 << 24)"
         ),
         fixit=(
             "use an application tag below NB_TAG_BASE; the band at and "
-            "above it carries the derived nonblocking collectives' "
-            "internal traffic and a clashing tag corrupts their matching"
+            "above it is reserved for library-internal traffic on "
+            "backends without a private tag space"
         ),
     ),
     Rule(

@@ -17,10 +17,10 @@ from source, it *observes* a run.
   envelopes never recycled, and requests that were garbage-collected
   un-awaited (captured from their ``ResourceWarning`` finalizers).
 
-Caveat: receive-side *nonblocking* collectives record at completion
-time, so a heavily overlapped schedule can legitimately reorder records
-relative to issue order; the checker is exact for blocking-dominant
-runs (every driver shipped in this repo when ``overlap`` is off).
+Every collective in the protocol is blocking and is recorded when its
+call returns, so the collective stream is in issue order on every lane;
+the overlapped streaming step overlaps only point-to-point ops, which
+the schedule excludes.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ __all__ = [
 
 #: Ops whose recorded payload shape must agree across ranks (contribution
 #: shapes of gather-flavoured ops legitimately differ per rank).
-_SHAPE_CHECKED = frozenset({"bcast", "allreduce", "reduce", "scan", "exscan"})
+_SHAPE_CHECKED = frozenset({"bcast", "allreduce"})
 
 
 @dataclasses.dataclass(frozen=True)

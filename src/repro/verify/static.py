@@ -23,16 +23,16 @@ Rule sketches
     in ``return``/``break``/``continue``, the statements after the
     ``if`` are treated as the other arm (the early-return split).
 ``SPMD002``
-    A nonblocking call (``isend``/``irecv``/``ibcast``/…) whose result
-    is discarded (bare expression statement) or bound to a name that is
-    never read again in the enclosing scope.  Any read — a ``wait()``,
-    a ``waitall`` argument, an append, a return — counts as an escape.
+    A nonblocking call (``isend``/``irecv``) whose result is discarded
+    (bare expression statement) or bound to a name that is never read
+    again in the enclosing scope.  Any read — a ``wait()``, an append,
+    a return — counts as an escape.
 ``SPMD003``
     A point-to-point call whose tag argument folds to a constant at or
-    above :data:`~repro.smpi.nonblocking.NB_TAG_BASE` (``1 << 24``).
+    above :data:`~repro.smpi.communicator.NB_TAG_BASE` (``1 << 24``).
 ``SPMD004``
-    A collective taking ``out=`` whose output buffer is syntactically
-    the same expression as its input.
+    An ``allreduce`` whose ``out=`` buffer is syntactically the same
+    expression as its input.
 ``SPMD005``
     A name bound from a ``bcast`` result (or an alias of one) mutated
     in place: subscript store, augmented assignment, or an in-place
@@ -47,15 +47,14 @@ import pathlib
 import re
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
+from repro.smpi.communicator import NB_TAG_BASE
 from repro.smpi.intercept import OPS
-from repro.smpi.nonblocking import NB_TAG_BASE
 from repro.smpi.tracer import COLLECTIVE_OPS
 
 from .rules import RULES
 
 __all__ = [
-    "BLOCKING_COLLECTIVES",
-    "NONBLOCKING_COLLECTIVES",
+    "COLLECTIVES",
     "NONBLOCKING_METHODS",
     "Finding",
     "lint_file",
@@ -63,19 +62,12 @@ __all__ = [
     "lint_source",
 ]
 
-#: Blocking and nonblocking (request-returning) collective method names,
+#: Every collective method name SPMD001 considers schedule-relevant,
 #: taken from the interception op table so the linter knows every op the
 #: communicator proxies know.
-BLOCKING_COLLECTIVES = frozenset(
-    name for name, op in OPS.items()
-    if op.record in COLLECTIVE_OPS and not op.nonblocking
+COLLECTIVES = frozenset(
+    name for name, op in OPS.items() if op.record in COLLECTIVE_OPS
 )
-NONBLOCKING_COLLECTIVES = frozenset(
-    name for name, op in OPS.items() if op.record in COLLECTIVE_OPS and op.nonblocking
-)
-
-#: Every collective name SPMD001 considers schedule-relevant.
-_ALL_COLLECTIVES = BLOCKING_COLLECTIVES | NONBLOCKING_COLLECTIVES
 
 #: Every method returning a request SPMD002 tracks.
 NONBLOCKING_METHODS = frozenset(name for name, op in OPS.items() if op.nonblocking)
@@ -86,7 +78,6 @@ _TAG_POSITION = {
     "isend": 2,
     "recv": 1,
     "irecv": 1,
-    "iprobe": 1,
 }
 
 #: In-place ndarray mutators SPMD005 treats as writes.
@@ -205,7 +196,7 @@ def _collectives_in(stmts: Sequence[ast.stmt]) -> List[Tuple[str, ast.Call]]:
     found: List[Tuple[str, ast.Call]] = []
     for stmt in stmts:
         for node in _walk_pruned(stmt):
-            name = _method_call(node, _ALL_COLLECTIVES)
+            name = _method_call(node, COLLECTIVES)
             if name is not None:
                 found.append((name, node))  # type: ignore[arg-type]
     return found
@@ -358,7 +349,7 @@ class _Analyzer:
                         stmt.value,
                         "SPMD002",
                         f"the request returned by '{name}' is discarded; "
-                        f"it never reaches wait()/test()/waitall()",
+                        f"it never reaches wait()/test()",
                     )
                 continue
             targets: List[Tuple[ast.expr, ast.expr]] = []
@@ -385,7 +376,7 @@ class _Analyzer:
                         "SPMD002",
                         f"request '{target.id}' from '{name}' is never "
                         f"read again in this scope; it never reaches "
-                        f"wait()/test()/waitall()",
+                        f"wait()/test()",
                     )
 
     # SPMD003 ----------------------------------------------------------------
@@ -419,9 +410,7 @@ class _Analyzer:
 
     # SPMD004 ----------------------------------------------------------------
     def _check_aliasing(self) -> None:
-        out_taking = frozenset(
-            {"allreduce", "iallreduce", "gatherv_rows", "igatherv_rows"}
-        )
+        out_taking = frozenset({"allreduce"})
         for node in ast.walk(self._tree):
             name = _method_call(node, out_taking)
             if name is None:

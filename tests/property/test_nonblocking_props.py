@@ -1,12 +1,9 @@
-"""Property-based tests: nonblocking collectives and prefetched streams.
+"""Property-based tests: the pipelined engine's reductions and streams.
 
 Covers the pipelined-engine contracts:
 
-* nonblocking collectives complete correctly regardless of the order their
-  requests are waited in (requests posted in the same program order on
-  every rank, completed in arbitrary per-rank order);
-* ``waitall`` is idempotent — repeated completion returns the same cached
-  results without re-communicating;
+* ``allreduce(out=)`` fills the caller's buffer with exactly the
+  allocating fold's numbers;
 * ``PrefetchStream`` yields exactly the wrapped stream's batches, in
   order, across backend x dtype when driving the distributed SVD.
 """
@@ -17,76 +14,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro import ParSVDParallel, SolverConfig
 from repro.data import PrefetchStream, array_stream
-from repro.smpi import SUM, run_backend, run_spmd, waitall
+from repro.smpi import SUM, run_backend, run_spmd
 from repro.utils.partition import block_partition
-
-
-@settings(max_examples=15, deadline=None)
-@given(
-    nprocs=st.integers(1, 6),
-    seed=st.integers(0, 2**31 - 1),
-    reverse=st.booleans(),
-)
-def test_completion_order_independence(nprocs, seed, reverse):
-    """ibcast / iallreduce / igatherv_rows posted in order, completed in
-    forward or reverse order, still produce the blocking results."""
-    rng = np.random.default_rng(seed)
-    payload = rng.standard_normal(5)
-    contributions = rng.standard_normal((nprocs, 4))
-    rows = [rng.standard_normal((r + 1, 3)) for r in range(nprocs)]
-    stacked = np.concatenate(rows, axis=0)
-
-    def job(comm):
-        requests = [
-            comm.ibcast(payload if comm.rank == 0 else None, root=0),
-            comm.iallreduce(contributions[comm.rank], SUM),
-            comm.igatherv_rows(rows[comm.rank], root=0),
-        ]
-        ordered = list(reversed(requests)) if reverse else list(requests)
-        for request in ordered:
-            request.wait()
-        # Reading results again (post-completion) must be free and stable.
-        bcast_v = requests[0].wait()
-        reduced = requests[1].wait()
-        gathered = requests[2].wait()
-        return bcast_v, reduced, gathered
-
-    expected = contributions[0].copy()
-    for i in range(1, nprocs):
-        expected = expected + contributions[i]
-    for rank, (bcast_v, reduced, gathered) in enumerate(run_spmd(nprocs, job)):
-        assert np.array_equal(bcast_v, payload)
-        assert np.array_equal(reduced, expected)
-        if rank == 0:
-            assert np.array_equal(gathered, stacked)
-        else:
-            assert gathered is None
-
-
-@settings(max_examples=15, deadline=None)
-@given(nprocs=st.integers(1, 5), seed=st.integers(0, 2**31 - 1))
-def test_waitall_idempotent(nprocs, seed):
-    """waitall twice (and mixed with individual waits) returns identical
-    results — completion is cached, never re-communicated."""
-    rng = np.random.default_rng(seed)
-    table = rng.integers(0, 100, size=(nprocs, nprocs))
-
-    def job(comm):
-        requests = [
-            comm.ialltoall([int(x) for x in table[comm.rank]]),
-            comm.iallreduce(float(comm.rank), SUM),
-        ]
-        first = waitall(requests)
-        second = waitall(requests)
-        third = [requests[0].wait(), requests[1].wait()]
-        assert first == second == third
-        return first
-
-    results = run_spmd(nprocs, job)
-    expected_sum = float(sum(range(nprocs)))
-    for rank, (received, reduced) in enumerate(results):
-        assert received == [int(x) for x in table[:, rank]]
-        assert reduced == expected_sum
 
 
 @settings(max_examples=15, deadline=None)

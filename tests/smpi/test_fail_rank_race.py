@@ -1,4 +1,4 @@
-"""``World.fail_rank`` racing in-flight ``CollectiveRequest.wait``:
+"""``World.fail_rank`` racing blocked ``RecvRequest.wait`` calls:
 blocked waiters wake promptly with ``FailedRankError`` (not after the
 deadlock timeout), wakeups reach *every* blocked peer, and abandoned
 requests leave nothing behind under the provenance tracker."""
@@ -13,18 +13,19 @@ from repro.smpi import FailedRankError, create_communicator, provenance
 from repro.smpi.exceptions import SmpiError
 
 TIMEOUT = 30.0  # deliberately huge: fail_rank must win, not the timeout
+TAG = 5
 
 
 def cancel_quietly(request):
     try:
         request.cancel()
     except (SmpiError, AttributeError):
-        pass  # already complete (or a bare p2p request without cancel)
+        pass  # already complete (or a send request, which has no cancel)
 
 
 class TestFailRankRace:
     def test_blocked_collective_root_wakes_with_failed_rank_error(self):
-        """Root's igatherv_rows waits on a contribution rank 3 never
+        """The root of a gather waits on a contribution rank 3 never
         sends; fail_rank(3) mid-wait frees it in milliseconds."""
         comms = create_communicator("threads", 4, timeout=TIMEOUT)
         world = comms[0].world
@@ -35,17 +36,19 @@ class TestFailRankRace:
             requests = {}
 
             def root():
-                req = comms[0].igatherv_rows(block, root=0)
-                requests[0] = req
                 start = time.monotonic()
                 try:
+                    for i in (1, 2):
+                        comms[0].recv(source=i, tag=TAG)
+                    req = comms[0].irecv(3, TAG)
+                    requests[0] = req
                     req.wait(timeout=TIMEOUT)
                 except FailedRankError as exc:
                     outcome["error"] = exc
                     outcome["elapsed"] = time.monotonic() - start
 
             def sender(i):
-                req = comms[i].igatherv_rows(block, root=0)
+                req = comms[i].isend(block, dest=0, tag=TAG)
                 requests[i] = req
                 req.wait(timeout=TIMEOUT)  # send side: completes fine
 
@@ -71,8 +74,9 @@ class TestFailRankRace:
             assert scope.pending_requests() == []
 
     def test_every_blocked_receiver_wakes_not_just_one(self):
-        """Three ranks block on ibcast(root=3); the single fail_rank(3)
-        must wake all of them — wakeup is a broadcast, not a handoff."""
+        """Three ranks block on a receive from rank 3; the single
+        fail_rank(3) must wake all of them — wakeup is a broadcast, not a
+        handoff."""
         comms = create_communicator("threads", 4, timeout=TIMEOUT)
         world = comms[0].world
         errors = {}
@@ -82,7 +86,7 @@ class TestFailRankRace:
             requests = {}
 
             def receiver(i):
-                req = comms[i].ibcast(None, root=3)
+                req = comms[i].irecv(3, 0)
                 requests[i] = req
                 start = time.monotonic()
                 try:
@@ -115,7 +119,7 @@ class TestFailRankRace:
         comms = create_communicator("threads", 2, timeout=TIMEOUT)
         world = comms[0].world
         with provenance.track() as scope:
-            req = comms[0].ibcast(None, root=1)
+            req = comms[0].irecv(1, 0)
             world.fail_rank(1, RuntimeError("gone before the wait"))
             start = time.monotonic()
             with pytest.raises(FailedRankError):
@@ -137,7 +141,7 @@ class TestFailRankRace:
         comms = create_communicator("threads", 2, timeout=TIMEOUT)
         world = comms[0].world
         with provenance.track() as scope:
-            req = comms[0].ibcast(None, root=1)
+            req = comms[0].irecv(1, 0)
             result = {}
 
             def waiter():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.smpi.message import Envelope, copy_payload, payload_nbytes
-from repro.smpi.reduction import MAXLOC, MINLOC, ReduceOp, SUM
+from repro.smpi.reduction import ReduceOp, SUM
 
 
 class TestCopyPayload:
@@ -89,14 +89,6 @@ class TestReduceOps:
     def test_empty_raises(self):
         with pytest.raises(ValueError):
             SUM.reduce_sequence([])
-
-    def test_maxloc(self):
-        assert MAXLOC((3, 0), (5, 1)) == (5, 1)
-        assert MAXLOC((5, 0), (5, 1)) == (5, 0)  # tie -> lower loc
-
-    def test_minloc(self):
-        assert MINLOC((3, 0), (5, 1)) == (3, 0)
-        assert MINLOC((3, 2), (3, 1)) == (3, 1)
 
     def test_custom_op(self):
         concat = ReduceOp("CONCAT", lambda a, b: a + b)

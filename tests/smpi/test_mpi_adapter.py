@@ -7,11 +7,12 @@ Python.  These tests drive it against a minimal duck-typed ``MPI`` module
 so the ``BackendConfig.irecv_buffer_bytes`` plumbing is exercised in this
 container (no mpi4py needed)."""
 
+import numpy as np
 import pytest
 
 import repro.smpi.mpi as mpi_module
 from repro.config import BackendConfig
-from repro.smpi import SmpiError, create_communicator
+from repro.smpi import SmpiError, create_communicator, run_backend
 from repro.smpi.mpi import Mpi4pyCommunicator
 
 
@@ -25,7 +26,7 @@ class FakeRequest:
 
 class FakeComm:
     """Just enough of ``mpi4py.MPI.Comm`` for the adapter's constructor,
-    ``irecv`` and ``Dup``/``Split`` paths."""
+    ``irecv``, ``gather``/``bcast`` and ``Dup``/``Split`` paths."""
 
     def __init__(self, rank=0, size=1):
         self._rank = rank
@@ -42,8 +43,11 @@ class FakeComm:
         self.irecv_buffer_sizes.append(len(buf))
         return FakeRequest()
 
-    def allgather(self, obj):
+    def gather(self, obj, root=0):
         return [obj] * self._size
+
+    def bcast(self, obj, root=0):
+        return obj
 
     def Dup(self):
         return FakeComm(self._rank, self._size)
@@ -109,7 +113,6 @@ class TestIrecvBufferBytes:
     def test_run_backend_passes_knob_through(self, fake_mpi):
         """Session.run's dispatch path: run_backend must hand the knob to
         the adapter, not silently fall back to the default buffer."""
-        from repro.smpi import run_backend
 
         def job(comm):
             return comm.irecv_buffer_bytes
@@ -127,3 +130,26 @@ class TestIrecvBufferBytes:
         assert len(comms) == 2
         # probe-sized transports have no preposted-buffer cap to configure
         assert not hasattr(comms[0], "irecv_buffer_bytes")
+
+
+@pytest.mark.parametrize("ndim", [1, 3], ids=["1d", "3d"])
+@pytest.mark.parametrize(
+    "backend,size",
+    [("self", 1), ("threads", 1), ("threads", 2), ("mpi4py", 1)],
+    ids=["self", "threads-1", "threads-2", "fake-mpi4py"],
+)
+def test_gatherv_rows_rejects_a_non_2d_block(request, backend, size, ndim):
+    """Every backend checks the block before any traffic and raises the
+    same SmpiError for a block that is not 2-D."""
+    if backend == "mpi4py":
+        request.getfixturevalue("fake_mpi")
+    block = np.zeros((3,) if ndim == 1 else (3, 2, 2))
+
+    def job(comm):
+        with pytest.raises(
+            SmpiError, match=f"expects a 2-D row block, got ndim={ndim}"
+        ):
+            comm.gatherv_rows(block, root=0)
+        return True
+
+    assert run_backend(backend, size, job) == [True] * size

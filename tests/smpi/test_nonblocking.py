@@ -1,15 +1,9 @@
-"""Nonblocking collectives, request timeouts and the envelope arena."""
+"""Nonblocking receive timeouts and the envelope arena."""
 
 import numpy as np
 import pytest
 
-from repro.smpi import (
-    CollectiveRequest,
-    SUM,
-    create_communicator,
-    run_spmd,
-    waitall,
-)
+from repro.smpi import run_spmd
 from repro.smpi.exceptions import DeadlockError
 from repro.smpi.message import ENVELOPE_POOL, Envelope, take_payload
 
@@ -41,140 +35,6 @@ class TestRecvRequestTimeout:
             return None
 
         assert run_spmd(2, job)[0] == "payload"
-
-    def test_collective_wait_timeout(self):
-        """A CollectiveRequest wait bounded by timeout= raises instead of
-        hanging when a peer never participates."""
-
-        def job(comm):
-            if comm.rank == 0:
-                # Rank 1 never posts its contribution: the fold can't run.
-                request = comm.iallreduce(1.0, SUM)
-                with pytest.raises(DeadlockError):
-                    request.wait(timeout=0.1)
-            comm.barrier()
-            return True
-
-        assert run_spmd(2, job) == [True, True]
-
-
-class TestNonblockingSemantics:
-    def test_ibcast_receivers_share_one_readonly_snapshot(self):
-        """Threads fast lane: like bcast, ibcast ships one frozen snapshot
-        to all receivers (no per-peer copies, receivers read-only)."""
-
-        def job(comm):
-            payload = np.arange(6.0) if comm.rank == 0 else None
-            value = comm.ibcast(payload, root=0).wait()
-            if comm.rank == 0:
-                return None
-            return value
-
-        results = run_spmd(3, job)
-        assert not results[1].flags.writeable
-        assert np.shares_memory(results[1], results[2])
-
-    def test_value_semantics_snapshot_at_post_time(self):
-        """Mutating the send buffer after posting must not reach the
-        result — on ANY rank, including the fold root's own contribution
-        (no mixed-epoch results)."""
-
-        def job(comm):
-            buf = np.full(4, float(comm.rank))
-            request = comm.iallreduce(buf, SUM)
-            block = np.full((1, 2), float(comm.rank))
-            gather_request = comm.igatherv_rows(block, root=0)
-            buf += 100.0
-            block += 100.0
-            return np.asarray(request.wait()).copy(), gather_request.wait()
-
-        results = run_spmd(3, job)
-        for reduced, _ in results:
-            assert np.array_equal(reduced, np.full(4, 3.0))
-        assert np.array_equal(
-            results[0][1], np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
-        )
-
-    def test_igatherv_out_reuse(self):
-        """The root's preallocated out= buffer is filled and returned."""
-
-        def job(comm):
-            block = np.full((2, 3), float(comm.rank))
-            out = np.empty((6, 3)) if comm.rank == 0 else None
-            stacked = comm.igatherv_rows(block, root=0, out=out).wait()
-            if comm.rank == 0:
-                assert stacked is out
-                return stacked.copy()
-            assert stacked is None
-            return None
-
-        stacked = run_spmd(3, job)[0]
-        assert np.array_equal(
-            stacked, np.repeat(np.arange(3.0), 2)[:, None] * np.ones(3)
-        )
-
-    def test_same_kind_collectives_complete_out_of_order(self):
-        """Two in-flight collectives of the SAME kind must each return
-        their own round's payload, even completed in reverse — the
-        sequence-stamped tags keep rounds from cross-matching."""
-
-        def job(comm):
-            r1 = comm.ibcast(1.0 if comm.rank == 0 else None, root=0)
-            r2 = comm.ibcast(2.0 if comm.rank == 0 else None, root=0)
-            a1 = comm.iallreduce(float(comm.rank), SUM)
-            a2 = comm.iallreduce(float(comm.rank) * 10.0, SUM)
-            g1 = comm.igatherv_rows(np.full((1, 1), 1.0 + comm.rank), root=0)
-            g2 = comm.igatherv_rows(np.full((1, 1), -1.0 - comm.rank), root=0)
-            # Complete everything newest-first.
-            v_g2, v_g1 = g2.wait(), g1.wait()
-            v_a2, v_a1 = a2.wait(), a1.wait()
-            v_r2, v_r1 = r2.wait(), r1.wait()
-            return v_r1, v_r2, v_a1, v_a2, v_g1, v_g2
-
-        for rank, (v_r1, v_r2, v_a1, v_a2, v_g1, v_g2) in enumerate(
-            run_spmd(3, job)
-        ):
-            assert (v_r1, v_r2) == (1.0, 2.0)
-            assert (v_a1, v_a2) == (3.0, 30.0)
-            if rank == 0:
-                assert np.array_equal(v_g1, np.array([[1.0], [2.0], [3.0]]))
-                assert np.array_equal(
-                    v_g2, np.array([[-1.0], [-2.0], [-3.0]])
-                )
-
-    def test_mixed_collectives_same_order_different_completion(self):
-        """Two in-flight collectives of different kinds complete correctly
-        when waited out of post order (waitall in reverse)."""
-
-        def job(comm):
-            r1 = comm.ibcast("x" if comm.rank == 0 else None, root=0)
-            r2 = comm.ialltoall(list(range(comm.size)))
-            received2, received1 = waitall([r2, r1])
-            return received1, received2
-
-        for rank, (value, received) in enumerate(run_spmd(3, job)):
-            assert value == "x"
-            assert received == [rank] * 3
-
-    def test_selfcomm_collectives_complete_immediately(self):
-        comm = create_communicator("self")
-        request = comm.iallreduce(np.ones(3), SUM)
-        done, value = request.test()
-        assert done and np.array_equal(value, np.ones(3))
-        assert comm.ibcast(9).wait() == 9
-        assert comm.ialltoall(["a"]).wait() == ["a"]
-        out = np.empty((2, 2))
-        assert comm.igatherv_rows(np.zeros((2, 2)), out=out).wait() is out
-
-    def test_completed_request_helper(self):
-        request = CollectiveRequest.completed(42)
-        assert request.test() == (True, 42)
-        assert request.wait() == 42
-        assert waitall([request, CollectiveRequest.completed(None)]) == [
-            42,
-            None,
-        ]
-
 
 class TestEnvelopePool:
     def test_shells_are_recycled(self):

@@ -152,17 +152,6 @@ class TestNonblocking:
         assert results[0] == (True, None)
 
 
-class TestSendrecv:
-    def test_ring_exchange(self):
-        def job(comm):
-            right = (comm.rank + 1) % comm.size
-            left = (comm.rank - 1) % comm.size
-            return comm.sendrecv(comm.rank, dest=right, source=left)
-
-        results = run_spmd(4, job)
-        assert results == [3, 0, 1, 2]
-
-
 class TestDeadlockDetection:
     def test_recv_without_send_times_out(self):
         from repro.smpi import ParallelFailure

@@ -7,13 +7,8 @@ backend guarantees, so the two are interchangeable for size-1 runs.
 import numpy as np
 import pytest
 
-from repro.smpi import MAX, SUM, SelfCommunicator
-from repro.smpi.exceptions import (
-    DeadlockError,
-    RankError,
-    SmpiError,
-    TagError,
-)
+from repro.smpi import SUM, SelfCommunicator
+from repro.smpi.exceptions import DeadlockError, RankError, TagError
 
 
 @pytest.fixture
@@ -81,56 +76,21 @@ class TestPointToPoint:
         comm.send("late", dest=0, tag=5)
         assert rreq.test() == (True, "late")
 
-    def test_sendrecv_is_identity_with_copy(self, comm):
-        buf = np.ones(3)
-        out = comm.sendrecv(buf, dest=0, source=0)
-        buf[:] = 0.0
-        assert np.array_equal(out, np.ones(3))
-
-    def test_iprobe(self, comm):
-        assert not comm.iprobe()
-        comm.send(1, dest=0, tag=6)
-        assert comm.iprobe(source=0, tag=6)
-        comm.recv(tag=6)
-        assert not comm.iprobe()
-
-
 class TestCollectives:
     def test_bcast_identity(self, comm):
         obj = np.arange(4)
         assert comm.bcast(obj, root=0) is obj
 
-    def test_gather_and_allgather(self, comm):
+    def test_gather(self, comm):
         assert comm.gather(5) == [5]
-        assert comm.allgather("x") == ["x"]
 
-    def test_scatter(self, comm):
-        assert comm.scatter([7]) == 7
-        with pytest.raises(SmpiError):
-            comm.scatter([1, 2])
-        with pytest.raises(SmpiError):
-            comm.scatter(None)
-
-    def test_gatherv_scatterv_rows(self, comm):
+    def test_gatherv_rows(self, comm):
         block = np.arange(6.0).reshape(3, 2)
         stacked = comm.gatherv_rows(block)
         assert np.array_equal(stacked, block)
-        back = comm.scatterv_rows(stacked, counts=[3])
-        assert np.array_equal(back, block)
-        with pytest.raises(SmpiError):
-            comm.scatterv_rows(stacked, counts=[2])
-        with pytest.raises(SmpiError):
-            comm.scatterv_rows(None, counts=[3])
 
     def test_reductions(self, comm):
-        assert comm.reduce(3.0, SUM) == 3.0
-        assert comm.allreduce(4.0, MAX) == 4.0
-        assert comm.scan(2.0, SUM) == 2.0
-        assert comm.exscan(2.0, SUM) is None
-        assert comm.reduce_scatter([5.0], SUM) == 5.0
-        with pytest.raises(SmpiError):
-            comm.alltoall([1, 2])
-        assert comm.alltoall(["only"]) == ["only"]
+        assert comm.allreduce(4.0, SUM) == 4.0
 
     def test_barrier_noop(self, comm):
         assert comm.barrier() is None
@@ -147,5 +107,5 @@ class TestManagement:
     def test_split_queues_are_isolated(self, comm):
         child = comm.split(color=0)
         comm.send("parent", dest=0, tag=1)
-        assert not child.iprobe()
+        assert child.irecv().test() == (False, None)
         assert comm.recv(tag=1) == "parent"

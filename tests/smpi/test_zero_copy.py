@@ -2,7 +2,7 @@
 
 The snapshot-once broadcast shares ONE immutable payload copy across all
 ``p - 1`` receiver envelopes, and ``gatherv_rows`` assembles blocks
-directly into a preallocated root buffer.  These tests pin down the
+directly into one root buffer.  These tests pin down the
 semantics that make that sharing safe:
 
 * mutating a sent buffer after the send never reaches any receiver;
@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from repro.smpi import run_spmd
-from repro.smpi import SelfCommunicator
 from repro.smpi.message import Envelope, copy_payload, freeze_payload
 
 
@@ -211,40 +210,6 @@ class TestGathervZeroCopy:
                 stacked[2 * rank : 2 * rank + 2], np.full((2, 3), float(rank))
             )
 
-    def test_out_buffer_reused_across_calls(self):
-        def job(comm):
-            out = np.empty((6, 2)) if comm.rank == 0 else None
-            first = comm.gatherv_rows(
-                np.full((2, 2), float(comm.rank)), root=0, out=out
-            )
-            second = comm.gatherv_rows(
-                np.full((2, 2), float(comm.rank + 10)), root=0, out=out
-            )
-            if comm.rank == 0:
-                return first is out and second is out, np.array(second)
-            return None
-
-        results = run_spmd(3, job)
-        reused, second = results[0]
-        assert reused
-        for rank in range(3):
-            assert np.array_equal(
-                second[2 * rank : 2 * rank + 2],
-                np.full((2, 2), float(rank + 10)),
-            )
-
-    def test_mismatched_out_ignored(self):
-        def job(comm):
-            out = np.empty((4, 4)) if comm.rank == 0 else None  # wrong shape
-            stacked = comm.gatherv_rows(np.ones((2, 2)), root=0, out=out)
-            if comm.rank == 0:
-                return stacked.shape, stacked is out
-            return None
-
-        shape, is_out = run_spmd(2, job)[0]
-        assert shape == (4, 2)
-        assert not is_out
-
     def test_ragged_counts(self):
         def job(comm):
             block = np.full((comm.rank + 1, 2), float(comm.rank))
@@ -270,15 +235,6 @@ class TestGathervZeroCopy:
         dtype, stacked = run_spmd(2, job)[0]
         assert dtype == np.float64
         assert stacked[1, 0] == np.pi  # full f64 precision preserved
-
-    def test_selfcomm_out_filled(self):
-        comm = SelfCommunicator()
-        out = np.empty((2, 2))
-        block = np.arange(4.0).reshape(2, 2)
-        result = comm.gatherv_rows(block, root=0, out=out)
-        assert result is out
-        assert np.array_equal(out, block)
-
 
 class TestGenericMixinGatherv:
     """The mixin fallback (used by backends without the threaded override,
@@ -309,30 +265,6 @@ class TestGenericMixinGatherv:
         comm = self._FakeComm([np.ones((2, 3)), np.zeros((2, 1))])
         with pytest.raises(SmpiError):
             comm.gatherv_rows(np.ones((2, 3)))
-
-    def test_readonly_out_falls_back_to_allocation(self):
-        blocks = [np.ones((1, 2)), np.zeros((1, 2))]
-        comm = self._FakeComm(blocks)
-        frozen = np.empty((2, 2))
-        frozen.flags.writeable = False
-        out = comm.gatherv_rows(np.ones((1, 2)), out=frozen)
-        assert out is not frozen
-        assert out.flags.writeable
-
-
-class TestAlltoallSelfDelivery:
-    def test_own_payload_snapshotted_once(self):
-        def job(comm):
-            sends = [np.full(2, float(j)) for j in range(comm.size)]
-            out = comm.alltoall(sends)
-            sends[comm.rank][:] = -1.0  # mutate own slot after the call
-            comm.barrier()
-            return np.array(out[comm.rank])
-
-        results = run_spmd(3, job)
-        for rank, own in enumerate(results):
-            assert np.array_equal(own, np.full(2, float(rank)))
-
 
 class TestTracerStillSized:
     def test_bcast_bytes_accounted_with_shared_snapshot(self):

@@ -11,6 +11,6 @@ def receive_and_drop(comm):
     return None
 
 
-def collective_dropped(comm, block, op):
-    folded = comm.iallreduce(block, op)
+def reply_dropped(comm, block):
+    reply = comm.irecv(1, 5)
     return block

@@ -8,18 +8,7 @@ import pytest
 
 from repro.smpi import create_communicator
 from repro.smpi.provenance import TRACKER, track
-from repro.smpi.request import CollectiveRequest
 from repro.verify import format_leaks
-
-
-class _NeverDone:
-    """A child request that never completes (a peer that never sent)."""
-
-    def test(self):
-        return False, None
-
-    def wait(self, timeout=None):  # pragma: no cover - never called
-        raise AssertionError("wait on a never-completing child")
 
 
 class TestPendingRequests:
@@ -45,22 +34,17 @@ class TestPendingRequests:
             request.wait(timeout=5.0)
             assert scope.pending_requests() == []
 
-    def test_pending_collective_is_reported_with_metadata(self):
+    def test_pending_receive_is_reported_with_metadata(self):
         with track() as scope:
-            request = CollectiveRequest(
-                [_NeverDone()],
-                finalize=lambda payloads: None,
-                op="iallreduce",
-                root=0,
-                tag=42,
-            )
+            comms = create_communicator("threads", 2)
+            request = comms[0].irecv(1, 42)
             leaks = scope.pending_requests()
             assert len(leaks) == 1
-            assert leaks[0].kind == "CollectiveRequest"
-            assert "iallreduce" in leaks[0].detail
-            assert "root=0" in leaks[0].detail
+            assert leaks[0].kind == "RecvRequest"
+            assert "source=1" in leaks[0].detail
+            assert "rank 0" in leaks[0].detail
             assert "tag=42" in leaks[0].detail
-            request._done = True  # retire the deliberate leak
+            request.cancel()  # retire the deliberate leak
 
 
 class TestUnreleasedEnvelopes:
@@ -129,15 +113,10 @@ class TestFinalizerWarnings:
             del request
             gc.collect()
 
-    def test_warning_names_the_collective(self):
-        request = CollectiveRequest(
-            [_NeverDone()],
-            finalize=lambda payloads: None,
-            op="ibcast",
-            root=1,
-            tag=9,
-        )
-        with pytest.warns(ResourceWarning, match=r"ibcast, root=1, tag=9"):
+    def test_warning_names_the_receive(self):
+        comms = create_communicator("threads", 2)
+        request = comms[1].irecv(0, 9)
+        with pytest.warns(ResourceWarning, match=r"RecvRequest\(source=0, tag=9\)"):
             del request
             gc.collect()
 

@@ -154,7 +154,7 @@ class TestUnawaitedRequests:
                     requests[depth] = comm.irecv(1, depth)
                     self._reply = comm.irecv(2, 0)
                     self._outbox.append(comm.isend(x, 1))
-                    return comm.ibcast(x, 0)
+                    return comm.irecv(0, 1)
                 """
             )
             == []
@@ -212,11 +212,11 @@ class TestOutAliasing:
             == []
         )
 
-    def test_igatherv_alias_flagged(self):
+    def test_allreduce_alias_flagged(self):
         findings = _lint(
             """
             def f(comm, block):
-                return comm.igatherv_rows(block, 0, out=block)
+                return comm.allreduce(block, SUM, out=block)
             """
         )
         assert _codes(findings) == ["SPMD004"]
