@@ -72,7 +72,7 @@ def job(session):
 
 def base_config():
     return RunConfig(
-        solver=SolverConfig(K=K, ff=0.95, qr_variant="gather", overlap=True),
+        solver=SolverConfig(K=K, ff=0.95, qr_variant="gather"),
         backend=BackendConfig(name="threads", size=RANKS, timeout=30.0),
         stream=StreamConfig(batch=BATCH),
         obs=ObservabilityConfig(metrics=True),

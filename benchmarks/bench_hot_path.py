@@ -1,36 +1,34 @@
-"""Hot-path allocation + throughput bench: the streaming step, overlapped
-and blocking, against a serial yardstick.
+"""Hot-path allocation + throughput bench: the streaming step against a
+serial yardstick.
 
 The streaming update is allocator-free in steady state: each driver owns
 one workspace that holds the step's input (factored in place by the
 local QR, whose compact-WY reflectors are never formed into ``Q`` but
 applied once with one tall GEMM straight into the double-buffered local
-modes) and its ``R`` stacks.  The pipelined engine adds the overlap
-dimension: fused single-message TSQR replies with preposted receives,
-the small-matrices-first correction fold, and `overlap=True` deferred
-completion.  This bench measures, per ``backend x rank-count x batch``
-cell and per lane:
+modes) and its ``R`` stacks.  The step moves its factors in fused
+single-message TSQR replies with preposted receives and folds the
+truncation into the correction small-matrices-first.  This bench
+measures, per ``backend x rank-count x batch`` cell and per lane:
 
 * **bytes/step** — aggregate tracemalloc peak-over-baseline per streaming
   step (all ranks; the in-process backends share one heap), and
 * **steps/s** — wall-clock streaming throughput (measured untraced),
 
-for three lanes: ``fast`` (the blocking step), ``overlap``
-(``overlap=True``, collectives in flight across steps) and ``serial``
+for two lanes: ``fast`` (the streaming step) and ``serial``
 (:class:`~repro.core.serial.ParSVDSerial`, the explicit-``Q`` kernel,
 streaming the same matrix in one process), and emits
 ``BENCH_hot_path.json``.  The serial lane is the yardstick that turns the
 fast lane's throughput into a ratio measured within one run
 (``serial_speedup``).  The committed copy of that file at the repo root
 is the regression baseline CI compares against — bytes/step and the
-throughput *ratios* (machine-independent) are gated.  Each cell
+throughput *ratio* (machine-independent) are gated.  Each cell
 additionally carries a ``phases`` rollup (schema v1) from one obs-traced
 run — informational only, never gated.
 
 Pin BLAS to one thread when running it (``OPENBLAS_NUM_THREADS``,
 ``OMP_NUM_THREADS`` and ``MKL_NUM_THREADS`` set to 1, as CI and
 ``benchmarks/suite/run.py`` do): the serial lane's GEMMs otherwise use
-however many cores the host has, and the ratios stop meaning anything.
+however many cores the host has, and the ratio stops meaning anything.
 
 Acceptance cell: threads backend, 4 ranks, K=10, 20 streaming batches.
 """
@@ -72,8 +70,7 @@ CONFIGS = [
 #: single-rank cell, where no communication hides a kernel change.
 GATED = [CONFIGS[0], CONFIGS[2]]
 
-#: streaming lane name -> overlap
-LANES = {"fast": False, "overlap": True}
+LANES = ("fast", "serial")
 
 
 def make_data(batch):
@@ -84,10 +81,10 @@ def make_data(batch):
     return left @ right + 1e-6 * rng.standard_normal((M, n_cols))
 
 
-def lane_config(backend, nranks, overlap):
-    """The typed RunConfig of one ``backend x ranks x lane`` cell."""
+def lane_config(backend, nranks):
+    """The typed RunConfig of one ``backend x ranks`` cell."""
     return RunConfig(
-        solver=SolverConfig(K=K, ff=0.95, overlap=overlap),
+        solver=SolverConfig(K=K, ff=0.95),
         backend=BackendConfig(name=backend, size=nranks),
     )
 
@@ -144,7 +141,7 @@ def run_lane(lane, data, backend, nranks, batch, measure_alloc):
     if lane == "serial":
         return serial_stream(data, batch, measure_alloc)
     results = Session.run(
-        lane_config(backend, nranks, LANES[lane]),
+        lane_config(backend, nranks),
         streaming_job(data, batch, measure_alloc),
     )
     return results[0]
@@ -153,8 +150,7 @@ def run_lane(lane, data, backend, nranks, batch, measure_alloc):
 def measure_alloc_lane(lane, data, backend, nranks, batch):
     """bytes/step for one lane (tracemalloc on, barrier-fenced steps so
     rank 0's window covers every rank's allocations — shared in-process
-    heap; the barriers also serialize overlap's deferred completion into
-    the measured window).  The first few steps warm the workspace/BLAS
+    heap).  The first few steps warm the workspace/BLAS
     buffers; the steady-state tail is averaged."""
     tracemalloc.start()
     try:
@@ -167,19 +163,18 @@ def measure_alloc_lane(lane, data, backend, nranks, batch):
 
 
 def measure_rates(data, backend, nranks, batch, reps=9):
-    """steps/s per lane and the gated ratios, no tracemalloc (it
+    """steps/s per lane and the gated ratio, no tracemalloc (it
     dominates otherwise).
 
     The lanes are timed *interleaved* — every repetition times each lane
-    once, back to back — so slow machine-load drift hits all lanes
-    equally.  Each repetition gives one ``overlap_speedup`` (overlap vs
-    fast) and one ``serial_speedup`` (fast vs serial) sample, and the
-    ratios the CI gate checks are the medians of those samples: one
-    descheduled lane run moves a median by at most one rank, where a
-    ratio of best-of-reps divides two independent extremes.  The
-    per-lane steps/s are medians too.
+    once, back to back — so slow machine-load drift hits both lanes
+    equally.  Each repetition gives one ``serial_speedup`` (fast vs
+    serial) sample, and the ratio the CI gate checks is the median of
+    those samples: one descheduled lane run moves a median by at most
+    one rank, where a ratio of best-of-reps divides two independent
+    extremes.  The per-lane steps/s are medians too.
     """
-    elapsed = {lane: [] for lane in (*LANES, "serial")}
+    elapsed = {lane: [] for lane in LANES}
     for _ in range(reps):
         for lane in elapsed:
             start = time.perf_counter()
@@ -188,20 +183,14 @@ def measure_rates(data, backend, nranks, batch, reps=9):
     rates = {
         lane: N_STEPS / statistics.median(times) for lane, times in elapsed.items()
     }
-    fast = elapsed["fast"]
-    ratios = {
-        "overlap_speedup": statistics.median(
-            f / o for f, o in zip(fast, elapsed["overlap"])
-        ),
-        "serial_speedup": statistics.median(
-            s / f for f, s in zip(fast, elapsed["serial"])
-        ),
-    }
-    return rates, ratios
+    serial_speedup = statistics.median(
+        s / f for f, s in zip(elapsed["fast"], elapsed["serial"])
+    )
+    return rates, serial_speedup
 
 
 def measure_phases(data, backend, nranks, batch):
-    """Per-phase timing rollup of one obs-traced overlapped run.
+    """Per-phase timing rollup of one obs-traced streaming run.
 
     A separate run with :mod:`repro.obs` tracing enabled (the measured
     lanes above run with observability *off*, so the bytes/step and
@@ -210,7 +199,7 @@ def measure_phases(data, backend, nranks, batch):
     max_s}}``.
     """
     obs_runtime.reset()
-    cfg = lane_config(backend, nranks, True).replace(
+    cfg = lane_config(backend, nranks).replace(
         obs=ObservabilityConfig(metrics=True, trace=True)
     )
     Session.run(cfg, streaming_job(data, batch, measure_alloc=False))
@@ -232,23 +221,20 @@ def test_hot_path(benchmark, artifacts_dir):
         data = make_data(batch)
         lanes = {}
         values = {}
-        for lane in (*LANES, "serial"):
+        for lane in LANES:
             lane_bytes, values[lane] = measure_alloc_lane(
                 lane, data, backend, nranks, batch
             )
             lanes[lane] = {"bytes_per_step": lane_bytes}
-        rates, ratios = measure_rates(data, backend, nranks, batch)
+        rates, serial_speedup = measure_rates(data, backend, nranks, batch)
         for lane, rate in rates.items():
             lanes[lane]["steps_per_s"] = rate
-        # Same numbers out of every lane (the test suite pins 1e-12 and
-        # the serial agreement; here it guards the bench against
-        # divergence).  The data is rank 8 plus 1e-6 noise, so only the
-        # leading 8 values are determined well enough to compare across
-        # the two algorithms.
-        assert np.max(np.abs(values["overlap"] - values["fast"])) <= 1e-10
+        # Same numbers out of both lanes (the test suite pins the serial
+        # agreement; here it guards the bench against divergence).  The
+        # data is rank 8 plus 1e-6 noise, so only the leading 8 values
+        # are determined well enough to compare across the two
+        # algorithms.
         assert np.allclose(values["serial"][:8], values["fast"][:8], rtol=1e-8)
-        serial_speedup = ratios["serial_speedup"]
-        overlap_speedup = ratios["overlap_speedup"]
         cells.append(
             {
                 "backend": backend,
@@ -258,12 +244,10 @@ def test_hot_path(benchmark, artifacts_dir):
                 "n_steps": N_STEPS,
                 "n_dof": M,
                 "fast": lanes["fast"],
-                "overlap": lanes["overlap"],
                 "serial": lanes["serial"],
                 "serial_speedup": serial_speedup,
-                "overlap_speedup": overlap_speedup,
                 # Additive (schema v1): per-phase wall-clock breakdown of
-                # one traced overlapped run; the baseline gate ignores it.
+                # one traced streaming run; the baseline gate ignores it.
                 "phase_timing_schema": 1,
                 "phases": measure_phases(data, backend, nranks, batch),
             }
@@ -272,12 +256,9 @@ def test_hot_path(benchmark, artifacts_dir):
             [
                 f"{backend} x{nranks} b{batch}",
                 f"{lanes['fast']['bytes_per_step'] / 1024:.0f} KiB",
-                f"{lanes['overlap']['bytes_per_step'] / 1024:.0f} KiB",
                 f"{lanes['serial']['bytes_per_step'] / 1024:.0f} KiB",
                 f"{lanes['fast']['steps_per_s']:.1f}",
-                f"{lanes['overlap']['steps_per_s']:.1f}",
                 f"{lanes['serial']['steps_per_s']:.1f}",
-                f"{overlap_speedup:.2f}x",
                 f"{serial_speedup:.2f}x",
             ]
         )
@@ -289,18 +270,15 @@ def test_hot_path(benchmark, artifacts_dir):
     emit(
         artifacts_dir,
         "hot_path.txt",
-        f"Streaming hot path: blocking and overlapped steps vs the serial "
+        f"Streaming hot path: the streaming step vs the serial "
         f"yardstick (n_dof={M}, K={K}, {N_STEPS} steps)\n"
         + format_table(
             [
                 "config",
                 "fast B/step",
-                "overlap B/step",
                 "serial B/step",
                 "fast steps/s",
-                "overlap steps/s",
                 "serial steps/s",
-                "overlap-vs-fast",
                 "fast-vs-serial",
             ],
             rows,
@@ -309,27 +287,19 @@ def test_hot_path(benchmark, artifacts_dir):
 
     # Every cell: the fast lane must allocate less than half of one
     # (M, K + batch) float64 block per step (an allocate-per-step kernel
-    # creates several), and the overlapped lane must not allocate
-    # meaningfully more than the fast lane (its replies are smaller;
-    # preposted requests are tiny).  The wall-clock asserts are only
-    # catastrophic-regression canaries because a shared CI box jitters
+    # creates several).  The wall-clock assert is only a
+    # catastrophic-regression canary because a shared CI box jitters
     # +-20%; the precise numbers live in the JSON and are gated against
     # the committed baseline by check_against_baseline.
     for cell in cells:
         assert cell["fast"]["bytes_per_step"] < 0.5 * block_bytes(cell["batch"])
-        assert (
-            cell["overlap"]["bytes_per_step"]
-            <= 1.5 * cell["fast"]["bytes_per_step"] + 65536
-        )
-    acceptance = cells[0]
-    assert acceptance["serial_speedup"] > 0.5
-    assert acceptance["overlap_speedup"] > 0.75
+    assert cells[0]["serial_speedup"] > 0.5
 
-    # Timed kernel for pytest-benchmark: one steady-state overlapped stream.
+    # Timed kernel for pytest-benchmark: one steady-state stream.
     data = make_data(CONFIGS[0][2])
     benchmark(
         lambda: Session.run(
-            lane_config(CONFIGS[0][0], CONFIGS[0][1], True),
+            lane_config(CONFIGS[0][0], CONFIGS[0][1]),
             streaming_job(data, CONFIGS[0][2], measure_alloc=False),
         )
     )
@@ -344,14 +314,12 @@ def check_against_baseline(artifact_path, baseline_path, tolerance=0.25):
     * ``fast`` bytes/step must stay within ``tolerance`` (+25%) of the
       baseline — allocation counts are machine-independent;
     * throughput must not regress.  Raw steps/s are not comparable
-      across machines, so the gate checks the *ratios* measured within
-      one (lane-interleaved) bench run — each the median of its
+      across machines, so the gate checks the *ratio* measured within
+      one (lane-interleaved) bench run — the median of its
       per-repetition samples — against the baseline's:
-      ``overlap_speedup`` (overlap vs fast — the pipelined engine's
-      steps/s) at a 15% floor, and ``serial_speedup`` (fast vs the
-      serial explicit-``Q`` yardstick — a slower streaming step shows
-      here) at a wider 25% floor, because it compares two different
-      programs and moves more with the host.
+      ``serial_speedup`` (fast vs the serial explicit-``Q`` yardstick —
+      a slower streaming step shows here) at a 25% floor, wide because
+      it compares two different programs and moves with the host.
     """
     artifact = json.loads(pathlib.Path(artifact_path).read_text())
     baseline = json.loads(pathlib.Path(baseline_path).read_text())
@@ -362,6 +330,7 @@ def check_against_baseline(artifact_path, baseline_path, tolerance=0.25):
         }
 
     measured_cells, base_cells = by_cell(artifact), by_cell(baseline)
+    steps_tolerance = 0.25
     failures = []
     for key in GATED:
         cell, base = measured_cells[key], base_cells[key]
@@ -379,22 +348,18 @@ def check_against_baseline(artifact_path, baseline_path, tolerance=0.25):
                 f"exceeds baseline {allowed:.0f} B/step (+{tolerance:.0%})"
             )
 
-        for ratio, steps_tolerance in (
-            ("overlap_speedup", 0.15),
-            ("serial_speedup", 0.25),
-        ):
-            measured_ratio = cell[ratio]
-            floor = base[ratio] * (1 - steps_tolerance)
-            print(
-                f"hot-path {label} {ratio}: measured {measured_ratio:.3f}, "
-                f"baseline requires >= {floor:.3f}"
+        measured_ratio = cell["serial_speedup"]
+        floor = base["serial_speedup"] * (1 - steps_tolerance)
+        print(
+            f"hot-path {label} serial_speedup: measured "
+            f"{measured_ratio:.3f}, baseline requires >= {floor:.3f}"
+        )
+        if measured_ratio < floor:
+            failures.append(
+                f"{label} steps/s regression: serial_speedup "
+                f"{measured_ratio:.3f} fell >{steps_tolerance:.0%} below "
+                f"baseline {base['serial_speedup']:.3f}"
             )
-            if measured_ratio < floor:
-                failures.append(
-                    f"{label} steps/s regression: {ratio} "
-                    f"{measured_ratio:.3f} fell >{steps_tolerance:.0%} below "
-                    f"baseline {base[ratio]:.3f}"
-                )
 
     if failures:
         raise SystemExit("hot-path regression gate: " + "; ".join(failures))

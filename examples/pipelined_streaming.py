@@ -1,16 +1,15 @@
 #!/usr/bin/env python
-"""Pipelined streaming: out-of-core ingestion + overlapped collectives.
+"""Pipelined streaming: out-of-core ingestion overlapped with compute.
 
-Three stages of one streaming step run concurrently here:
+Two stages of the stream run concurrently here:
 
 1. a ``PrefetchStream`` background thread reads the *next* batch from an
    on-disk snapshot container (out-of-core ingestion);
-2. each rank's ``incorporate_data`` posts its TSQR communication and
-   returns with the step *in flight* (``ParSVDParallel(overlap=True)``);
-3. the previous step's fused reply completes lazily at the next update.
+2. each rank's ``incorporate_data`` factors the current batch (local QR,
+   point-to-point TSQR exchange, small SVD, one tall apply).
 
-The numbers are identical to the plain blocking loop — asserted below to
-1e-12 — only the schedule changes.
+The numbers are identical to the plain blocking loop without prefetch —
+asserted below to 1e-12 — only the schedule changes.
 
 Run:  python examples/pipelined_streaming.py
 """
@@ -35,17 +34,17 @@ def make_dataset(path):
     return path
 
 
-def stream_svd(dataset_path, *, overlap, prefetch):
+def stream_svd(dataset_path, *, prefetch):
     """Fit the distributed streaming SVD from the on-disk container.
 
     The whole pipeline — out-of-core source, per-rank row restriction,
-    background prefetch, overlapped collectives — is declared in the
+    background prefetch of depth ``prefetch`` — is declared in the
     RunConfig; the Session wires it."""
     cfg = RunConfig(
-        solver=SolverConfig(K=K, ff=1.0, overlap=overlap),
+        solver=SolverConfig(K=K, ff=1.0),
         backend=BackendConfig(name="threads", size=RANKS),
         stream=StreamConfig(
-            source=str(dataset_path), batch=BATCH, prefetch=2 if prefetch else 0
+            source=str(dataset_path), batch=BATCH, prefetch=prefetch
         ),
     )
 
@@ -65,14 +64,14 @@ def main() -> None:
             f"streaming {NT} snapshots of {M} dofs from disk "
             f"({RANKS} ranks, K={K}, batches of {BATCH})"
         )
-        m_ref, v_ref, t_ref = stream_svd(path, overlap=False, prefetch=False)
-        m_pipe, v_pipe, t_pipe = stream_svd(path, overlap=True, prefetch=True)
+        m_ref, v_ref, t_ref = stream_svd(path, prefetch=0)
+        m_pipe, v_pipe, t_pipe = stream_svd(path, prefetch=2)
 
         dm = float(np.max(np.abs(m_ref - m_pipe)))
         dv = float(np.max(np.abs(v_ref - v_pipe)))
         assert dm <= 1e-12 and dv <= 1e-12, (dm, dv)
-        print(f"blocking loop          : {t_ref:6.2f} s")
-        print(f"prefetch + overlap loop: {t_pipe:6.2f} s")
+        print(f"blocking loop  : {t_ref:6.2f} s")
+        print(f"prefetch loop  : {t_pipe:6.2f} s")
         print(
             f"pipelined result matches blocking to "
             f"max|dU|={dm:.1e}, max|dS|={dv:.1e}"

@@ -11,7 +11,7 @@ them:
   BackendConfig`) and the batch source (:class:`~repro.config.
   StreamConfig`).  Round-trips through JSON, embeds into checkpoints.
 * :class:`Session` — a context manager that owns the communicator
-  lifecycle, builds the driver, wires prefetch/partitioning/overlap, and
+  lifecycle, builds the driver, wires prefetch and partitioning, and
   exposes the whole workflow: :meth:`~Session.fit_stream`,
   :meth:`~Session.result`, :meth:`~Session.save_checkpoint`,
   :meth:`~Session.export_to_store`, :meth:`~Session.query_engine`, and
@@ -239,11 +239,12 @@ class Session:
 
     With ``config.obs`` enabled the session installs process-global
     observability (:mod:`repro.obs`) for its lifetime: every
-    communicator op is metered, the pipelined engine reports its
-    ``overlap_efficiency`` gauge, and (with ``obs.trace``) phase spans
-    accumulate on the tracer.  Read them through :attr:`metrics` and
-    :meth:`dump_trace`; the install is reference-counted, so the
-    per-rank sessions of one :meth:`run` share a single registry.
+    communicator op is metered, the streaming step reports its
+    ``step_seconds`` and ``finish_seconds`` histograms, and (with
+    ``obs.trace``) phase spans accumulate on the tracer.  Read them
+    through :attr:`metrics` and :meth:`dump_trace`; the install is
+    reference-counted, so the per-rank sessions of one :meth:`run` share
+    a single registry.
 
     Examples
     --------
@@ -332,11 +333,10 @@ class Session:
         self._recovery: Optional[Recovery] = None
 
     def _start_health_daemon(self, comm: Any) -> None:
-        """Start this rank's heartbeat/progress daemon (``health.enabled``).
+        """Start this rank's heartbeat daemon (``health.enabled``).
 
-        The daemon beats this rank's world mailbox, opportunistically
-        completes the driver's in-flight overlapped step, and (one per
-        world) runs the :class:`~repro.health.monitor.HealthMonitor` that
+        The daemon beats this rank's world mailbox and (one per world)
+        runs the :class:`~repro.health.monitor.HealthMonitor` that
         escalates silent peers to ``World.fail_rank``.  Imported lazily —
         :mod:`repro.health` sits above this module.
         """
@@ -351,18 +351,10 @@ class Session:
             monitor = world.health
             if monitor is None:
                 monitor = HealthMonitor(world, self._config.health)
-
-        def advance() -> bool:
-            driver = self._driver
-            if driver is None:
-                return False
-            return driver.try_finalize_pending()
-
         self._health_daemon = ProgressDaemon(
             self._config.health.heartbeat_interval,
             world=world,
             world_rank=world_rank,
-            advance=advance,
             monitor=monitor,
         ).start()
 
@@ -374,47 +366,37 @@ class Session:
         self.close(drop_pending=exc_type is not None)
 
     def close(self, *, drop_pending: bool = False) -> None:
-        """End the session: complete any in-flight overlapped step and
-        release the driver (and, when owned, the communicator binding).
+        """End the session: stop its health daemon and release the driver
+        (and, when owned, the communicator binding).
 
-        Safe to call twice.  On a clean exit a pending pipelined step is
-        finalised so no peer is left waiting; with ``drop_pending=True``
-        (what ``__exit__`` passes while an exception is unwinding) the
-        pending state is *aborted* instead — its in-flight requests are
-        cancelled (waiting on peers that are themselves unwinding could
-        only block until the mailbox timeout and mask the original
-        error) and any background :class:`~repro.data.streams.
-        PrefetchStream` producers this session started are stopped and
-        joined, so a crashed session leaks neither requests nor threads.
+        Safe to call twice.  Every streaming step finishes in the call
+        that posts it, so no step is left to drain.  With
+        ``drop_pending=True`` (what ``__exit__`` passes while an
+        exception is unwinding) any background :class:`~repro.data.
+        streams.PrefetchStream` producers this session started are
+        stopped and joined, so a crashed session leaks no threads.
         """
         if self._closed:
             return
         daemon, self._health_daemon = self._health_daemon, None
         if daemon is not None:
-            # Stopped before the final drain (no daemon racing it) and
-            # retired, so peer monitors treat the silence as a clean
+            # Retired, so peer monitors treat the silence as a clean
             # departure rather than a death.
             daemon.stop(retire=True)
-        driver, self._driver = self._driver, None
+        self._driver = None
         streams, self._prefetch_streams = self._prefetch_streams, []
         self._closed = True
-        try:
-            if driver is not None and drop_pending:
-                driver.abort_pending()
-            elif driver is not None and driver.pending_update:
-                driver._finalize_pending()
-        finally:
-            if drop_pending:
-                for stream in streams:
-                    stream.abort()
-            if self._owns_comm:
-                self._comm = None
-            if self._obs_installed:
-                self._obs_installed = False
-                _obs.uninstall()
-            if self._faults_installed:
-                self._faults_installed = False
-                _faults.uninstall()
+        if drop_pending:
+            for stream in streams:
+                stream.abort()
+        if self._owns_comm:
+            self._comm = None
+        if self._obs_installed:
+            self._obs_installed = False
+            _obs.uninstall()
+        if self._faults_installed:
+            self._faults_installed = False
+            _faults.uninstall()
 
     def _require_open(self) -> None:
         if self._closed:
@@ -511,8 +493,8 @@ class Session:
         functions stream the whole run every attempt and recover from
         the latest snapshot.  ``config.stream.prefetch`` wraps the
         rank-local stream in a background :class:`~repro.data.streams.
-        PrefetchStream`; ``config.solver.overlap`` keeps each step's
-        collectives in flight while the next batch arrives.
+        PrefetchStream`, so the next batch is read while this one is
+        factored.
         """
         self._require_open()
         driver = self.driver
@@ -735,9 +717,9 @@ class Session:
         one :class:`Recovery`: a gathered snapshot is captured every
         ``checkpoint_every`` ingested batches, and when a rank fails —
         the root cause is a :class:`~repro.exceptions.CommunicatorError`
-        — the world is torn down (pipelined requests aborted, prefetch
-        producers stopped) and rebuilt from the latest snapshot after an
-        exponential backoff; any other error propagates at once.  In the
+        — the world is torn down (prefetch producers stopped) and rebuilt
+        from the latest snapshot after an exponential backoff; any other
+        error propagates at once.  In the
         default ``mode="restart"`` ``fn`` is re-entered on the rebuilt
         world and replays the stream, skipping the batches the snapshot
         already covers, so a recovered run matches an uninterrupted one

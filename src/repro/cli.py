@@ -85,13 +85,6 @@ def _add_pipeline_options(parser: argparse.ArgumentParser) -> None:
         help="prefetch snapshot batches through a background double buffer "
         "of this depth (0 = off); batch production then overlaps compute",
     )
-    parser.add_argument(
-        "--overlap",
-        action="store_true",
-        help="pipeline the streaming update: each step's TSQR collectives "
-        "stay in flight while the next batch is ingested (same numbers, "
-        "asserted by the test suite)",
-    )
 
 
 def _add_obs_options(parser: argparse.ArgumentParser) -> None:
@@ -181,7 +174,6 @@ _CONFIG_OVERRIDES = {
     "burgers": {
         "modes": ("solver", "K"),
         "ff": ("solver", "ff"),
-        "overlap": ("solver", "overlap"),
         "backend": ("backend", "name"),
         "ranks": ("backend", "size"),
         "batch": ("stream", "batch"),
@@ -189,7 +181,6 @@ _CONFIG_OVERRIDES = {
     },
     "era5": {
         "modes": ("solver", "K"),
-        "overlap": ("solver", "overlap"),
         "backend": ("backend", "name"),
         "ranks": ("backend", "size"),
         "prefetch": ("stream", "prefetch"),
@@ -426,12 +417,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--steps", type=int, default=6, help="number of streamed batches"
     )
     p_profile.add_argument(
-        "--no-overlap",
-        action="store_true",
-        help="disable the pipelined streaming update (profile the "
-        "blocking engine instead)",
-    )
-    p_profile.add_argument(
         "--prefetch",
         type=int,
         default=2,
@@ -473,11 +458,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_chaos.add_argument(
         "--qr-variant", choices=("gather", "tree"), default="gather"
-    )
-    p_chaos.add_argument(
-        "--no-overlap",
-        action="store_true",
-        help="disable the pipelined streaming update",
     )
     p_chaos.add_argument(
         "--prefetch",
@@ -585,7 +565,6 @@ def _cmd_burgers(args: argparse.Namespace) -> int:
             solver=SolverConfig(
                 K=args.modes, ff=args.ff, r1=50,
                 low_rank=True, oversampling=10, power_iters=2, seed=0,
-                overlap=args.overlap,
             ),
             backend=_backend_config(args),
             stream=StreamConfig(batch=args.batch, prefetch=args.prefetch),
@@ -632,7 +611,7 @@ def _cmd_era5(args: argparse.Namespace) -> int:
         cfg = _config_from_file(args, "era5")
     else:
         cfg = RunConfig(
-            solver=SolverConfig(K=args.modes, ff=1.0, r1=50, overlap=args.overlap),
+            solver=SolverConfig(K=args.modes, ff=1.0, r1=50),
             backend=_backend_config(args),
             stream=StreamConfig(
                 batch=max(args.nt // 6, 1), prefetch=args.prefetch
@@ -881,9 +860,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         # Profiling is the whole point of the subcommand: metrics and
         # trace are always on, whatever the file says.
         cfg = cfg.replace(
-            solver=dataclasses.replace(
-                cfg.solver, overlap=cfg.solver.overlap and not args.no_overlap
-            ),
             stream=dataclasses.replace(
                 cfg.stream,
                 batch=cfg.stream.batch or args.batch,
@@ -893,9 +869,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         )
     else:
         cfg = RunConfig(
-            solver=SolverConfig(
-                K=args.modes, ff=0.95, overlap=not args.no_overlap
-            ),
+            solver=SolverConfig(K=args.modes, ff=0.95),
             backend=_backend_config(args),
             stream=StreamConfig(batch=args.batch, prefetch=args.prefetch),
             obs=ObservabilityConfig(metrics=True, trace=True),
@@ -921,7 +895,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     print(
         f"profile: {args.ndof}x{nt} synthetic stream, K={cfg.solver.K}, "
         f"{ranks} ranks, backend={cfg.backend.name}, "
-        f"overlap={cfg.solver.overlap}, prefetch={cfg.stream.prefetch}"
+        f"prefetch={cfg.stream.prefetch}"
     )
 
     def job(session: Session):
@@ -938,9 +912,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     for line in lines:
         print(line)
     snapshot = obs_runtime.default_registry().snapshot()
-    overlap = snapshot["gauges"].get("repro.core.overlap_efficiency")
-    if overlap is not None:
-        print(f"\noverlap_efficiency (wait/step): {overlap:.3f}")
     comm_counters = {
         name: meter["value"]
         for name, meter in snapshot["counters"].items()
@@ -976,10 +947,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
             base = base.replace(
                 obs=dataclasses.replace(base.obs, metrics=True)
             )
-        if args.no_overlap:
-            base = base.replace(
-                solver=dataclasses.replace(base.solver, overlap=False)
-            )
         if base.stream.batch is None:
             base = base.replace(
                 stream=dataclasses.replace(base.stream, batch=args.batch)
@@ -990,7 +957,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
                 K=args.modes,
                 ff=0.95,
                 qr_variant=args.qr_variant,
-                overlap=not args.no_overlap,
             ),
             backend=_backend_config(args),
             stream=StreamConfig(batch=args.batch, prefetch=args.prefetch),
@@ -1184,7 +1150,6 @@ def _cmd_config(args: argparse.Namespace) -> int:
             seed=args.seed,
             qr_variant=args.qr_variant,
             gather=args.gather,
-            overlap=args.overlap,
         ),
         backend=_backend_config(args),
         stream=StreamConfig(

@@ -242,13 +242,11 @@ class SolverConfig(SVDConfig):
     apmos_group_size:
         Group size of the two-level hierarchical APMOS initialisation, or
         ``None`` (default) for the flat single-level gather.
-    overlap:
-        Pipeline streaming updates: each step's collectives stay in
-        flight while the next batch is ingested (default ``False``).
 
     The streaming step always runs allocation-free in a per-driver
-    workspace (see :class:`~repro.core.parallel.ParSVDParallel`); no
-    option selects another lane.
+    workspace and finishes in the call that posts it (see
+    :class:`~repro.core.parallel.ParSVDParallel`); no option selects
+    another lane.
 
     Examples
     --------
@@ -259,17 +257,12 @@ class SolverConfig(SVDConfig):
     qr_variant: str = "gather"
     gather: str = "bcast"
     apmos_group_size: Optional[int] = None
-    overlap: bool = False
 
     def __post_init__(self) -> None:
         super().__post_init__()
         validate_parallel_options(
             self.qr_variant, self.gather, self.apmos_group_size
         )
-        if not isinstance(self.overlap, bool):
-            raise ConfigurationError(
-                f"overlap must be a bool, got {self.overlap!r}"
-            )
 
     @classmethod
     def from_svd_config(cls, config: SVDConfig, **options: object) -> "SolverConfig":
@@ -412,7 +405,7 @@ class ObservabilityConfig(_SectionMixin):
     metrics:
         Record counters/gauges/histograms into the process-global
         :class:`~repro.obs.MetricsRegistry` — per-collective call/byte/
-        latency rollups, overlap efficiency, prefetch and serving
+        latency rollups, streaming-step timings, prefetch and serving
         metrics.  Communicators are wrapped in the metrics observer only
         while this is on; the default ``False`` keeps the hot path
         untouched.
@@ -626,9 +619,9 @@ class HealthConfig(_SectionMixin):
 
     Disabled by default: nothing beats, nothing polls, the hot path is
     untouched.  Enabled, every :class:`~repro.api.Session` starts a
-    background progress daemon that publishes a monotonic heartbeat on
-    this rank's mailbox, advances the receives of in-flight overlapped
-    steps, and classifies its peers from their beat ages:
+    background daemon that, every ``heartbeat_interval``, publishes a
+    monotonic heartbeat on this rank's mailbox and classifies its peers
+    from their beat ages:
 
     ``alive``
         beat age ``<= straggler_factor * heartbeat_interval``.
@@ -648,8 +641,8 @@ class HealthConfig(_SectionMixin):
     enabled:
         Master switch for heartbeat publication and monitoring.
     heartbeat_interval:
-        Target period (seconds) between a rank's liveness beats; also
-        the progress daemon's minimum polling period.
+        Period (seconds) between a rank's liveness beats and its
+        monitor checks.
     suspect_after:
         Beat age (seconds) past which a peer is classified ``suspect``.
     straggler_factor:

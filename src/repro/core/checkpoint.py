@@ -118,8 +118,8 @@ def write_checkpoint(
     ``run_config`` (when given, e.g. by :class:`~repro.api.Session`)
     embeds the full typed :class:`~repro.config.RunConfig` as a JSON
     payload, so a resume can restore solver *and* backend settings —
-    including knobs the flat fields don't carry (``overlap``, backend
-    name/size, stream batching).
+    including knobs the flat fields don't carry (backend name/size,
+    stream batching).
     """
     if modes is None or singular_values is None:
         raise NotInitializedError("cannot checkpoint an uninitialised SVD")
@@ -169,7 +169,7 @@ def write_checkpoint(
 #: ``(section, key)`` pairs of an embedded run config that this build
 #: retired.  A checkpoint written before the retirement keeps the rest of
 #: its config; the key is dropped with one warning naming it.
-RETIRED_RUN_CONFIG_KEYS = (("solver", "workspace"),)
+RETIRED_RUN_CONFIG_KEYS = (("solver", "workspace"), ("solver", "overlap"))
 
 
 def _embedded_run_config(path: pathlib.Path, text: str) -> Optional["RunConfig"]:

@@ -27,7 +27,6 @@ Fidelity notes
 
 from __future__ import annotations
 
-import threading
 import time
 from typing import Optional, Tuple
 
@@ -60,14 +59,6 @@ from .workspace import Workspace
 __all__ = ["ParSVDParallel"]
 
 
-def _abort_step(step) -> None:
-    """Cancel an abandoned step's outstanding requests (steps that hold
-    none have no ``abort``)."""
-    abort = getattr(step, "abort", None)
-    if abort is not None:
-        abort()
-
-
 class ParSVDParallel(ParSVDBase):
     """Distributed streaming truncated SVD over a row-block decomposition.
 
@@ -94,25 +85,6 @@ class ParSVDParallel(ParSVDBase):
         :attr:`local_modes`);
         ``"none"``: no gathering; :attr:`modes` is the local block, the
         same read-only view as :attr:`local_modes`.
-    overlap:
-        ``True`` pipelines the streaming update: ``incorporate_data``
-        performs the local QR, posts the step's communication
-        (:class:`~repro.core.tsqr.PipelinedGatherStep` /
-        :class:`~repro.core.tsqr.PipelinedTreeStep` — receives preposted,
-        fused single-message replies) and **returns with the step in
-        flight**; the caller's next batch ingest (IO, simulation,
-        :class:`~repro.data.streams.PrefetchStream` refills) overlaps the
-        in-flight collectives.  The step completes lazily — at the next
-        ``incorporate_data`` or on any result access (``modes``,
-        ``local_modes``, ``singular_values``, checkpointing).  Numbers are
-        identical to ``overlap=False`` (asserted to 1e-12 by the test
-        suite).  As with lazy mode gathering, completion is collective in
-        effect: a rank that never completes its step never releases its
-        peers, so all ranks must advance (update or read results) in the
-        same pattern.  Give each overlapped instance its own
-        communicator (``comm.dup()``) if several stream concurrently on
-        one group — in-flight steps of different instances must not
-        share a tag space.
 
     Notes
     -----
@@ -181,23 +153,9 @@ class ParSVDParallel(ParSVDBase):
         self._gather = solver.gather
         self._apmos_group_size = solver.apmos_group_size
         self._workspace = Workspace()
-        self._overlap = bool(solver.overlap)
-        # In-flight pipelined step (overlap mode): posted by
-        # incorporate_data, completed lazily by the next update or by any
-        # result accessor.  _pending_error poisons the instance after a
-        # failed completion — its state no longer reflects the counters.
-        self._pending = None
-        self._pending_error: Optional[BaseException] = None
-        # Serialises pending-step completion between this driver's thread
-        # and a background progress daemon (repro.health): finalize /
-        # abort take it blocking, the daemon's try_finalize_pending only
-        # opportunistically (never stalls the hot path).  Reentrant so
-        # try_finalize_pending can call _finalize_pending under it.
-        self._pending_lock = threading.RLock()
-        # Observability: perf_counter stamp of the in-flight step's post
-        # (None while observability is off — the disabled path must not
-        # allocate).
-        self._pending_posted_t: Optional[float] = None
+        # Set when a streaming step fails to complete: it poisons the
+        # instance, because the peers may have applied the step.
+        self._step_error: Optional[BaseException] = None
         self._ulocal: Optional[np.ndarray] = None
         # Lazy mode assembly: _modes_epoch counts factorization updates,
         # _modes_synced_epoch the update the cached gathered modes belong
@@ -264,9 +222,8 @@ class ParSVDParallel(ParSVDBase):
         listing.
 
         ``a_local`` is left unchanged: the step factors a private copy.
-        An in-flight overlapped step is completed first.
         """
-        self._finalize_pending()
+        self._raise_if_poisoned()
 
         # SVD the small factor once, at rank 0, and ship it in the fused
         # reply — with randomization enabled this keeps every rank on the
@@ -309,7 +266,7 @@ class ParSVDParallel(ParSVDBase):
     # -- streaming driver (paper Listing 2) -----------------------------------
     def initialize(self, A: np.ndarray) -> "ParSVDParallel":
         """Factor the first (local block of the) batch via APMOS."""
-        self._finalize_pending()
+        self._raise_if_poisoned()
         A = self._validate_first_batch(A)
         with _obs.span("parsvd.initialize", phase="svd", rank=self.comm.rank):
             self._ulocal, self._singular_values = self.parallel_svd(A)
@@ -330,27 +287,38 @@ class ParSVDParallel(ParSVDBase):
         buffer.  A steady-state streaming loop therefore allocates no
         ``(M_i, K + batch)`` arrays at all.
 
-        With ``overlap=True`` the call returns with the step's
-        communication in flight (see the class docstring); the previous
-        in-flight step, if any, is completed first.
+        The step is posted and finished in this call.  Its finish is
+        where rank 0 stacks or merges the ``R`` factors, runs the
+        truncated small SVD and sends the fused replies; other ranks wait
+        there for theirs.  A step that fails to finish (e.g. a dead
+        peer surfacing as a deadlock) is aborted and *poisons* the
+        instance: its peers may have applied it, so every later access
+        raises instead of quietly serving the pre-step factorization.
         """
-        self._finalize_pending()
+        self._raise_if_poisoned()
         A = self._validate_next_batch(A)
         assert self._ulocal is not None
         assert self._singular_values is not None
 
         with _obs.span("parsvd.ingest", phase="ingest", rank=self.comm.rank):
             ll = self._scale_concat(A)
-        # overlap only changes *when* the finish phase runs (identical
-        # numbers).  With overlap=True the step stays in flight — the
-        # merge / reduce / fused reply completes at the next update or
-        # result access, overlapping whatever the caller does in between.
-        self._pending = self._post_step(ll)
-        self._pending_posted_t = (
-            time.perf_counter() if _obs.state() is not None else None
-        )
-        if not self._overlap:
-            self._finalize_pending()
+        st = _obs.state()
+        t0 = time.perf_counter() if st is not None else 0.0
+        step = self._post_step(ll)
+        t1 = time.perf_counter() if st is not None else 0.0
+        try:
+            q1, fused, s_new = step.finish(self._reduce_truncated)
+        except BaseException as exc:
+            self._step_error = exc
+            # The step is dead: release the requests it still holds (a
+            # traceback kept by a log record would pin them).
+            step.abort()
+            raise
+        if st is not None and st.registry is not None:
+            now = time.perf_counter()
+            st.registry.histogram("repro.core.step_seconds").observe(now - t0)
+            st.registry.histogram("repro.core.finish_seconds").observe(now - t1)
+        self._apply_update(q1, fused, s_new)
         self._iteration += 1
         self._n_seen += A.shape[1]
         self._invalidate_modes()
@@ -399,124 +367,26 @@ class ParSVDParallel(ParSVDBase):
         self._ulocal = new_u
         self._singular_values = s_new
 
-    def _finalize_pending(self) -> None:
-        """Complete the in-flight pipelined step, if any.
-
-        On rank 0 this is where the step's deferred share runs (stack /
-        merge, the truncated small SVD, the fused replies); on other ranks
-        it waits for the fused reply.  No-op when nothing is pending, so
-        result accessors may call it unconditionally.
-
-        A completion failure (e.g. a dead peer surfacing as a deadlock)
-        aborts the step and *poisons* the instance: the posted batch was
-        already counted but its update is lost, so every later access
-        re-raises instead of quietly serving the stale pre-step
-        factorization.
-        """
-        with self._pending_lock:
-            if self._pending_error is not None:
-                raise CommunicatorError(
-                    f"a previously posted overlapped step failed to complete "
-                    f"({type(self._pending_error).__name__}: "
-                    f"{self._pending_error}); the factorization is stale "
-                    f"relative to iteration/n_seen — restart from a checkpoint"
-                ) from self._pending_error
-            if self._pending is None:
-                return
-            pending, self._pending = self._pending, None
-            posted_t, self._pending_posted_t = self._pending_posted_t, None
-            st = _obs.state()
-            t0 = time.perf_counter() if st is not None else 0.0
-            try:
-                q1, fused, s_new = pending.finish(self._reduce_truncated)
-            except BaseException as exc:
-                self._pending_error = exc
-                # The step is dead: release the requests it still holds
-                # (a traceback kept by a log record would pin them).
-                _abort_step(pending)
-                raise
-            if st is not None and st.registry is not None:
-                # Overlap efficiency: the fraction of the step's wall time
-                # (post -> completion) spent blocked completing it.  With
-                # perfect overlap finish() returns instantly and the gauge
-                # tends to 0; without overlap it tends to 1.
-                now = time.perf_counter()
-                wait_s = now - t0
-                step_s = (now - posted_t) if posted_t is not None else wait_s
-                if step_s > 0.0:
-                    st.registry.gauge("repro.core.overlap_efficiency").set(
-                        wait_s / step_s
-                    )
-                st.registry.histogram(
-                    "repro.core.step_seconds"
-                ).observe(step_s)
-                st.registry.histogram(
-                    "repro.core.finish_seconds"
-                ).observe(wait_s)
-            self._apply_update(q1, fused, s_new)
-
-    def try_finalize_pending(self) -> bool:
-        """Opportunistically complete the in-flight step — the progress
-        daemon's hook.
-
-        Non-blocking on both axes: the pending lock is taken with
-        ``blocking=False`` (the driver's own thread may be mid-finalize),
-        and the step is completed only when its ``advance()`` poll says
-        ``finish`` can run without waiting on any peer.  Returns ``True``
-        when a step was completed.  A completion *failure* poisons the
-        driver exactly as an explicit access would (and re-raises, so the
-        daemon can record it).
-        """
-        if self._pending is None:
-            return False
-        if not self._pending_lock.acquire(blocking=False):
-            return False
-        try:
-            pending = self._pending
-            if pending is None or self._pending_error is not None:
-                return False
-            advance = getattr(pending, "advance", None)
-            if advance is None or not advance():
-                return False
-            self._finalize_pending()
-            return True
-        finally:
-            self._pending_lock.release()
-
-    @property
-    def pending_update(self) -> bool:
-        """Whether a pipelined streaming step is still in flight (its
-        completion will run on the next update or result access)."""
-        return self._pending is not None
-
-    def abort_pending(self) -> None:
-        """Drop the in-flight pipelined step without completing it.
-
-        The recovery path (a peer died mid-step; the world is about to be
-        rebuilt from the latest snapshot): the
-        step's preposted receives are cancelled and its outbox released,
-        so the abandoned attempt neither leaks requests nor warns.  Also
-        clears a pending-failure poisoning — the caller is explicitly
-        abandoning the stale state, not accessing it.
-        """
-        with self._pending_lock:
-            pending, self._pending = self._pending, None
-            self._pending_posted_t = None
-            self._pending_error = None
-            if pending is not None:
-                _abort_step(pending)
+    def _raise_if_poisoned(self) -> None:
+        """Refuse access after a streaming step failed to finish."""
+        if self._step_error is not None:
+            raise CommunicatorError(
+                f"a previous streaming step failed to complete "
+                f"({type(self._step_error).__name__}: {self._step_error}); "
+                f"its peers may have applied it, so this factorization is "
+                f"stale — restart from a checkpoint"
+            ) from self._step_error
 
     # -- results layout ---------------------------------------------------------
     @property
     def local_modes(self) -> np.ndarray:
         """This rank's ``(M_i, K)`` block of the global left singular
-        vectors (no mode-assembly communication; completes an in-flight
-        overlapped step first).
+        vectors (no mode-assembly communication).
 
         A read-only view of the double-buffered workspace, valid until the
         second-next update (see the class notes)."""
         self._require_initialized()
-        self._finalize_pending()
+        self._raise_if_poisoned()
         return self._local_view()
 
     def _local_view(self) -> np.ndarray:
@@ -526,10 +396,9 @@ class ParSVDParallel(ParSVDBase):
 
     @property
     def singular_values(self) -> np.ndarray:
-        """Current singular values (completes an in-flight overlapped
-        step first)."""
+        """Current singular values."""
         self._require_initialized()
-        self._finalize_pending()
+        self._raise_if_poisoned()
         assert self._singular_values is not None
         return self._singular_values
 
@@ -554,7 +423,7 @@ class ParSVDParallel(ParSVDBase):
         non-root ranks under the ``"root"`` policy.
         """
         self._require_initialized()
-        self._finalize_pending()
+        self._raise_if_poisoned()
         if self.modes_current:
             return self._modes
         assert self._ulocal is not None
@@ -608,7 +477,7 @@ class ParSVDParallel(ParSVDBase):
         buffers — and :meth:`from_snapshot` restores it at any rank count.
         """
         self._require_initialized()
-        self._finalize_pending()
+        self._raise_if_poisoned()
         assert self._ulocal is not None
         stacked = self.comm.gatherv_rows(self._ulocal, root=0)
         snapshot = None
@@ -702,7 +571,7 @@ class ParSVDParallel(ParSVDBase):
             self.snapshot(out, run_config)
             return str(out)
         self._require_initialized()
-        self._finalize_pending()
+        self._raise_if_poisoned()
         shard = rank_checkpoint_path(path, self.comm.rank)
         return str(self._write(shard, "parallel", self._ulocal, run_config))
 
@@ -744,8 +613,8 @@ class ParSVDParallel(ParSVDBase):
         (including ``qr_variant``, ``gather`` and ``apmos_group_size``)
         unless ``solver`` overrides it as a whole (a full
         :class:`~repro.config.SolverConfig`, e.g. the one embedded in the
-        checkpoint's :class:`~repro.config.RunConfig` payload — how
-        :meth:`repro.api.Session.resume` also restores ``overlap``).
+        checkpoint's :class:`~repro.config.RunConfig` payload, which is
+        how :meth:`repro.api.Session.resume` restores its solver).
 
         Two layouts restart:
 

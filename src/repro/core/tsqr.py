@@ -24,10 +24,7 @@ local QR, local factor taken, small ``R`` shipped); :meth:`finish` merges
 or refactors, runs a root-side ``reduce_fn(R)`` — e.g. the small SVD of the
 streaming update — and sends a **fused** reply carrying each rank's
 correction block together with ``reduce_fn``'s results in a single
-message.  Between ``post`` and ``finish`` the caller is free to do
-unrelated work (ingest the next batch, prefetch IO) while the collectives
-are in flight; :class:`~repro.core.parallel.ParSVDParallel`'s
-``overlap=True`` streaming update is built on this.
+message.
 
 The local QR never forms its ``Q``: it factors the block in place with
 LAPACK's recursive compact-WY ``?geqrt`` and keeps the reflectors
@@ -363,20 +360,6 @@ class PipelinedGatherStep(_PipelinedStep):
         if rank != 0:
             self._outbox.append(self._comm.isend(self._r1, 0, _TAG_PIPE_UP))
 
-    def advance(self) -> bool:
-        """Non-blocking progress poll: ``True`` when :meth:`finish` can
-        run without waiting on any peer.
-
-        The root is ready once every preposted per-peer ``R`` receive has
-        arrived (``test()`` banks the payload, so the later ``wait`` in
-        ``finish`` is instant); a non-root is ready once the fused reply
-        landed.  The progress daemon calls this with backoff so
-        ``overlap=True`` steps complete in the background.
-        """
-        if self._comm.rank == 0:
-            return all(request.test()[0] for request in self._up.values())
-        return bool(self._reply.test()[0])
-
     def _finish(self, reduce_fn: Callable[[np.ndarray], tuple]) -> tuple:
         comm = self._comm
         if comm.rank != 0:
@@ -429,14 +412,6 @@ class PipelinedTreeStep(_PipelinedStep):
     rank performs exactly one tall reflector apply, owned by the caller.
     """
 
-    #: Cached upsweep result, populated either by finish() or eagerly by
-    #: advance() — running the upsweep as soon as the partner R factors
-    #: arrive ships this rank's merged R up the tree without waiting for
-    #: an explicit finish, which is what lets background progress daemons
-    #: complete tree steps on every rank: the root's readiness depends on
-    #: its children's upsweeps having run.
-    _upswept = None
-
     def _prepost(self, rank: int, size: int):
         up = _tree_recv_schedule(rank, size, self._comm)
         if rank == 0:
@@ -450,49 +425,19 @@ class PipelinedTreeStep(_PipelinedStep):
 
     def _ship(self, rank: int) -> None:
         # Leaf fast path: a rank absorbed at level 0 performs no merges,
-        # so its R is final now — ship it and let it overlap the partner's
-        # local QR (and whatever the caller does next).
+        # so its R is final now — ship it and let it travel while the
+        # partner factors its own block.
         if rank & 1:
             self._outbox.append(
                 self._comm.isend(self._r1, rank - 1, _TAG_PTREE_UP + 0)
             )
 
-    def _run_upsweep(self):
-        if self._upswept is None:
-            self._upswept = _tree_upsweep(
-                self._comm,
-                self._r1,
-                self._up,
-                self._workspace,
-                self._n,
-            )
-        return self._upswept
-
-    def advance(self) -> bool:
-        """Non-blocking progress poll: ``True`` when :meth:`finish` can
-        run without waiting on any peer.
-
-        Two stages.  First, once every upsweep receive in this rank's
-        static schedule has arrived, the upsweep runs *eagerly* — merging
-        the R factors and shipping the result toward the root (pure
-        ``test()`` polling would deadlock here: the root's last upsweep
-        receive only arrives when its child runs *its* upsweep, which
-        plain ``finish`` defers).  Second, a non-root is ready once the
-        fused downsweep payload landed; the root is ready as soon as its
-        upsweep is done.
-        """
-        if self._upswept is None:
-            if not all(request.test()[0] for request in self._up.values()):
-                return False
-            self._run_upsweep()
-        if self._comm.rank == 0:
-            return True
-        return bool(self._reply.test()[0])
-
     def _finish(self, reduce_fn: Callable[[np.ndarray], tuple]) -> tuple:
         comm = self._comm
         rank = comm.rank
-        r_current, q_factors, merge_meta = self._run_upsweep()
+        r_current, q_factors, merge_meta = _tree_upsweep(
+            comm, self._r1, self._up, self._workspace, self._n
+        )
         if rank == 0:
             # The identity seed depends only on R's shape/dtype; build it
             # before reduce_fn, which may consume R in place.

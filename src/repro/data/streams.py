@@ -9,9 +9,7 @@ one re-iterable interface with validated, uniform batch shapes.
 :class:`PrefetchStream` wraps any snapshot stream with a bounded
 background double buffer, so batch production (disk reads of an
 out-of-core :func:`dataset_stream`, an expensive generator) overlaps the
-consumer's compute — the ingestion half of the pipelined streaming
-engine (:class:`~repro.core.parallel.ParSVDParallel` ``overlap=True`` is
-the communication half).
+consumer's compute.
 """
 
 from __future__ import annotations
@@ -121,14 +119,12 @@ class PrefetchStream(SnapshotStream):
     A daemon producer thread iterates the wrapped stream into a queue of
     ``depth`` slots (default 2 — classic double buffering): while the
     consumer processes batch *k*, the producer is already reading batch
-    *k+1* (and with an overlapped :class:`~repro.core.parallel.
-    ParSVDParallel`, batch *k−1*'s collectives are still in flight — a
-    three-stage software pipeline).  Exactly the wrapped stream's batches
-    are yielded, in order; a producer-side exception is re-raised at the
-    consumer's next batch.  Each iteration spawns a fresh producer, so the
-    stream stays re-iterable; abandoning an iteration mid-stream (e.g. a
-    consumer error) stops the producer promptly — a bounded queue never
-    strands it blocked forever.
+    *k+1*.  Exactly the wrapped stream's batches are yielded, in order; a
+    producer-side exception is re-raised at the consumer's next batch.
+    Each iteration spawns a fresh producer, so the stream stays
+    re-iterable; abandoning an iteration mid-stream (e.g. a consumer
+    error) stops the producer promptly — a bounded queue never strands it
+    blocked forever.
 
     Parameters
     ----------

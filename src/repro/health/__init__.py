@@ -9,11 +9,10 @@ property of a running :class:`~repro.api.Session`:
   :meth:`~repro.smpi.world.World.fail_rank` proactively, so blocked
   collectives wake as soon as a peer is declared dead instead of waiting
   out the ``DeadlockError`` timeout.
-* :class:`ProgressDaemon` — a per-session background thread that beats
-  this rank's heartbeat, advances in-flight overlapped pipelined steps
-  (``test()`` polling with backoff — ``overlap=True`` steps complete
-  without an explicit access), runs the monitor, and reports
-  ``repro.health.*`` gauges/counters through :mod:`repro.obs`.
+* :class:`ProgressDaemon` — a per-session background thread that, every
+  ``heartbeat_interval``, beats this rank's heartbeat and runs the
+  monitor, and reports ``repro.health.*`` gauges/counters through
+  :mod:`repro.obs`.
 * :class:`ElasticSession` — owns a whole in-process world and drives one
   :class:`~repro.api.Session` per rank, so it can
   :meth:`~ElasticSession.rescale` mid-stream: the distributed factors

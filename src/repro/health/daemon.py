@@ -1,26 +1,18 @@
-"""Per-session background progress daemon.
+"""Per-session background heartbeat daemon.
 
 One daemon thread per :class:`~repro.api.Session` (when
-``HealthConfig.enabled``), doing three things each tick:
+``HealthConfig.enabled``), doing two things every
+``heartbeat_interval``, busy or idle:
 
 1. **Heartbeat** — publish this rank's liveness beat on its world
    mailbox, so peers' monitors see it alive even while its main thread
    is deep in a BLAS call.
-2. **Progress** — opportunistically complete the driver's in-flight
-   overlapped pipelined step (:meth:`~repro.core.parallel.ParSVDParallel.
-   try_finalize_pending`, itself ``test()``-polling the step's preposted
-   requests), so ``overlap=True`` steps finish without an explicit
-   access.  A failed step stops the advancing (the daemon keeps beating).
-3. **Monitoring** — run the :class:`~repro.health.monitor.HealthMonitor`
+2. **Monitoring** — run the :class:`~repro.health.monitor.HealthMonitor`
    check, escalating peers whose beats went stale.
 
-Every failure — a step that fails to advance, a check that raises — is
-counted (``repro.errors.health``) and logged as a warning on the
-daemon's first; the daemon keeps ticking.
-
-Polling backs off exponentially while idle (up to 8x the heartbeat
-interval) and snaps back to the base interval whenever a step completes.
-All ``repro.health.*`` metrics flow through :mod:`repro.obs` and cost
+A check that raises is counted (``repro.errors.health``) and logged as
+a warning on the daemon's first; the daemon keeps ticking.  All
+``repro.health.*`` metrics flow through :mod:`repro.obs` and cost
 nothing while observability is off.
 """
 
@@ -28,7 +20,7 @@ from __future__ import annotations
 
 import logging
 import threading
-from typing import Any, Callable, Optional, Tuple
+from typing import Any, Optional, Tuple
 
 from ..obs import runtime as _obs
 from .monitor import HealthMonitor
@@ -80,25 +72,18 @@ def communicator_world(comm: Any) -> Tuple[Optional[Any], Optional[int]]:
 
 
 class ProgressDaemon:
-    """Background heartbeat + progress thread for one session rank.
+    """Background heartbeat thread for one session rank.
 
     Parameters
     ----------
     interval:
-        Base tick period (``HealthConfig.heartbeat_interval``).
+        Tick period (``HealthConfig.heartbeat_interval``).
     world, world_rank:
         The shared world and this rank's world rank (from
         :func:`communicator_world`); ``None`` disables heartbeating.
-    advance:
-        Zero-argument callable advancing the owner's in-flight work
-        (returns ``True`` when it completed something); typically a
-        closure over the driver's ``try_finalize_pending``.
     monitor:
         Optional :class:`HealthMonitor` to run each tick.
     """
-
-    #: Idle backoff ceiling, as a multiple of the base interval.
-    MAX_BACKOFF = 8.0
 
     def __init__(
         self,
@@ -106,17 +91,14 @@ class ProgressDaemon:
         *,
         world: Optional[Any] = None,
         world_rank: Optional[int] = None,
-        advance: Optional[Callable[[], bool]] = None,
         monitor: Optional[HealthMonitor] = None,
         name: Optional[str] = None,
     ) -> None:
         self._interval = max(float(interval), 1e-4)
         self._world = world
         self._world_rank = world_rank
-        self._advance = advance
         self._monitor = monitor
         self._stop = threading.Event()
-        self._error: Optional[BaseException] = None
         self._warned = False
         rank_tag = "?" if world_rank is None else str(world_rank)
         self._thread = threading.Thread(
@@ -153,12 +135,6 @@ class ProgressDaemon:
     def running(self) -> bool:
         return self._started and self._thread.is_alive()
 
-    @property
-    def error(self) -> Optional[BaseException]:
-        """The exception that stopped background progress, if any (the
-        driver is poisoned too, so the owner's next access re-raises)."""
-        return self._error
-
     # -- the tick loop -----------------------------------------------------
     def _beat(self) -> None:
         if self._world is not None and self._world_rank is not None:
@@ -168,38 +144,18 @@ class ProgressDaemon:
                 st.registry.counter("repro.health.beats").inc()
 
     def _run(self) -> None:
-        delay = self._interval
-        while not self._stop.wait(delay):
+        while not self._stop.wait(self._interval):
             self._beat()
-            advanced = False
-            if self._advance is not None and self._error is None:
-                try:
-                    advanced = bool(self._advance())
-                except BaseException as exc:
-                    # The driver poisons itself on a failed completion;
-                    # record the cause, stop advancing, keep beating (this
-                    # rank is alive — its *step* failed).
-                    self._error = exc
-                    self._record_failure("background step")
-            if advanced:
-                st = _obs.state()
-                if st is not None and st.registry is not None:
-                    st.registry.counter(
-                        "repro.health.steps_advanced"
-                    ).inc()
             if self._monitor is not None:
                 try:
                     self._monitor.check()
                 except Exception:
-                    self._record_failure("health monitor check")
-            if advanced:
-                delay = self._interval
-            else:
-                delay = min(delay * 2.0, self._interval * self.MAX_BACKOFF)
-
-    def _record_failure(self, what: str) -> None:
-        record_failure(_log, not self._warned, f"{what} on rank {self._world_rank}")
-        self._warned = True
+                    record_failure(
+                        _log,
+                        not self._warned,
+                        f"health monitor check on rank {self._world_rank}",
+                    )
+                    self._warned = True
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         state = "running" if self.running else "stopped"

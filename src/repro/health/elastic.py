@@ -167,15 +167,15 @@ class ElasticSession:
 
     def _teardown(self, exc: Optional[BaseException]) -> None:
         """Discard the current world: close every rank's session (its
-        daemon stopped, its in-flight step aborted) and, on a failure
-        path, fail every old-world rank so a straggler blocked in an old
-        mailbox wakes promptly."""
+        daemon stopped, the rank retired) and, on a failure path, fail
+        every old-world rank so a straggler blocked in an old mailbox
+        wakes promptly."""
         sessions, self._sessions = self._sessions, []
         for session in sessions:
             try:
                 session.close(drop_pending=True)
             except Exception:
-                self._record_failure("aborting an in-flight step")
+                self._record_failure("closing a rank's session")
         world, self._world = self._world, None
         if exc is not None and world is not None:
             for rank in range(world.size):
@@ -291,7 +291,7 @@ class ElasticSession:
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        self.close(drop_pending=exc_type is not None)
+        self.close()
 
     @property
     def config(self) -> RunConfig:
@@ -402,14 +402,14 @@ class ElasticSession:
 
     @property
     def modes(self) -> np.ndarray:
-        """Global modes (drains in-flight steps; recovers live)."""
+        """Global modes (recovers live)."""
         modes = self.result().modes
         assert modes is not None
         return modes
 
     @property
     def singular_values(self) -> np.ndarray:
-        """Current singular values (drains in-flight steps)."""
+        """Current singular values (recovers live)."""
         return self.result().singular_values
 
     @property
@@ -463,28 +463,19 @@ class ElasticSession:
         try:
             session._build()
         except BaseException:
-            session.close(drop_pending=True)
+            session.close()
             raise
         return session
 
-    def close(self, *, drop_pending: bool = False) -> None:
-        """End the session: drain (or abort) in-flight steps, stop the
-        health daemons, retire the ranks, release the world."""
+    def close(self) -> None:
+        """End the session: stop the health daemons, retire the ranks,
+        release the world."""
         if self._closed:
             return
         self._closed = True
         try:
-            if not drop_pending and self._sessions:
-                try:
-                    # Closing a rank finalizes its pending step, which is
-                    # collective: close every rank at once.
-                    self._fan_out(lambda session: session.close())
-                except Exception:
-                    self._record_failure(
-                        "draining at close (pending steps dropped)"
-                    )
-        finally:
             self._teardown(None)
+        finally:
             self._recovery.close()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -14,8 +14,8 @@ op in the op table is timed and byte-counted into three metrics::
 
 Nonblocking ops return a request proxy that additionally times the
 ``wait``/``test`` call that completes them (``repro.smpi.wait.calls`` /
-``repro.smpi.wait.seconds``) — on the overlap engine this is exactly the
-non-overlapped communication time.
+``repro.smpi.wait.seconds``) — the time a rank spends blocked on
+point-to-point traffic.
 
 The proxy only exists while observability is installed
 (:func:`repro.obs.runtime.observe_communicator`); disabled runs keep the

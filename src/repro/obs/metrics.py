@@ -20,7 +20,7 @@ registry in (counters and histograms add, gauges keep the max — the
 convention for per-rank registries merged into a run-level view).
 
 Naming convention: ``repro.<subsystem>.<name>`` — e.g.
-``repro.smpi.allreduce.bytes``, ``repro.core.overlap_efficiency``,
+``repro.smpi.allreduce.bytes``, ``repro.core.step_seconds``,
 ``repro.serving.flush_seconds``.
 """
 
@@ -281,8 +281,8 @@ class MetricsRegistry:
         """Fold ``other``'s metrics into this registry.
 
         Counters and histogram buckets/count/sum add; gauges keep the
-        maximum of the two values (per-rank gauges like queue depth or
-        overlap efficiency merge to the worst/highest observed).  Rolling
+        maximum of the two values (per-rank gauges like queue depth merge
+        to the worst/highest observed).  Rolling
         rate windows are not merged — ``rate()`` on the merged registry
         reflects only increments made through it.
         """

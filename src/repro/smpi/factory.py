@@ -20,9 +20,8 @@ the tracer):
                      ``ANY_SOURCE``/``ANY_TAG`` wildcards; value
                      semantics (payloads snapshotted at send time).
 ``isend/irecv``      Nonblocking variants returning request objects with
-                     ``wait(timeout=)``/``test()`` (a threads-backend
-                     :class:`~repro.smpi.request.RecvRequest` also has
-                     ``cancel()``).
+                     ``wait(timeout=)``/``test()`` (an in-process
+                     backend's receive request also has ``cancel()``).
 ``bcast``            Root's object on every rank.
 ``gather``           Rank-ordered list at the root, ``None`` elsewhere.
 ``gatherv_rows``     Per-rank 2-D row blocks vertically stacked at the
@@ -103,9 +102,8 @@ peers wake with :class:`~repro.smpi.exceptions.FailedRankError`
 immediately instead of waiting out the ``DeadlockError`` timeout — and a
 rank that exits cleanly calls :meth:`World.retire_rank
 <repro.smpi.world.World.retire_rank>` so its silence is never
-misread as death.  :class:`~repro.health.ProgressDaemon` services the
-beat in the background and ``test()``-polls the in-flight
-receive requests of a pipelined streaming step.
+misread as death.  :class:`~repro.health.ProgressDaemon` beats and runs
+the monitor in the background every ``heartbeat_interval``.
 :class:`~repro.health.ElasticSession` owns a whole world, drives one
 session per rank through :func:`~repro.smpi.executor.fan_out` (the
 thread fan-out :func:`run_spmd` uses) and rebuilds the world at a new

@@ -155,8 +155,3 @@ class Mailbox:
         """Non-blocking probe-and-take; returns ``None`` when no match."""
         with self._cond:
             return self._find(source, tag)
-
-    def pending(self) -> int:
-        """Number of queued (undelivered) envelopes."""
-        with self._cond:
-            return len(self._queue)

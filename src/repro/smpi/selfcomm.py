@@ -19,7 +19,7 @@ from typing import Any, List, Optional, Tuple
 import numpy as np
 
 from .derived import as_row_block, fold_output_usable
-from .exceptions import DeadlockError, RankError, TagError
+from .exceptions import DeadlockError, RankError, SmpiError, TagError
 from .message import Envelope, take_payload
 from .reduction import ReduceOp
 from .request import Request, SendRequest
@@ -54,6 +54,13 @@ class _SelfRecvRequest(Request):
         self._payload = take_payload(envelope)
         self._done = True
         return True, self._payload
+
+    def cancel(self) -> None:
+        """Mark the request as abandoned; waiting afterwards is an error."""
+        if self._done:
+            raise SmpiError("cannot cancel a completed receive request")
+        self._done = True
+        self._payload = None
 
 
 class SelfCommunicator:

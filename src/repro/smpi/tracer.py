@@ -226,8 +226,7 @@ class CommTracer(InterceptedCommunicator):
         per-rank streams and reports the first divergence.  Point-to-point
         traffic is excluded — it legitimately differs per rank.  Every
         collective is blocking, so its record is written when the call
-        returns and the stream is in issue order on every lane, the
-        overlapped step included (it overlaps only point-to-point ops).
+        returns and the stream is in issue order on every lane.
         """
         return [r for r in self.records if r.op in COLLECTIVE_OPS]
 

@@ -3,8 +3,8 @@
 Static mode (default) lints the given paths (files or directory trees)
 with :func:`repro.verify.static.lint_paths` and prints one finding per
 violation with its fix-it.  ``--schedule`` additionally runs a small
-built-in streaming-SVD workload on every streaming lane (each
-``qr_variant`` with ``overlap`` off and on) under
+built-in streaming-SVD workload on every streaming lane (one per
+``qr_variant``) under
 :func:`repro.verify.schedule.checked_run` and reports each lane's
 cross-rank schedule conformance and resource leaks.  Exit status is
 nonzero when anything is found.
@@ -80,16 +80,12 @@ def _schedule_smoke(ranks: int):
 
     runs = []
     for qr_variant in QR_VARIANTS:
-        for overlap in (False, True):
-            config = RunConfig(
-                solver=SolverConfig(
-                    K=4, ff=1.0, r1=20, qr_variant=qr_variant, overlap=overlap
-                ),
-                backend=BackendConfig(name="threads", size=ranks),
-                stream=StreamConfig(batch=16),
-            )
-            lane = f"qr_variant={qr_variant}, overlap={'on' if overlap else 'off'}"
-            runs.append((lane, checked_run(config, job)))
+        config = RunConfig(
+            solver=SolverConfig(K=4, ff=1.0, r1=20, qr_variant=qr_variant),
+            backend=BackendConfig(name="threads", size=ranks),
+            stream=StreamConfig(batch=16),
+        )
+        runs.append((f"qr_variant={qr_variant}", checked_run(config, job)))
     return runs
 
 

@@ -19,8 +19,8 @@ from source, it *observes* a run.
 
 Every collective in the protocol is blocking and is recorded when its
 call returns, so the collective stream is in issue order on every lane;
-the overlapped streaming step overlaps only point-to-point ops, which
-the schedule excludes.
+the streaming step moves its factors with point-to-point ops, which the
+schedule excludes.
 """
 
 from __future__ import annotations

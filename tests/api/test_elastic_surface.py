@@ -43,9 +43,7 @@ DATA = make_data()
 
 def base_config(ranks: int, **solver) -> RunConfig:
     return RunConfig(
-        solver=SolverConfig(
-            K=8, ff=0.95, overlap=True, **{"qr_variant": "gather", **solver}
-        ),
+        solver=SolverConfig(K=8, ff=0.95, **{"qr_variant": "gather", **solver}),
         backend=BackendConfig(name="threads", size=ranks, timeout=30.0),
         stream=StreamConfig(batch=BATCH),
     )

@@ -44,7 +44,7 @@ DATA = make_data()
 
 def base_config(ranks: int, qr_variant: str = "gather") -> RunConfig:
     return RunConfig(
-        solver=SolverConfig(K=8, ff=0.95, qr_variant=qr_variant, overlap=True),
+        solver=SolverConfig(K=8, ff=0.95, qr_variant=qr_variant),
         backend=BackendConfig(name="threads", size=ranks, timeout=30.0),
         stream=StreamConfig(batch=BATCH),
         obs=ObservabilityConfig(metrics=True),

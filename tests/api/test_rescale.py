@@ -18,7 +18,6 @@ from repro.api import (
     SolverConfig,
     StreamConfig,
 )
-from repro.core.parallel import ParSVDParallel
 from repro.exceptions import ConfigurationError, RescaleError
 from repro.faults import runtime as faults_rt
 from repro.health import ElasticSession
@@ -47,7 +46,7 @@ BATCHES = [DATA[:, j : j + BATCH] for j in range(0, NT, BATCH)]
 
 def base_config(ranks: int) -> RunConfig:
     return RunConfig(
-        solver=SolverConfig(K=8, ff=0.95, qr_variant="gather", overlap=True),
+        solver=SolverConfig(K=8, ff=0.95, qr_variant="gather"),
         backend=BackendConfig(name="threads", size=ranks, timeout=30.0),
         stream=StreamConfig(batch=BATCH),
     )
@@ -136,14 +135,18 @@ class TestMidStreamRescale:
     def test_failed_abort_during_rescale_is_counted_and_logged_once(
         self, monkeypatch, caplog
     ):
-        def exploding_abort(self):
-            raise RuntimeError("abort exploded")
+        close = Session.close
+
+        def exploding_close(self, **kwargs):
+            # The real close runs first, so every install is released.
+            close(self, **kwargs)
+            raise RuntimeError("close exploded")
 
         def errors():
             counters = obs_rt.default_registry().snapshot()["counters"]
             return counters.get("repro.errors.health", {}).get("value", 0)
 
-        monkeypatch.setattr(ParSVDParallel, "abort_pending", exploding_abort)
+        monkeypatch.setattr(Session, "close", exploding_close)
         cfg = base_config(2).replace(obs=ObservabilityConfig(metrics=True))
         with caplog.at_level("WARNING", logger="repro.health.elastic"):
             with ElasticSession(cfg) as session:
@@ -151,11 +154,11 @@ class TestMidStreamRescale:
                 errors_before = errors()
                 session.rescale(3)
                 assert session.size == 3
-                # One count per old-world rank whose abort raised.
+                # One count per old-world rank whose close raised.
                 assert errors() - errors_before == 2
         warnings = [r for r in caplog.records if r.name == "repro.health.elastic"]
         assert len(warnings) == 1
-        assert "abort exploded" in caplog.text
+        assert "close exploded" in caplog.text
 
 
 class TestLiveRecovery:

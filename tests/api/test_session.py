@@ -139,27 +139,6 @@ class TestSessionBasics:
         ref = serial_reference(data, K=3)
         assert np.allclose(values, ref.singular_values, rtol=1e-8)
 
-    def test_overlap_lane_same_numbers(self, data):
-        def job(session):
-            res = session.fit_stream(data).result()
-            return np.array(res.modes), np.array(res.singular_values)
-
-        base = RunConfig(
-            solver=SolverConfig(K=4, ff=0.95),
-            backend=BackendConfig(name="threads", size=2),
-            stream=StreamConfig(batch=10),
-        )
-        plain = Session.run(base, job)[0]
-        pipelined = Session.run(
-            base.replace(
-                solver=base.solver.replace(overlap=True),
-                stream=base.stream.replace(prefetch=2),
-            ),
-            job,
-        )[0]
-        assert np.max(np.abs(plain[0] - pipelined[0])) <= 1e-12
-        assert np.max(np.abs(plain[1] - pipelined[1])) <= 1e-12
-
     def test_manual_stepping(self, data):
         with Session(solver=SolverConfig(K=3, ff=1.0)) as session:
             session.initialize(data[:, :20]).incorporate_data(data[:, 20:])
@@ -252,7 +231,7 @@ class TestDeprecationShim:
 class TestCheckpointEmbedding:
     def test_session_checkpoint_embeds_run_config(self, data, tmp_path):
         cfg = RunConfig(
-            solver=SolverConfig(K=3, ff=0.95, overlap=True),
+            solver=SolverConfig(K=3, ff=0.95),
             backend=BackendConfig(name="threads", size=2, timeout=90.0),
             stream=StreamConfig(batch=10, prefetch=1),
         )
@@ -332,36 +311,37 @@ class TestCheckpointEmbedding:
             cfg = checkpoint_run_config(base)
         assert cfg.solver.K == 3  # reconstructed from the flat fields
 
-    def test_retired_workspace_key_keeps_the_embedded_config(
-        self, data, tmp_path
+    @pytest.mark.parametrize("key", ["workspace", "overlap"])
+    def test_retired_solver_key_keeps_the_embedded_config(
+        self, data, tmp_path, key
     ):
-        """Checkpoints written before ``SolverConfig.workspace`` was
-        retired embed ``"workspace": true``: resuming one drops that key
-        with one warning and keeps the rest of the run config."""
+        """Checkpoints written before ``SolverConfig.workspace`` or
+        ``SolverConfig.overlap`` was retired embed the key: resuming one
+        drops it with one warning and keeps the rest of the run config."""
         import json
 
         base = tmp_path / "retired"
         with Session(
-            solver=SolverConfig(K=3, ff=1.0, overlap=True),
+            solver=SolverConfig(K=3, ff=1.0, qr_variant="tree"),
             backend=BackendConfig(name="self"),
-            stream=StreamConfig(batch=10),
+            stream=StreamConfig(batch=10, prefetch=1),
         ) as session:
             session.fit_stream(data)
             path = session.save_checkpoint(base, gathered=True)
         with np.load(path) as archive:
             payload = {name: archive[name] for name in archive.files}
         embedded = json.loads(str(payload["run_config_json"]))
-        embedded["solver"]["workspace"] = True
+        embedded["solver"][key] = True
         payload["run_config_json"] = np.asarray(json.dumps(embedded))
         np.savez(path, **payload)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             with Session.resume(base) as resumed:
                 cfg = resumed.config
-        assert cfg.solver.overlap is True
-        assert cfg.stream.batch == 10
+        assert cfg.solver.qr_variant == "tree"
+        assert cfg.stream == StreamConfig(batch=10, prefetch=1)
         assert len(caught) == 1, [str(w.message) for w in caught]
-        assert "solver.workspace" in str(caught[0].message)
+        assert f"solver.{key}" in str(caught[0].message)
 
     def test_load_run_config_errors_are_specific(self, tmp_path):
         bad = tmp_path / "bad.json"

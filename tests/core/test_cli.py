@@ -51,14 +51,13 @@ class TestConfigSubcommand:
             [
                 "config", "dump",
                 "--ranks", "4", "--modes", "8", "--ff", "1.0",
-                "--batch", "50", "--qr-variant", "tree", "--overlap",
+                "--batch", "50", "--qr-variant", "tree",
                 "--prefetch", "2", "--seed", "3", "--low-rank",
             ]
         ) == 0
         cfg = RunConfig.from_json(capsys.readouterr().out)
         assert cfg.solver.K == 8
         assert cfg.solver.qr_variant == "tree"
-        assert cfg.solver.overlap is True
         assert cfg.solver.low_rank is True
         assert cfg.solver.seed == 3
         assert cfg.backend.size == 4

@@ -1,9 +1,9 @@
 """The allocation-free streaming step: agreement, buffer contract and
 allocation regression.
 
-* the streaming step agrees with the serial reference, and its
-  overlapped schedule with the blocking one to 1e-12 (every lane is also
-  pinned to frozen outputs in ``test_step_references.py``);
+* the streaming step agrees with the serial reference (every lane is
+  also pinned to frozen outputs in ``test_step_references.py``), and a
+  step that fails to finish poisons the driver;
 * the local modes are a read-only view of the double-buffered workspace,
   and ``parallel_qr`` hands out fresh arrays;
 * per-step allocated bytes are *flat* after warmup over 50 streaming
@@ -37,17 +37,14 @@ def stream_matrix(rng):
     return left @ right
 
 
-def run_stream(data, nranks, *, qr_variant, dtype, overlap=False):
+def run_stream(data, nranks, *, qr_variant, dtype):
     data = data.astype(dtype)
 
     def job(comm):
         part = block_partition(M, comm.size)
         block = data[part.slice_of(comm.rank), :]
         svd = ParSVDParallel(
-            comm,
-            solver=SolverConfig(
-                K=K, ff=0.97, qr_variant=qr_variant, overlap=overlap
-            ),
+            comm, solver=SolverConfig(K=K, ff=0.97, qr_variant=qr_variant)
         )
         svd.initialize(block[:, :BATCH])
         for start in range(BATCH, data.shape[1], BATCH):
@@ -78,14 +75,10 @@ class TestSerialReference:
         assert comparison.worst_spectrum_error < 1e-8
         assert comparison.worst_mode_error < 1e-6
 
-    @pytest.mark.parametrize("overlap", [False, True])
-    def test_single_rank_self_backend(self, stream_matrix, overlap):
-        """The streaming step also runs on the zero-overhead self backend,
-        blocking or with each step left in flight until the next one."""
+    def test_single_rank_self_backend(self, stream_matrix):
+        """The streaming step also runs on the zero-overhead self backend."""
         comm = create_communicator("self")
-        svd = ParSVDParallel(
-            comm, solver=SolverConfig(K=K, ff=0.97, overlap=overlap)
-        )
+        svd = ParSVDParallel(comm, solver=SolverConfig(K=K, ff=0.97))
         svd.initialize(stream_matrix[:, :BATCH])
         for start in range(BATCH, stream_matrix.shape[1], BATCH):
             svd.incorporate_data(stream_matrix[:, start : start + BATCH])
@@ -102,26 +95,9 @@ class TestSerialReference:
         assert comparison.worst_mode_error < 1e-6
 
 
-class TestOverlapEquality:
-    """The pipelined (overlap=True) engine is a pure schedule change: the
-    numbers must match the PR-3 fast path to <= 1e-12 everywhere."""
-
-    @pytest.mark.parametrize("qr_variant", ["gather", "tree"])
-    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    def test_overlap_matches_fast_lane(self, stream_matrix, qr_variant, dtype):
-        fast = run_stream(
-            stream_matrix, NRANKS, qr_variant=qr_variant, dtype=dtype
-        )
-        overlapped = run_stream(
-            stream_matrix,
-            NRANKS,
-            qr_variant=qr_variant,
-            dtype=dtype,
-            overlap=True,
-        )
-        assert overlapped[0].dtype == fast[0].dtype
-        assert np.max(np.abs(overlapped[0] - fast[0])) <= 1e-12
-        assert np.max(np.abs(overlapped[1] - fast[1])) <= 1e-12
+class TestStreamingStep:
+    """The blocking ``parallel_qr`` agrees with the streaming update, and
+    a step that fails to finish poisons the driver."""
 
     def test_parallel_qr_pins_pipelined_update(self, stream_matrix):
         """The public blocking parallel_qr stays consistent with the
@@ -163,113 +139,33 @@ class TestOverlapEquality:
             assert np.max(np.abs(ref_modes - manual_modes)) <= 1e-10
             assert np.max(np.abs(ref_values - manual_values)) <= 1e-12
 
-    @pytest.mark.parametrize("qr_variant", ["gather", "tree"])
-    def test_parallel_qr_finishes_in_flight_step(self, stream_matrix, qr_variant):
-        """Blocking parallel_qr and the pipelined update share one tag
-        band: called with an overlapped step in flight, parallel_qr must
-        complete that step first, then match a fresh blocking run."""
-
-        def job(comm):
-            part = block_partition(M, comm.size)
-            block = stream_matrix[part.slice_of(comm.rank), :]
-            runs = []
-            for overlap in (True, False):
-                svd = ParSVDParallel(
-                    comm,
-                    solver=SolverConfig(
-                        K=K, ff=0.97, qr_variant=qr_variant, overlap=overlap
-                    ),
-                )
-                svd.initialize(block[:, :BATCH])
-                svd.incorporate_data(block[:, BATCH : 2 * BATCH])
-                in_flight = svd.pending_update
-                probe = np.array(block[:, 2 * BATCH : 3 * BATCH], order="F")
-                q_local, u_new, s_new = svd.parallel_qr(probe)
-                runs.append(
-                    (
-                        in_flight,
-                        svd.pending_update,
-                        np.array(q_local),
-                        np.array(u_new),
-                        np.array(s_new),
-                        np.array(svd.singular_values),
-                    )
-                )
-            return runs
-
-        for overlapped, blocking in run_spmd(NRANKS, job):
-            assert overlapped[:2] == (True, False)
-            assert blocking[:2] == (False, False)
-            for got, want in zip(overlapped[2:], blocking[2:]):
-                assert np.array_equal(got, want)
-
-    def test_pending_step_completes_on_access(self, stream_matrix):
-        """An in-flight step finalises lazily on the first result access
-        (and pending_update reports the in-flight state)."""
-
-        def job(comm):
-            part = block_partition(M, comm.size)
-            block = stream_matrix[part.slice_of(comm.rank), :]
-            svd = ParSVDParallel(comm, solver=SolverConfig(K=K, ff=0.97, overlap=True))
-            svd.initialize(block[:, :BATCH])
-            assert not svd.pending_update
-            svd.incorporate_data(block[:, BATCH : 2 * BATCH])
-            posted = svd.pending_update
-            values = np.array(svd.singular_values)  # finalises
-            settled = svd.pending_update
-            assert np.array_equal(values, svd.singular_values)
-            return posted, settled, values
-
-        results = run_spmd(NRANKS, job)
-        for posted, settled, values in results:
-            # Multi-rank runs really defer (single-rank steps have no
-            # communication to leave in flight but must still complete).
-            assert posted
-            assert not settled
-            assert np.array_equal(values, results[0][2])
-
     def test_failed_step_completion_poisons_instance(self, stream_matrix):
-        """If an in-flight step fails to complete, later accesses keep
-        raising (counters already include the lost batch — serving the
+        """If a step fails to finish, it is aborted and later accesses keep
+        raising (the peers may have applied the step — serving the
         stale factorization silently would be a wrong result)."""
         from repro.exceptions import CommunicatorError
 
         comm = create_communicator("self")
-        svd = ParSVDParallel(comm, solver=SolverConfig(K=K, ff=0.97, overlap=True))
+        svd = ParSVDParallel(comm, solver=SolverConfig(K=K, ff=0.97))
         svd.initialize(stream_matrix[:, :BATCH])
+        aborted = []
 
         class ExplodingStep:
             def finish(self, reduce_fn):
                 raise RuntimeError("peer died mid-step")
 
-        svd._pending = ExplodingStep()
+            def abort(self):
+                aborted.append(True)
+
+        svd._post_step = lambda a_local: ExplodingStep()
         with pytest.raises(RuntimeError, match="peer died"):
-            _ = svd.singular_values
+            svd.incorporate_data(stream_matrix[:, BATCH : 2 * BATCH])
+        assert aborted == [True]
         # Poisoned: the failure persists instead of serving stale state.
         with pytest.raises(CommunicatorError, match="stale"):
             _ = svd.singular_values
         with pytest.raises(CommunicatorError, match="stale"):
             svd.incorporate_data(stream_matrix[:, BATCH : 2 * BATCH])
-
-    def test_overlap_checkpoint_roundtrip_finalizes(self, stream_matrix, tmp_path):
-        """Checkpointing with a step in flight completes it first — the
-        saved state equals the blocking loop's."""
-        path = tmp_path / "overlap.npz"
-
-        def job(comm):
-            part = block_partition(M, comm.size)
-            block = stream_matrix[part.slice_of(comm.rank), :]
-            svd = ParSVDParallel(comm, solver=SolverConfig(K=K, ff=0.97, overlap=True))
-            svd.initialize(block[:, :BATCH])
-            svd.incorporate_data(block[:, BATCH : 2 * BATCH])
-            svd.save_checkpoint(path, gathered=True)
-            return np.array(svd.singular_values)
-
-        values = run_spmd(NRANKS, job)[0]
-        restarted = ParSVDParallel.from_checkpoint(
-            create_communicator("self"), path
-        )
-        assert np.max(np.abs(restarted.singular_values - values)) <= 1e-12
 
 
 class TestLocalModesBufferContract:
@@ -324,15 +220,11 @@ class TestLocalModesBufferContract:
                     view *= 2.0
             assert np.array_equal(session.local_modes, before)
 
-    @pytest.mark.parametrize("overlap", [False, True])
     @pytest.mark.parametrize("qr_variant", ["gather", "tree"])
-    def test_views_read_only_on_every_rank(
-        self, stream_matrix, qr_variant, overlap
-    ):
+    def test_views_read_only_on_every_rank(self, stream_matrix, qr_variant):
         """On every rank, local_modes and modes under gather="none" are one
-        read-only view of that rank's own double buffer, whether the last
-        step ran blocking or was still in flight when they were read; a
-        refused write changes nothing."""
+        read-only view of that rank's own double buffer; a refused write
+        changes nothing."""
 
         def refuses_write(view):
             try:
@@ -351,7 +243,6 @@ class TestLocalModesBufferContract:
                     ff=0.97,
                     qr_variant=qr_variant,
                     gather="none",
-                    overlap=overlap,
                 ),
             )
             svd.initialize(block[:, :BATCH])

@@ -133,12 +133,10 @@ class TestMultiRank:
 
 
 class TestEdgeShapes:
-    @pytest.mark.parametrize("overlap", [True, False])
     @pytest.mark.parametrize("qr_variant", ["gather", "tree"])
-    def test_rank_owning_zero_rows_streams(self, qr_variant, overlap):
+    def test_rank_owning_zero_rows_streams(self, qr_variant):
         """3 dofs over 4 ranks: the last rank owns no rows, so its local
-        factorization is 0 x (K + batch) at every step, blocking or with
-        the step left in flight until the next update."""
+        factorization is 0 x (K + batch) at every step."""
         data = np.random.default_rng(0).standard_normal((3, 10))
 
         def job(comm):
@@ -146,9 +144,7 @@ class TestEdgeShapes:
             block = data[part.slice_of(comm.rank), :]
             svd = ParSVDParallel(
                 comm,
-                solver=SolverConfig(
-                    K=2, ff=1.0, qr_variant=qr_variant, overlap=overlap
-                ),
+                solver=SolverConfig(K=2, ff=1.0, qr_variant=qr_variant),
             )
             svd.initialize(block[:, :2])
             for start in range(2, 10, 2):

@@ -24,9 +24,8 @@ class TestSolverConfig:
         assert cfg.qr_variant == "gather"
         assert cfg.gather == "bcast"
         assert cfg.apmos_group_size is None
-        assert cfg.overlap is False
-        # The paper's eight algorithm parameters plus four run options.
-        assert len(dataclasses.fields(cfg)) == 12
+        # The paper's eight algorithm parameters plus three run options.
+        assert len(dataclasses.fields(cfg)) == 11
 
     def test_is_an_svd_config(self):
         assert isinstance(SolverConfig(), SVDConfig)
@@ -43,7 +42,6 @@ class TestSolverConfig:
             ("qr_variant", "sideways"),
             ("gather", "sometimes"),
             ("apmos_group_size", 0),
-            ("overlap", 1),
         ],
     )
     def test_run_option_validation(self, field, value):
@@ -63,12 +61,12 @@ class TestSolverConfig:
         assert lifted.qr_variant == "tree"
 
     def test_from_svd_config_passthrough_and_override(self):
-        base = SolverConfig(K=5, gather="root", overlap=True)
+        base = SolverConfig(K=5, gather="root", qr_variant="tree")
         assert SolverConfig.from_svd_config(base) is base
         overridden = SolverConfig.from_svd_config(base, gather="none")
         # options override, the solver-level fields of the base survive
         assert overridden.gather == "none"
-        assert overridden.overlap is True
+        assert overridden.qr_variant == "tree"
         assert overridden.K == 5
 
     def test_frozen(self):
@@ -179,7 +177,7 @@ class TestRunConfig:
         cfg = RunConfig(
             solver=SolverConfig(
                 K=12, ff=0.9, low_rank=True, seed=7,
-                qr_variant="tree", gather="root", overlap=True,
+                qr_variant="tree", gather="root",
             ),
             backend=BackendConfig(name="threads", size=4, timeout=30.0),
             stream=StreamConfig(source="/data/snaps.npz", batch=25, prefetch=3),
@@ -231,11 +229,12 @@ class TestRunConfig:
         with pytest.raises(ConfigurationError, match="frobnicate"):
             RunConfig.from_dict({"backend": {"frobnicate": 1}})
 
-    def test_solver_section_naming_workspace_rejected(self):
+    @pytest.mark.parametrize("key", ["workspace", "overlap"])
+    def test_solver_section_naming_a_retired_key_rejected(self, key):
         """The streaming step has one lane; a run config from when it had
-        two names the retired option and must say which key is wrong."""
-        with pytest.raises(ConfigurationError, match="'workspace'"):
-            RunConfig.from_dict({"solver": {"K": 4, "workspace": True}})
+        more names a retired option and must say which key is wrong."""
+        with pytest.raises(ConfigurationError, match=f"'{key}'"):
+            RunConfig.from_dict({"solver": {"K": 4, key: True}})
 
     def test_invalid_value_surfaces_specific_error(self):
         with pytest.raises(ConfigurationError, match="forget factor"):
@@ -262,7 +261,7 @@ class TestRunConfig:
 
     def test_save_load_round_trip(self, tmp_path):
         cfg = RunConfig(
-            solver=SolverConfig(K=6, overlap=True),
+            solver=SolverConfig(K=6, qr_variant="tree"),
             backend=BackendConfig(size=2),
             stream=StreamConfig(batch=40, prefetch=1),
         )

@@ -22,10 +22,9 @@ WARMUP, STEPS = 4, 8
 BYTES_PER_PEER = {"gather": 6160, "tree": 9760}
 
 
-@pytest.mark.parametrize("overlap", [False, True], ids=["overlap-off", "overlap-on"])
 @pytest.mark.parametrize("qr_variant", ["gather", "tree"])
 @pytest.mark.parametrize("ranks", [2, 3, 4])
-def test_steady_step_census(ranks, qr_variant, overlap):
+def test_steady_step_census(ranks, qr_variant):
     rng = np.random.default_rng(5)
     n_batches = 1 + WARMUP + STEPS
     data = rng.standard_normal((N_DOF, BATCH * n_batches))
@@ -33,7 +32,7 @@ def test_steady_step_census(ranks, qr_variant, overlap):
     def job(comm):
         rows = data[block_partition(N_DOF, comm.size).slice_of(comm.rank)]
         batches = [rows[:, j * BATCH : (j + 1) * BATCH] for j in range(n_batches)]
-        solver = SolverConfig(K=K, ff=1.0, qr_variant=qr_variant, overlap=overlap)
+        solver = SolverConfig(K=K, ff=1.0, qr_variant=qr_variant)
         svd = ParSVDParallel(comm, solver=solver)
         svd.initialize(batches[0])
         for batch in batches[1 : 1 + WARMUP]:

@@ -1,15 +1,15 @@
 """Every streaming lane against its frozen reference output.
 
-The cross-lane harnesses (``test_hot_path.py``) compare lanes that share
-one step kernel; these tests pin each lane to the outputs of the kernel
-that formed the local ``Q`` explicitly (see ``step_references.py``), at
-1e-12 in float64 and 1e-4 relative in float32.
+These tests pin each lane (world, TSQR variant, dtype) to the outputs
+of the kernel that formed the local ``Q`` explicitly (see
+``step_references.py``), at 1e-12 in float64 and 1e-4 relative in
+float32.
 """
 
 import numpy as np
 import pytest
 
-from step_references import CONFIGS, PATH, config_id, reference_key, run
+from step_references import CONFIGS, PATH, reference_key, run
 
 #: (modes: max absolute error, values: max relative error) per dtype.
 TOLERANCE = {"float64": 1e-12, "float32": 1e-4}
@@ -21,7 +21,9 @@ def references():
         return dict(frozen)
 
 
-@pytest.mark.parametrize("config", CONFIGS, ids=[config_id(*c) for c in CONFIGS])
+@pytest.mark.parametrize(
+    "config", CONFIGS, ids=[reference_key(*c) for c in CONFIGS]
+)
 def test_lane_matches_frozen_reference(references, config):
     modes, values = run(*config)
     key = reference_key(*config)

@@ -168,7 +168,9 @@ class TestFaultyCommunicator:
         request = comm.isend("x", dest=0, tag=1)
         assert isinstance(request, SendRequest)
         assert request.wait() is None
-        assert comm.irecv(source=0, tag=1).test()[0] is False
+        probe = comm.irecv(source=0, tag=1)
+        assert probe.test()[0] is False
+        probe.cancel()
 
     def test_dropped_send_is_swallowed_between_ranks(self):
         cfg = FaultConfig(

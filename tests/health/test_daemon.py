@@ -1,17 +1,15 @@
-"""`repro.health.ProgressDaemon`: heartbeating, background completion of
-overlapped pipelined steps (no explicit access), retirement on clean
-stop, error capture, and the timed dead-rank declaration that beats the
-deadlock timeout."""
+"""`repro.health.ProgressDaemon`: heartbeating every interval (idle ranks
+included), retirement on clean stop, monitor-failure capture, and the
+timed dead-rank declaration that beats the deadlock timeout."""
 
-import threading
 import time
 
-import numpy as np
 import pytest
 
-from repro.config import HealthConfig, SolverConfig
-from repro.core import ParSVDParallel
+from repro.api import BackendConfig, RunConfig, Session
+from repro.config import HealthConfig
 from repro.health import HealthMonitor, ProgressDaemon, communicator_world
+from repro.health.monitor import RANK_DEAD, RANK_SUSPECT
 from repro.obs import runtime as obs_rt
 from repro.smpi import FailedRankError, create_communicator
 from repro.smpi.selfcomm import SelfCommunicator
@@ -60,6 +58,34 @@ class TestHeartbeat:
         daemon.stop(retire=False)
         assert 0 not in world.retired_ranks()
 
+    def test_idle_healthy_ranks_are_never_declared_dead(self):
+        """Two healthy ranks that only sleep keep beating every
+        heartbeat_interval: their peers' monitor never sees them suspect
+        or dead, and fails neither."""
+        cfg = RunConfig(
+            backend=BackendConfig(name="threads", size=2),
+            health=HealthConfig(
+                enabled=True,
+                heartbeat_interval=0.05,
+                suspect_after=0.15,
+                dead_after=0.3,
+            ),
+        )
+
+        def job(session):
+            world, _ = communicator_world(session.comm)
+            seen = set()
+            deadline = time.monotonic() + 1.5
+            while time.monotonic() < deadline:
+                if session.comm.rank == 0:
+                    seen.update(world.health.observe().values())
+                time.sleep(0.01)
+            return seen, set(world.failed_ranks())
+
+        (seen, failed), _ = Session.run(cfg, job)
+        assert not seen & {RANK_SUSPECT, RANK_DEAD}, seen
+        assert failed == set()
+
     def test_beats_are_metered(self):
         obs_rt.install(metrics=True)
         try:
@@ -104,96 +130,6 @@ class TestMonitorFailure:
         assert len(warnings) == 1
         assert warnings[0].levelname == "WARNING"
         assert "monitor exploded" in caplog.text
-
-
-class TestAdvance:
-    def test_advance_error_is_captured_and_daemon_keeps_beating(self, caplog):
-        world = World(1)
-
-        def exploding():
-            raise ValueError("poisoned step")
-
-        def errors():
-            counters = obs_rt.default_registry().snapshot()["counters"]
-            return counters.get("repro.errors.health", {}).get("value", 0)
-
-        obs_rt.install(metrics=True)
-        try:
-            errors_before = errors()
-            with caplog.at_level("WARNING", logger="repro.health.daemon"):
-                daemon = ProgressDaemon(
-                    0.01, world=world, world_rank=0, advance=exploding
-                ).start()
-                try:
-                    deadline = time.monotonic() + 5.0
-                    while daemon.error is None:
-                        assert time.monotonic() < deadline, "error never captured"
-                        time.sleep(0.005)
-                    assert isinstance(daemon.error, ValueError)
-                    before = world.last_beat(0)
-                    deadline = time.monotonic() + 5.0
-                    while world.last_beat(0) <= before:
-                        assert time.monotonic() < deadline, "beat stopped after error"
-                        time.sleep(0.005)
-                finally:
-                    daemon.stop()
-            # One failed step, counted once: the daemon stops advancing.
-            assert errors() - errors_before == 1
-        finally:
-            obs_rt.uninstall()
-        warnings = [r for r in caplog.records if r.name == "repro.health.daemon"]
-        assert len(warnings) == 1
-        assert warnings[0].levelname == "WARNING"
-        assert "poisoned step" in caplog.text
-
-    def test_daemon_completes_overlapped_step_without_access(self):
-        """The tentpole behaviour: with daemons running, an overlap=True
-        step posted by ``incorporate_data`` reaches completion without
-        anyone touching the driver again."""
-        ranks = 2
-        comms = create_communicator("threads", ranks)
-        solver = SolverConfig(K=4, ff=1.0, qr_variant="gather", overlap=True)
-        drivers = [ParSVDParallel(c, solver=solver) for c in comms]
-        rng = np.random.default_rng(3)
-        data = rng.standard_normal((32, 12))
-
-        def feed(i):
-            rows = np.array_split(data, ranks, axis=0)[i]
-            drivers[i].initialize(rows[:, :6])
-            drivers[i].incorporate_data(rows[:, 6:])  # posts, never finalizes
-
-        threads = [
-            threading.Thread(target=feed, args=(i,)) for i in range(ranks)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=30.0)
-        assert any(d.pending_update for d in drivers)
-
-        daemons = []
-        try:
-            for i, (comm, driver) in enumerate(zip(comms, drivers)):
-                world, world_rank = communicator_world(comm)
-                daemons.append(
-                    ProgressDaemon(
-                        0.005,
-                        world=world,
-                        world_rank=world_rank,
-                        advance=driver.try_finalize_pending,
-                    ).start()
-                )
-            deadline = time.monotonic() + 10.0
-            while any(d.pending_update for d in drivers):
-                assert time.monotonic() < deadline, "daemons never finished it"
-                time.sleep(0.005)
-        finally:
-            for daemon in daemons:
-                daemon.stop()
-        for daemon in daemons:
-            assert daemon.error is None
-        for driver in drivers:
-            assert driver.singular_values.shape == (4,)
 
 
 class TestTimedDeclaration:

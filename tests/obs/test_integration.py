@@ -26,9 +26,9 @@ def low_rank_data(n_dof, n_cols, seed=3):
     return left @ right + 1e-4 * rng.standard_normal((n_dof, n_cols))
 
 
-def obs_config(*, size=4, overlap=True, prefetch=1, trace=True):
+def obs_config(*, size=4, prefetch=1, trace=True):
     return RunConfig(
-        solver=SolverConfig(K=4, ff=0.95, overlap=overlap),
+        solver=SolverConfig(K=4, ff=0.95),
         backend=BackendConfig(name="threads", size=size),
         stream=StreamConfig(batch=8, prefetch=prefetch),
         obs=ObservabilityConfig(metrics=True, trace=trace),
@@ -110,9 +110,10 @@ class TestSessionLifecycle:
 
 class TestMultiRankRun:
     def test_four_rank_trace_has_four_phases_per_rank(self):
-        """The PR's acceptance criterion: a 4-rank threads run emits a
-        schema-valid Chrome trace with >= 4 distinct phases per rank and
-        an overlap_efficiency gauge in the metrics snapshot."""
+        """A 4-rank threads run emits a schema-valid Chrome trace with >= 4
+        distinct phases per rank, and one step_seconds and one
+        finish_seconds observation per step, each finish within its
+        step."""
         runtime.reset()
         data = low_rank_data(128, 48)
 
@@ -131,16 +132,15 @@ class TestMultiRankRun:
             assert len(phases) >= 4, (rank, phases)
 
         snap = runtime.default_registry().snapshot()
-        gauge = snap["gauges"].get("repro.core.overlap_efficiency")
-        assert gauge is not None
-        assert 0.0 <= gauge <= 1.0 + 1e-9
+        step = snap["histograms"]["repro.core.step_seconds"]
+        finish = snap["histograms"]["repro.core.finish_seconds"]
+        assert step["count"] == finish["count"] > 0
+        assert finish["mean"] <= step["mean"]
         assert any(
             name.startswith("repro.smpi.") for name in snap["counters"]
         )
-        assert snap["histograms"]["repro.core.step_seconds"]["count"] > 0
 
-    @pytest.mark.parametrize("overlap", [False, True])
-    def test_reflector_apply_is_a_qr_phase_span(self, overlap):
+    def test_reflector_apply_is_a_qr_phase_span(self):
         """Each step's local QR and the apply of its reflectors both show
         in the ``qr`` phase, once per step on every rank."""
         runtime.reset()
@@ -149,7 +149,7 @@ class TestMultiRankRun:
         def job(session):
             return session.fit_stream(data).result().n_seen
 
-        Session.run(obs_config(size=2, overlap=overlap), job)
+        Session.run(obs_config(size=2), job)
         counts = {}
         for event in runtime.default_tracer().events():
             if event["name"] in ("tsqr.local_qr", "tsqr.apply_q"):

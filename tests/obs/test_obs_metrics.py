@@ -96,11 +96,11 @@ class TestRegistry:
     def test_snapshot_is_json_serializable(self):
         registry = MetricsRegistry()
         registry.counter("repro.smpi.bcast.calls").inc()
-        registry.gauge("repro.core.overlap_efficiency").set(0.5)
+        registry.gauge("repro.data.prefetch.queue_depth").set(0.5)
         registry.histogram("repro.serving.flush_seconds").observe(0.01)
         parsed = json.loads(registry.to_json())
         assert parsed["counters"]["repro.smpi.bcast.calls"]["value"] == 1.0
-        assert parsed["gauges"]["repro.core.overlap_efficiency"] == 0.5
+        assert parsed["gauges"]["repro.data.prefetch.queue_depth"] == 0.5
         assert (
             parsed["histograms"]["repro.serving.flush_seconds"]["count"] == 1
         )

@@ -4,8 +4,8 @@ committed ``BENCH_hot_path.json``.
 
 The gate reads only the two JSON files, so its bounds are checked here on
 copies of the committed baseline with one number moved: fast bytes/step
-may grow by 25%, ``overlap_speedup`` may fall by 15% and
-``serial_speedup`` by 25%, on the two gated cells and nowhere else.
+may grow by 25% and ``serial_speedup`` may fall by 25%, on the two gated
+cells and nowhere else.
 """
 
 import importlib.util
@@ -65,8 +65,6 @@ def moved(tmp_path, cell_key, metric, factor):
     [
         ("bytes_per_step", 1.2, True, None),
         ("bytes_per_step", 1.3, False, "allocation regression"),
-        ("overlap_speedup", 0.9, True, None),
-        ("overlap_speedup", 0.8, False, "steps/s regression: overlap_speedup"),
         ("serial_speedup", 0.8, True, None),
         ("serial_speedup", 0.7, False, "steps/s regression: serial_speedup"),
     ],
@@ -86,13 +84,12 @@ def test_gate_bounds(gate, tmp_path, cell, metric, factor, passes, reason):
 
 def test_ungated_cell_is_not_checked_by_the_script(tmp_path):
     """Run as CI runs it.  The threads x2 cell is informational: a
-    tenfold allocation and halved throughput ratios there pass."""
+    tenfold allocation and a halved throughput ratio there pass."""
     artifact = moved(tmp_path, ("threads", 2, 10), "bytes_per_step", 10.0)
     payload = json.loads(artifact.read_text())
     for cell in payload["cells"]:
         if cell["nranks"] == 2:
             cell["serial_speedup"] *= 0.5
-            cell["overlap_speedup"] *= 0.5
     artifact.write_text(json.dumps(payload))
     result = subprocess.run(
         [sys.executable, "bench_hot_path.py", str(artifact), str(BASELINE)],
@@ -103,4 +100,4 @@ def test_ungated_cell_is_not_checked_by_the_script(tmp_path):
         timeout=120,
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.count("hot-path ") == 3 * len(GATED)
+    assert result.stdout.count("hot-path ") == 2 * len(GATED)

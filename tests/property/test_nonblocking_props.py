@@ -87,8 +87,8 @@ def test_prefetch_snapshots_reused_source_buffers():
 @pytest.mark.parametrize("backend,nranks", [("threads", 3), ("self", 1)])
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 def test_prefetched_stream_drives_svd_identically(backend, nranks, dtype):
-    """backend x dtype: an SVD fed through PrefetchStream (+ overlap)
-    equals the directly-fed reference bit-for-bit (asserted to 1e-12)."""
+    """backend x dtype: an SVD fed through PrefetchStream equals the
+    directly-fed reference bit-for-bit (asserted to 1e-12)."""
     rng = np.random.default_rng(11)
     m, batch = 90, 10
     data = (
@@ -102,7 +102,7 @@ def test_prefetched_stream_drives_svd_identically(backend, nranks, dtype):
         )
         if prefetch:
             stream = PrefetchStream(stream, depth=2)
-        svd = ParSVDParallel(comm, solver=SolverConfig(K=4, ff=0.97, overlap=prefetch))
+        svd = ParSVDParallel(comm, solver=SolverConfig(K=4, ff=0.97))
         svd.fit_stream(stream)
         return np.array(svd.modes), np.array(svd.singular_values)
 

@@ -1,10 +1,10 @@
-"""Nonblocking receive timeouts and the envelope arena."""
+"""Nonblocking receive timeouts, cancellation and the envelope arena."""
 
 import numpy as np
 import pytest
 
-from repro.smpi import run_spmd
-from repro.smpi.exceptions import DeadlockError
+from repro.smpi import run_backend, run_spmd
+from repro.smpi.exceptions import DeadlockError, SmpiError
 from repro.smpi.message import ENVELOPE_POOL, Envelope, take_payload
 
 
@@ -35,6 +35,29 @@ class TestRecvRequestTimeout:
             return None
 
         assert run_spmd(2, job)[0] == "payload"
+
+class TestRecvRequestCancel:
+    @pytest.mark.parametrize("backend, size", [("self", 1), ("threads", 2)])
+    def test_cancel_contract(self, backend, size):
+        """Every in-process backend's receive request can be cancelled:
+        it is then done with no payload, and cancelling a completed
+        receive is refused."""
+
+        def job(comm):
+            peer = comm.size - 1 - comm.rank
+            abandoned = comm.irecv(peer, 5)
+            abandoned.cancel()
+            comm.send("payload", dest=peer, tag=6)
+            received = comm.irecv(peer, 6)
+            payload = received.wait()
+            with pytest.raises(SmpiError, match="completed"):
+                received.cancel()
+            return abandoned.test(), payload
+
+        for cancelled, payload in run_backend(backend, size, job):
+            assert cancelled == (True, None)
+            assert payload == "payload"
+
 
 class TestEnvelopePool:
     def test_shells_are_recycled(self):
