@@ -3,7 +3,7 @@ allocation regression.
 
 * the streaming step agrees with the serial reference (every lane is
   also pinned to frozen outputs in ``test_step_references.py``), and a
-  step that fails to finish poisons the driver;
+  step that fails to finish poisons the instance;
 * the local modes are a read-only view of the double-buffered workspace,
   and ``parallel_qr`` hands out fresh arrays;
 * per-step allocated bytes are *flat* after warmup over 50 streaming
@@ -97,7 +97,7 @@ class TestSerialReference:
 
 class TestStreamingStep:
     """The blocking ``parallel_qr`` agrees with the streaming update, and
-    a step that fails to finish poisons the driver."""
+    a step that fails to finish poisons the instance."""
 
     def test_parallel_qr_pins_pipelined_update(self, stream_matrix):
         """The public blocking parallel_qr stays consistent with the
