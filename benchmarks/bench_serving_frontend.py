@@ -7,7 +7,7 @@ and measures, per concurrency level, submit-to-result round-trip
 latency percentiles and queries/sec.  A second, pipelined phase submits
 a burst of unique queries, collects them, then replays the identical
 payloads to exercise the keyed result cache: the replay must hit on
-every query (fulfilled at submit, no GEMM, no deadline wait).
+every query (fulfilled at submit, no GEMM, no flush).
 
 Emits ``BENCH_serving_frontend.json``.  The committed copy at the repo
 root is the regression baseline; ``check_against_baseline`` gates only
@@ -16,8 +16,9 @@ machine-independent quantities:
 * ``cache_hit_ratio`` — the replay phase must hit on (essentially)
   every query; a drop means the cache key or eviction policy broke;
 * ``batching_ratio`` — queries coalesced per flush in the pipelined
-  burst; a collapse means the watermark/deadline flushing degenerated
-  into per-query flushes;
+  burst (the server commits groups: queries that arrive while the
+  engine is busy ride its next flush); a collapse means the
+  watermark/group-commit flushing degenerated into per-query flushes;
 * ``cache_speedup`` — cached vs uncached pipelined throughput, measured
   back-to-back in one run so machine speed cancels; gated with a wide
   floor because the cached phase is pure HTTP overhead;
@@ -365,8 +366,8 @@ def check_against_baseline(artifact_path, baseline_path):
 
     # Both pipelined phases are HTTP-round-trip dominated, so the
     # speedup hovers near 1; this is a catastrophic-only canary (a
-    # broken cached path that re-queues hits would stall the replay
-    # behind the flush deadline and crater the ratio).  The functional
+    # broken cached path that re-queues hits would send the replay
+    # through the flushes again and crater the ratio).  The functional
     # cache contract is the hit-ratio gate above.
     floor = base["cache_speedup"] * 0.3
     print(

@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Serving a mode base over HTTP with SLO-driven flushing.
+"""Serving a mode base over HTTP with group-commit flushing.
 
 The in-process :class:`QueryEngine` (see ``serving_queries.py``)
 coalesces queries into one distributed GEMM per flush — but its callers
@@ -9,10 +9,11 @@ JSON-over-HTTP can query a published basis:
 
 1. stream a Burgers record and **publish** the basis into a
    :class:`ModeBaseStore`;
-2. start a :class:`NetServer` on an ephemeral port: its event loop's
-   deadline timer flushes pending queries within ``flush_deadline_ms``
-   even when the micro-batch watermark is never reached, and a keyed
-   result cache answers repeated payloads at submit time;
+2. start a :class:`NetServer` on an ephemeral port: its event loop
+   flushes pending queries as soon as the engine goes idle (group
+   commit), so a lone query never waits for the micro-batch watermark
+   and ``flush_deadline_ms`` is only an SLO whose misses are counted,
+   and a keyed result cache answers repeated payloads at submit time;
 3. drive it with :class:`ServingClient` — submit returns a job ticket,
    ``GET /v1/jobs/{id}?wait=`` long-polls the result — behind per-tenant
    API-key auth, and verify every answer against the in-process engine.
@@ -117,7 +118,7 @@ def main() -> None:
         )
         print(
             f"served {len(answers)} queries in {stats['flushes']} "
-            f"flush(es), {stats['deadline_flushes']} by deadline; "
+            f"flush(es), {stats['deadline_flushes']} past the SLO; "
             f"healthz {health_status} ({health['status']})"
         )
         print(f"HTTP answers match in-process engine: worst |Δ| {worst:.3e}")

@@ -32,8 +32,9 @@ RunConfig.
 
 ``repro serve`` starts the :mod:`repro.net` HTTP serving frontend over a
 :class:`~repro.serving.ModeBaseStore`: ``POST /v1/query`` /
-``GET /v1/jobs/{id}`` job submission with deadline-driven flushing
-(``--deadline-ms``), a keyed result cache, per-tenant API keys
+``GET /v1/jobs/{id}`` job submission with group-commit flushing (a
+flush as soon as the engine goes idle; ``--deadline-ms`` is the latency
+SLO whose misses are counted), a keyed result cache, per-tenant API keys
 (``--tenant NAME:KEY``), ``/metrics`` and ``/healthz``.
 
 Observability: the experiment subcommands accept ``--metrics-json PATH``
@@ -348,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_net = sub.add_parser(
         "serve",
         help="HTTP serving frontend (repro.net): job-based query "
-        "submission over a mode-base store with deadline-driven "
+        "submission over a mode-base store with group-commit "
         "flushing, a keyed result cache, per-tenant API keys, "
         "/metrics and /healthz",
     )
@@ -368,8 +369,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--deadline-ms",
         type=float,
         default=25.0,
-        help="flush-latency SLO: a pending query is flushed once it is "
-        "this old, even below the batch watermark",
+        help="flush-latency SLO: a flush whose oldest query waited this "
+        "long counts as a miss in deadline_flushes (the server flushes as "
+        "soon as its engine goes idle)",
     )
     p_net.add_argument(
         "--max-batch",

@@ -750,11 +750,10 @@ class ServingConfig(_SectionMixin):
         port (the server reports the one chosen) — what tests and the
         load bench use.
     flush_deadline_ms:
-        The flush latency SLO: the server's event loop keeps one timer
-        on the oldest queued query, so a pending query is flushed about
-        this many milliseconds after submission (plus one engine-thread
-        hop), even when the batch-size watermark (``max_batch``) has not
-        been reached.
+        The flush latency SLO.  It schedules nothing: the server flushes
+        as soon as its engine goes idle (group commit), and a flush whose
+        oldest query waited this many milliseconds counts as a miss in
+        the engine's ``deadline_flushes``.
     max_batch:
         Batch-size watermark — the engine's ``flush_threshold``: this
         many pending queries trigger an immediate flush.
@@ -764,7 +763,7 @@ class ServingConfig(_SectionMixin):
     tenants:
         Tuple of :class:`TenantSpec` (plain dicts are coerced, so the
         section round-trips through JSON).  Empty (the default) serves
-        unauthenticated single-tenant traffic under the ``"anonymous"``
+        unauthenticated single-tenant traffic under the ``"public"``
         tenant; non-empty enables per-request API-key auth.
     """
 

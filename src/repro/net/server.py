@@ -11,14 +11,15 @@ One :class:`NetServer` owns, for its lifespan:
   needs no locking of its own;
 * an asyncio HTTP/1.1 server (:mod:`repro.net.http`, stdlib only)
   multiplexing client connections on the event loop;
-* the **flush deadline**, kept by the event loop.  The engine never
-  flushes spontaneously (flushing is collective in the SPMD contract),
-  so after every engine call the loop arms one ``call_later`` timer for
-  the remaining ``flush_deadline_ms`` of the oldest queued ticket; it
-  flushes on the engine thread when
-  :meth:`~repro.serving.QueryEngine.flush_due`, then re-arms.  A lone
-  query is thus answered within its deadline instead of waiting for
-  ``max_batch - 1`` friends;
+* **group commit**, kept by the event loop.  The engine never flushes
+  spontaneously (flushing is collective in the SPMD contract), so the
+  loop posts a flush as soon as the engine goes idle with tickets
+  queued: no flush in flight, and no engine call queued or running.
+  Tickets submitted while the engine is busy ride the next flush, and
+  ``max_batch`` still caps a batch through the engine's watermark.  A
+  lone query is thus flushed at once, instead of waiting for
+  ``max_batch - 1`` friends or for a timer; ``flush_deadline_ms`` is
+  only an SLO, whose misses the engine counts in ``deadline_flushes``;
 * a :class:`~repro.net.jobs.JobTable` mapping job ids to tickets, with
   asyncio events the long-poll handlers await — set by the loop after
   every engine call, never from the engine thread.
@@ -89,13 +90,6 @@ _log = logging.getLogger(__name__)
 MAX_WAIT_S = 30.0
 
 
-def _flush_engine(engine, due_only: bool) -> None:
-    # Engine thread: the deadline check and the flush are one step with
-    # respect to submits.
-    if (engine.flush_due() if due_only else engine.pending):
-        engine.flush()
-
-
 class NetServer:
     """The asyncio HTTP serving frontend over one engine-owning session.
 
@@ -145,9 +139,10 @@ class NetServer:
         self._executor: Optional[concurrent.futures.ThreadPoolExecutor] = None
         self._server: Optional[asyncio.base_events.Server] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
-        # The flush deadline timer, and the flush it started, in flight.
-        self._timer: Optional[asyncio.TimerHandle] = None
-        self._deadline_flush: Optional[asyncio.Task] = None
+        # Group commit: engine calls queued or running (counted on the
+        # loop), and the flush in flight.
+        self._engine_calls = 0
+        self._flush_task: Optional[asyncio.Task] = None
         self._flush_warned = False
         # Open client connections, closed by stop() so that no handler
         # outlives the server.
@@ -211,15 +206,12 @@ class NetServer:
             for writer in list(self._connections):
                 writer.close()
             await server.wait_closed()
-        # Without an engine nothing re-arms the deadline; a deadline
-        # flush already on the engine thread is awaited, not abandoned.
+        # Without an engine nothing posts a flush; a flush already on the
+        # engine thread is awaited, not abandoned.
         session, engine = self._session, self._engine
         self._engine = None
-        timer, self._timer = self._timer, None
-        if timer is not None:
-            timer.cancel()
-        if self._deadline_flush is not None:
-            await self._deadline_flush
+        if self._flush_task is not None:
+            await self._flush_task
         executor = self._executor
         if executor is not None:
             if self._owns_session and session is not None:
@@ -227,7 +219,7 @@ class NetServer:
                 # Final flush answers still-queued tickets, then the
                 # session releases its communicator — both on the engine
                 # thread, like every other engine op.
-                await self._flush(engine, due_only=False)
+                await self._flush(engine)
                 await self._loop.run_in_executor(executor, session.close)
             self._executor = None
             executor.shutdown(wait=True)
@@ -254,38 +246,36 @@ class NetServer:
 
     # -- engine-thread plumbing --------------------------------------------
     async def _on_engine(self, fn, *args):
+        self._engine_calls += 1
         try:
             return await self._loop.run_in_executor(self._executor, fn, *args)
         finally:
+            self._engine_calls -= 1
             self._after_engine()
 
     def _after_engine(self) -> None:
-        """Wake the long-pollers whose tickets settled, and arm the flush
-        deadline while tickets are queued.  One timer, kept once armed:
-        the oldest ticket only gets younger, so it may fire early (and
-        re-arm), never late.  A deadline flush in flight re-arms itself."""
+        """Wake the long-pollers whose tickets settled, and commit the
+        group: once the engine is idle (no flush in flight, no engine call
+        queued or running) with tickets queued, post one flush for all of
+        them.  Every engine call and every flush ends here, so the last
+        one to finish posts it and no wake-up is lost."""
         self._jobs.signal_completed()
         engine = self._engine
-        armed = self._timer is not None or self._deadline_flush is not None
-        if engine is None or armed or not engine.pending:
+        if (
+            engine is None
+            or self._flush_task is not None
+            or self._engine_calls
+            or not engine.pending
+        ):
             return
-        delay_s = engine.flush_deadline_ms / 1000.0 - engine.oldest_pending_age_s()
-        self._timer = self._loop.call_later(delay_s, self._deadline_fired)
+        self._flush_task = self._loop.create_task(self._flush(engine))
 
-    def _deadline_fired(self) -> None:
-        self._timer = None
-        self._deadline_flush = self._loop.create_task(
-            self._flush(self._engine, due_only=True)
-        )
-
-    async def _flush(self, engine, *, due_only: bool) -> None:
-        """Flush on the engine thread (the deadline's only when due), then
-        re-arm.  A failed flush has failed its own tickets, whose jobs
-        answer 500; here it is counted and warned about once."""
+    async def _flush(self, engine) -> None:
+        """Flush every queued ticket on the engine thread, then look for
+        the next group.  A failed flush has failed its own tickets, whose
+        jobs answer 500; here it is counted and warned about once."""
         try:
-            await self._loop.run_in_executor(
-                self._executor, _flush_engine, engine, due_only
-            )
+            await self._loop.run_in_executor(self._executor, engine.flush)
         except Exception:  # noqa: BLE001 - the server carries on
             st = _obs.state()
             if st is not None and st.registry is not None:
@@ -298,7 +288,7 @@ class NetServer:
                     exc_info=True,
                 )
         finally:
-            self._deadline_flush = None
+            self._flush_task = None
             self._after_engine()
 
     # -- connection handling -----------------------------------------------

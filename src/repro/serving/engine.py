@@ -128,7 +128,7 @@ class QueryTicket:
 
 class _Pending(NamedTuple):
     """One queued query: its ticket, payload, and bookkeeping for the
-    flush deadline (submit time) and result cache (key, or ``None`` when
+    deadline SLO (submit time) and result cache (key, or ``None`` when
     the query is uncacheable)."""
 
     ticket: QueryTicket
@@ -172,13 +172,14 @@ class QueryEngine:
         Auto-flush once this many queries are pending — bounds the batch
         latency without the caller managing flushes.
     flush_deadline_ms:
-        Latency budget (milliseconds) of a pending query.  The engine
-        never flushes spontaneously (flushing is collective) — instead
-        :meth:`flush_due` turns ``True`` once the oldest pending ticket
-        is older than this budget, and the owner drives the flush (the
-        :class:`repro.net.NetServer` event loop arms a timer for the
-        oldest ticket's remaining budget).  ``None`` (the default)
-        disables deadline accounting: only the size watermark flushes.
+        Latency SLO (milliseconds) of a pending query; it triggers no
+        flush.  The engine never flushes spontaneously (flushing is
+        collective): below the size watermark the owner drives every
+        flush (the :class:`repro.net.NetServer` event loop flushes as
+        soon as the engine goes idle).  A flush whose oldest ticket
+        waited at least this long counts as a miss in
+        ``stats()["deadline_flushes"]``.  ``None`` (the default) disables
+        the accounting.
     result_cache_entries:
         Capacity of the keyed result cache: ``(basis name, version,
         kind, payload digest) -> result``.  A repeated projection /
@@ -782,16 +783,6 @@ class QueryEngine:
         if now is None:
             now = time.monotonic()
         return max(now - pending[0].t_submit, 0.0)
-
-    def flush_due(self, now: Optional[float] = None) -> bool:
-        """Whether the oldest pending ticket has exhausted its
-        ``flush_deadline_ms`` latency budget (always ``False`` without a
-        budget, or with an empty queue)."""
-        if self.flush_deadline_ms is None or not self._pending:
-            return False
-        return (
-            self.oldest_pending_age_s(now) * 1000.0 >= self.flush_deadline_ms
-        )
 
     # -- instrumentation ---------------------------------------------------
     def _count(self, key: str, metric: Optional[str] = None) -> None:

@@ -99,6 +99,10 @@ class ModeBaseStore:
         self.root = pathlib.Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         self._manifest_path = self.root / MANIFEST_NAME
+        # ((st_mtime_ns, st_size, st_ino), parsed manifest) of the last
+        # read, or None: one attribute, so a reader on another thread
+        # sees a key and the dict it was read with, never a mix.
+        self._manifest_cache: Optional[Tuple[Tuple[int, int, int], dict]] = None
         if not self._manifest_path.exists():
             # A missing manifest over existing version files means a
             # damaged catalogue (partial rsync, crash) — initialising an
@@ -129,6 +133,26 @@ class ModeBaseStore:
             )
         return manifest
 
+    def _cached_manifest(self) -> dict:
+        """The manifest for read-only lookups, re-read only when one
+        ``stat`` shows the file changed.  A publish, by this or any other
+        process, adds a record, so the file's size changes.  Stat first,
+        then read: a file replaced between the two leaves a stale key,
+        which costs one extra re-read, never stale content."""
+        try:
+            st = os.stat(self._manifest_path)
+        except OSError as exc:
+            raise ServingError(
+                f"{self._manifest_path}: unreadable store manifest: {exc}"
+            ) from exc
+        key = (st.st_mtime_ns, st.st_size, st.st_ino)
+        cached = self._manifest_cache
+        if cached is not None and cached[0] == key:
+            return cached[1]
+        manifest = self._read_manifest()
+        self._manifest_cache = (key, manifest)
+        return manifest
+
     def _write_manifest(self, manifest: dict) -> None:
         tmp = self._manifest_path.with_name(MANIFEST_NAME + ".tmp")
         tmp.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
@@ -137,10 +161,10 @@ class ModeBaseStore:
     # -- catalogue queries -------------------------------------------------
     def names(self) -> List[str]:
         """Registered basis names, sorted."""
-        return sorted(self._read_manifest()["bases"])
+        return sorted(self._cached_manifest()["bases"])
 
     def __contains__(self, name: str) -> bool:
-        return name in self._read_manifest()["bases"]
+        return name in self._cached_manifest()["bases"]
 
     def versions(self, name: str) -> List[int]:
         """Published versions of ``name``, ascending."""
@@ -155,7 +179,7 @@ class ModeBaseStore:
         self, name: str, version: Optional[int]
     ) -> Tuple[int, dict]:
         """Resolve ``version`` (``None`` = latest) to its manifest record
-        with a single manifest read."""
+        with a single manifest lookup."""
         entry = self._entry(name)
         if version is None:
             version = int(entry["latest"])
@@ -171,7 +195,8 @@ class ModeBaseStore:
         self, name: str, version: Optional[int] = None
     ) -> Tuple[int, int, int]:
         """``(version, n_dof, n_modes)`` of ``name``/``version`` (default:
-        latest) from the manifest alone — one file read, no array IO.
+        latest) from the manifest alone — one ``stat`` while the manifest
+        is unchanged, no array IO.
 
         The serving engine's per-query resolution/validation path.
         """
@@ -184,7 +209,7 @@ class ModeBaseStore:
         return self.root / record["file"]
 
     def _entry(self, name: str) -> dict:
-        entry = self._read_manifest()["bases"].get(name)
+        entry = self._cached_manifest()["bases"].get(name)
         if entry is None:
             raise BasisNotFoundError(
                 f"no basis named {name!r} in store {self.root} "
@@ -226,6 +251,7 @@ class ModeBaseStore:
             )
         if config is None:
             config = SVDConfig(K=modes.shape[1], ff=1.0)
+        # Read fresh and edit that copy: the cached dict is never mutated.
         manifest = self._read_manifest()
         entry = manifest["bases"].setdefault(
             name, {"latest": 0, "versions": {}}

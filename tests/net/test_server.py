@@ -3,12 +3,15 @@
 A live :class:`NetServer` (ephemeral port, background thread) is driven
 through :class:`ServingClient` over real sockets: submitted
 project/reconstruct/error queries must match the in-process
-``QueryEngine`` answers to 1e-10, a lone query must be flushed within
-its ``flush_deadline_ms`` budget (asserted through the
-oldest-pending-age stat), a failed flush must fail only its own jobs,
-and auth/tenancy/metrics/health behave per the endpoint contract.
+``QueryEngine`` answers to 1e-10, the server commits groups (a lone
+query is flushed as soon as the engine goes idle, far inside its
+``flush_deadline_ms`` SLO; queries that arrive while a flush holds the
+engine ride the next one, in batches of at most ``max_batch``), a
+failed flush must fail only its own jobs, and
+auth/tenancy/metrics/health behave per the endpoint contract.
 """
 
+import math
 import threading
 import time
 
@@ -69,6 +72,38 @@ def client(server):
         yield client
 
 
+class HeldFlush:
+    """Holds the first flush's GEMM on the engine thread until
+    :attr:`release` is set, so that later engine calls queue behind it."""
+
+    def __init__(self) -> None:
+        self.entered = threading.Event()
+        self.release = threading.Event()
+
+
+@pytest.fixture
+def held_flush(monkeypatch):
+    held = HeldFlush()
+    real = ShardedBasis.project
+
+    def project(self, *args, **kwargs):
+        if not held.entered.is_set():
+            held.entered.set()
+            assert held.release.wait(10.0), "the held flush was never released"
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(ShardedBasis, "project", project)
+    yield held
+    held.release.set()
+
+
+def wait_until(predicate, timeout: float = 10.0) -> None:
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "condition not reached in time"
+        time.sleep(0.005)
+
+
 class TestEndToEnd:
     def test_http_answers_match_in_process_engine(self, corpus, client):
         store, data, _ = corpus
@@ -111,7 +146,7 @@ class TestEndToEnd:
 
     def test_solo_ticket_flushed_within_deadline_budget(self, corpus):
         store, data, _ = corpus
-        deadline_ms = 100.0
+        deadline_ms = 10_000.0
         handle = start_in_thread(
             store, serving(flush_deadline_ms=deadline_ms, max_batch=64)
         )
@@ -120,41 +155,57 @@ class TestEndToEnd:
                 t0 = time.monotonic()
                 job = client.submit("wave", data[:, :2], kind="project")
                 assert job["status"] == "pending"  # below the watermark
-                client.result(job, wait=10.0)
+                client.result(job, wait=5.0)
                 latency_s = time.monotonic() - t0
                 stats = client.metrics()["engine"]
         finally:
             handle.stop()
-        # The deadline scheduler — not the size watermark — answered it:
-        assert stats["deadline_flushes"] >= 1
+        # An idle engine flushed it at once, by one flush, far inside
+        # the deadline (a timer on the deadline would have taken 10 s).
+        assert latency_s < 2.0
         assert stats["flushes"] == 1
-        # and the oldest-pending-age stat shows the ticket waited its
-        # budget, within scheduler-poll slack (not a watermark's instant
-        # flush, not an unbounded wait).
-        age_ms = stats["last_flush_oldest_age_s"] * 1000.0
-        assert deadline_ms * 0.9 <= age_ms <= deadline_ms * 5.0
-        assert latency_s < 5.0
+        assert stats["deadline_flushes"] == 0
+        assert stats["last_flush_oldest_age_s"] * 1000.0 < deadline_ms / 10
 
-    def test_watermark_still_flushes_full_batches(self, corpus):
+    def test_watermark_still_flushes_full_batches(self, corpus, held_flush):
         store, data, _ = corpus
+        max_batch, n = 3, 7
         handle = start_in_thread(
-            store, serving(flush_deadline_ms=10_000.0, max_batch=3)
+            store, serving(flush_deadline_ms=10_000.0, max_batch=max_batch)
         )
+        answers: dict = {}
+
+        def submit_and_collect(i: int) -> None:
+            with ServingClient.from_url(handle.url) as client:
+                job = client.submit("wave", data[:, i : i + 1])
+                answers[i] = client.result(job, wait=5.0)
+
+        threads = [
+            threading.Thread(target=submit_and_collect, args=(i,))
+            for i in range(1, n + 1)
+        ]
         try:
             with ServingClient.from_url(handle.url) as client:
-                jobs = [
-                    client.submit("wave", data[:, i : i + 1]) for i in range(3)
-                ]
-                # Deadline is 10s away: only the watermark can have
-                # answered this quickly.
-                t0 = time.monotonic()
-                for job in jobs:
-                    client.result(job, wait=5.0)
-                assert time.monotonic() - t0 < 5.0
+                first = client.submit("wave", data[:, :1])
+                assert held_flush.entered.wait(5.0)
+                for thread in threads:
+                    thread.start()
+                # Every submit is queued behind the held flush.
+                wait_until(lambda: handle.server._engine_calls == n)
+                held_flush.release.set()
+                for thread in threads:
+                    thread.join(timeout=10.0)
+                    assert not thread.is_alive()
+                client.result(first, wait=5.0)
                 stats = client.metrics()["engine"]
         finally:
+            held_flush.release.set()
             handle.stop()
-        assert stats["flushes"] == 1
+        assert sorted(answers) == list(range(1, n + 1))
+        # The held flush served the first query; the n queued behind it
+        # were served in batches of at most max_batch.
+        assert stats["flushes"] == 1 + math.ceil(n / max_batch)
+        assert stats["queries"] == 1 + n
         assert stats["deadline_flushes"] == 0
 
 
@@ -340,19 +391,49 @@ class TestServerLifecycle:
         with pytest.raises(ConfigurationError, match="single-rank"):
             start_in_thread(store, cfg)
 
-    def test_pending_jobs_answered_before_shutdown(self, corpus):
+    def test_pending_jobs_answered_before_shutdown(self, corpus, held_flush):
         store, data, _ = corpus
-        # A deadline far away and a high watermark: the queue drains only
-        # because stop() flushes it.
         handle = start_in_thread(
             store, serving(flush_deadline_ms=60_000.0, max_batch=64)
         )
-        with ServingClient.from_url(handle.url) as client:
-            job = client.submit("wave", data[:, :1])
-            assert job["status"] == "pending"
-        handle.stop()
-        engine = handle.server._engine
-        assert engine is None  # torn down, after a final flush
+        server = handle.server
+        engine = server._engine
+        outcome: list = []
+
+        def submit_queued() -> None:
+            with ServingClient.from_url(handle.url) as client:
+                try:
+                    outcome.append(client.submit("wave", data[:, 1:2]))
+                except ConnectionError as exc:
+                    outcome.append(exc)
+
+        stopper = threading.Thread(target=handle.stop)
+        try:
+            with ServingClient.from_url(handle.url) as client:
+                assert client.submit("wave", data[:, :1])["status"] == "pending"
+            assert held_flush.entered.wait(5.0)
+            submitter = threading.Thread(target=submit_queued)
+            submitter.start()
+            wait_until(lambda: server._engine_calls == 1)
+            stopper.start()
+            # Release the held flush only once stop() has dropped the
+            # engine: nothing can post a flush any more, so the queued
+            # ticket is answered by stop()'s final flush alone.
+            wait_until(lambda: server._engine is None)
+        finally:
+            held_flush.release.set()
+            handle.stop()
+        stopper.join(timeout=10.0)
+        submitter.join(timeout=10.0)
+        assert not stopper.is_alive() and not submitter.is_alive()
+        # stop() closed the connection before the answer was sent.
+        assert len(outcome) == 1 and isinstance(outcome[0], ConnectionError)
+        stats = engine.stats()
+        assert stats["queries"] == 2
+        assert stats["flushes"] == 2
+        assert stats["pending"] == 0
+        assert server._jobs.stats()["created"] == 2
+        assert server._jobs.stats()["pending"] == 0
 
 
 def _counter(name: str) -> float:
@@ -360,8 +441,9 @@ def _counter(name: str) -> float:
     return counters.get(name, {}).get("value", 0.0)
 
 
-class TestDeadlineTimer:
-    """The event loop keeps the flush deadline: one timer, no thread."""
+class TestGroupCommit:
+    """The event loop commits groups: a flush as soon as the engine goes
+    idle, no timer, no thread."""
 
     def test_steady_trickle_is_answered(self, corpus):
         store, data, _ = corpus
@@ -371,8 +453,8 @@ class TestDeadlineTimer:
         try:
             with ServingClient.from_url(handle.url) as client:
                 jobs = []
-                # ~2 ms apart against a 5 ms deadline: some submits land
-                # while a deadline flush is on the engine thread.
+                # ~2 ms apart: some submits land while a flush is on the
+                # engine thread, and ride the next one.
                 for i in range(40):
                     t_submit = time.monotonic()
                     jobs.append((t_submit, client.submit("wave", data[:, i : i + 1])))
@@ -385,7 +467,6 @@ class TestDeadlineTimer:
             handle.stop()
         assert metrics["engine"]["pending"] == 0
         assert metrics["jobs"]["pending"] == 0
-        assert metrics["engine"]["deadline_flushes"] >= 1
 
     def test_server_runs_on_two_threads(self, server):
         names = sorted(

@@ -4,8 +4,9 @@ Cache contract: keys are ``(basis name, version, kind, payload
 digest)``; hits fulfil at submit with no GEMM and no collective;
 version bumps and payload changes miss; eviction is LRU; degraded
 (failover) answers and ``local=True`` queries are never cached.
-Deadline contract: ``oldest_pending_age_s`` / ``flush_due`` expose
-queue pressure, the engine never flushes spontaneously.  Failure
+Deadline contract: ``oldest_pending_age_s`` exposes queue pressure, a
+flush whose oldest ticket waited ``flush_deadline_ms`` counts in
+``deadline_flushes``, and the engine never flushes spontaneously.  Failure
 contract: a flush that raises first fails every unanswered ticket of
 its batch, and caches none of them.
 """
@@ -207,15 +208,16 @@ class TestEvictionOrder:
 
 
 class TestDeadlineAccounting:
-    def test_oldest_pending_age_and_flush_due(self, store, rng):
+    def test_oldest_pending_age(self, store, rng):
         engine = engine_for(store, flush_deadline_ms=10.0)
         assert engine.oldest_pending_age_s() == 0.0
-        assert not engine.flush_due()
         engine.submit_project("alpha", rng.standard_normal((M, 1)))
         t0 = time.monotonic()
-        assert not engine.flush_due(now=t0)
-        assert engine.flush_due(now=t0 + 0.5)
         assert engine.oldest_pending_age_s(now=t0 + 0.5) >= 0.4
+        # An exhausted budget does not flush: the owner drives flushes.
+        assert engine.pending == 1
+        engine.flush()
+        assert engine.oldest_pending_age_s() == 0.0
 
     def test_flush_records_oldest_age_and_deadline_counter(self, store, rng):
         engine = engine_for(store, flush_deadline_ms=5.0)
@@ -227,10 +229,12 @@ class TestDeadlineAccounting:
         assert stats["last_flush_oldest_age_s"] >= 0.005
         assert stats["pending"] == 0
 
-    def test_no_budget_means_never_due(self, store, rng):
+    def test_no_budget_means_no_deadline_flush(self, store, rng):
         engine = engine_for(store)
         engine.submit_project("alpha", rng.standard_normal((M, 1)))
-        assert not engine.flush_due(now=time.monotonic() + 3600.0)
+        time.sleep(0.02)
+        engine.flush()
+        assert engine.stats()["deadline_flushes"] == 0
 
     def test_invalid_budget_rejected(self, store):
         with pytest.raises(ServingError, match="flush_deadline_ms"):

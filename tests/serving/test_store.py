@@ -1,6 +1,9 @@
-"""ModeBaseStore: versioned publish/get, manifest integrity, ingestion."""
+"""ModeBaseStore: versioned publish/get, manifest integrity, the
+stat-validated manifest cache, ingestion."""
 
 import json
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -120,6 +123,103 @@ class TestValidation:
         manifest = json.loads((tmp_path / "store" / MANIFEST_NAME).read_text())
         assert manifest["format"] == 1
         assert manifest["bases"]["wave"]["latest"] == 1
+
+
+class TestManifestCache:
+    """Lookups read the manifest once while a ``stat`` shows it unchanged,
+    and re-read it after any publish."""
+
+    def test_lookups_read_the_manifest_once(self, tmp_path, basis, monkeypatch):
+        u, s = basis
+        store = ModeBaseStore(tmp_path / "store")
+        store.publish("wave", u, s)
+        reads = []
+        real = ModeBaseStore._read_manifest
+
+        def counted(self):
+            reads.append(1)
+            return real(self)
+
+        monkeypatch.setattr(ModeBaseStore, "_read_manifest", counted)
+        for _ in range(100):
+            assert store.version_info("wave") == (1, 60, 5)
+        assert len(reads) == 1
+
+    def test_publish_by_another_instance_is_seen(self, tmp_path, basis):
+        u, s = basis
+        reader = ModeBaseStore(tmp_path / "store")
+        reader.publish("wave", u, s)
+        assert reader.version_info("wave") == (1, 60, 5)
+        writer = ModeBaseStore(tmp_path / "store")
+        writer.publish("wave", u[:, :3], s[:3])
+        writer.publish("tide", u, s)
+        assert reader.version_info("wave") == (2, 60, 3)
+        assert reader.names() == ["tide", "wave"]
+        assert reader.get("wave").n_modes == 3
+
+    @pytest.mark.parametrize(
+        "content", ["{not json", '{"format": 99, "bases": {}}']
+    )
+    def test_damaged_manifest_after_caching_fails_loudly(
+        self, tmp_path, basis, content
+    ):
+        u, s = basis
+        store = ModeBaseStore(tmp_path / "store")
+        store.publish("wave", u, s)
+        assert store.version_info("wave")[0] == 1
+        (tmp_path / "store" / MANIFEST_NAME).write_text(content)
+        with pytest.raises(ServingError, match="manifest"):
+            store.version_info("wave")
+
+    def test_concurrent_publish_and_lookups(self, tmp_path, rng):
+        """A publishing thread and readers share one store: every lookup
+        answers a published (version, n_modes) pair, versions never go
+        back, and the last publish is seen."""
+        store = ModeBaseStore(tmp_path / "store")
+        u, _ = np.linalg.qr(rng.standard_normal((30, 5)))
+        widths = {}
+        store.publish("wave", u[:, :1], np.ones(1))
+        widths[1] = 1
+        publishes = 40
+        done = threading.Event()
+        failures: list = []
+
+        def publish() -> None:
+            try:
+                for i in range(2, publishes + 1):
+                    k = 1 + i % 5
+                    widths[i] = k
+                    store.publish("wave", u[:, :k], np.ones(k))
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                failures.append(exc)
+            finally:
+                done.set()
+
+        def read() -> None:
+            try:
+                last = 0
+                while not done.is_set():
+                    version, n_dof, n_modes = store.version_info("wave")
+                    assert version >= last
+                    assert (n_dof, n_modes) == (30, widths[version])
+                    last = version
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                failures.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=read) for _ in range(3)]
+            threads.append(threading.Thread(target=publish))
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30.0)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert failures == []
+        assert store.version_info("wave") == (publishes, 30, widths[publishes])
 
 
 class TestIngestion:
