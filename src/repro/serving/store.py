@@ -126,6 +126,11 @@ class ModeBaseStore:
             raise ServingError(
                 f"{self._manifest_path}: unreadable store manifest: {exc}"
             ) from exc
+        if not isinstance(manifest, dict):
+            raise ServingError(
+                f"{self._manifest_path}: store manifest is a JSON "
+                f"{type(manifest).__name__}, not an object"
+            )
         if manifest.get("format") != MANIFEST_FORMAT:
             raise ServingError(
                 f"{self._manifest_path}: manifest format "

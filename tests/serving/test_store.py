@@ -158,7 +158,7 @@ class TestManifestCache:
         assert reader.get("wave").n_modes == 3
 
     @pytest.mark.parametrize(
-        "content", ["{not json", '{"format": 99, "bases": {}}']
+        "content", ["{not json", '{"format": 99, "bases": {}}', "[1, 2]"]
     )
     def test_damaged_manifest_after_caching_fails_loudly(
         self, tmp_path, basis, content
