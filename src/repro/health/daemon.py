@@ -34,9 +34,7 @@ def record_failure(log: logging.Logger, first: bool, what: str) -> None:
     """Count a failure its caller carries on past (``repro.errors.health``)
     and, on the caller's ``first``, warn with the traceback.  Call it in
     the ``except`` block."""
-    st = _obs.state()
-    if st is not None and st.registry is not None:
-        st.registry.counter("repro.errors.health").inc()
+    _obs.current_registry().counter("repro.errors.health").inc()
     if first:
         log.warning(
             "%s failed; later failures are only counted (repro.errors.health)",

@@ -3,9 +3,11 @@
 The network door onto :mod:`repro.serving`: an asyncio HTTP server
 (stdlib only) whose lifespan owns a single-rank
 :class:`~repro.api.Session` and its :class:`~repro.serving.QueryEngine`
-on a dedicated executor thread, group commit (the event loop flushes
-as soon as the engine goes idle; ``flush_deadline_ms`` is an SLO whose
-misses the engine counts), per-tenant API-key auth, and job-table
+on a dedicated executor thread, group commit (a submit that reaches an
+idle engine flushes in its own engine call and answers with its result;
+the event loop flushes the queries that arrive while the engine is busy
+as soon as it goes idle; ``flush_deadline_ms`` is an SLO whose misses
+the engine counts), per-tenant API-key auth, and job-table
 long-polling.  Query arrays cross the wire as nested lists or as base64
 ``.npy`` (:mod:`repro.net.codec`).  Start it from the CLI (``repro
 serve``), in-process on a background thread (:func:`start_in_thread` —

@@ -119,9 +119,13 @@ class ServingClient:
         kind: str = "project",
         version: Optional[int] = None,
     ) -> dict:
-        """``POST /v1/query``; returns the job payload (``"job"`` id,
-        ``"status"`` of ``"pending"`` or — on a result-cache hit —
-        ``"done"`` with the result inline).  A numeric ndarray
+        """``POST /v1/query``; returns the job payload (``"job"`` id and
+        ``"status"``).  It is ``"done"``, with the result inline, on a
+        result-cache hit or when the submit reached an idle server, which
+        flushes a lone query in the submit's own engine call; it is
+        ``"pending"`` when the query queued behind a busy engine.  A
+        submit whose own flush failed raises :class:`ServingHTTPError`
+        (status 500, naming the cause).  A numeric ndarray
         ``payload`` is sent in the ``npy`` form; a complex, string or
         object array keeps the list form, which no cast would preserve."""
         if isinstance(payload, np.ndarray):
@@ -140,10 +144,12 @@ class ServingClient:
         return self.request("GET", path)
 
     def result(self, job: Any, *, wait: float = 30.0):
-        """The answer of ``job`` (an id or a submit payload): long-polls
-        until done, then returns the value — arrays as ``np.ndarray``,
-        reconstruction errors as ``float``.  :class:`ServingError` if
-        the job is still pending after ``wait``."""
+        """The answer of ``job`` (an id or a submit payload): a submit
+        payload that is already ``"done"`` is read without a request,
+        otherwise the job is long-polled until done.  Returns the value —
+        arrays as ``np.ndarray``, reconstruction errors as ``float``.
+        :class:`ServingError` if the job is still pending after
+        ``wait``."""
         job_id = job["job"] if isinstance(job, dict) else job
         if isinstance(job, dict) and job.get("status") == "done":
             payload = job

@@ -13,13 +13,16 @@ One :class:`NetServer` owns, for its lifespan:
   multiplexing client connections on the event loop;
 * **group commit**, kept by the event loop.  The engine never flushes
   spontaneously (flushing is collective in the SPMD contract), so the
-  loop posts a flush as soon as the engine goes idle with tickets
-  queued: no flush in flight, and no engine call queued or running.
-  Tickets submitted while the engine is busy ride the next flush, and
-  ``max_batch`` still caps a batch through the engine's watermark.  A
-  lone query is thus flushed at once, instead of waiting for
-  ``max_batch - 1`` friends or for a timer; ``flush_deadline_ms`` is
-  only an SLO, whose misses the engine counts in ``deadline_flushes``;
+  server drives every flush.  An engine call dispatched to an idle
+  engine (no flush in flight, no engine call queued or running) that is
+  still the last call dispatched when it returns leads a group of one:
+  it flushes on the engine thread before it returns, so a lone submit
+  answers with its result.  Tickets submitted while the engine is busy
+  ride the flush the loop posts as soon as the engine goes idle, and
+  ``max_batch`` still caps a batch through the engine's watermark.  No
+  query waits for ``max_batch - 1`` friends or for a timer;
+  ``flush_deadline_ms`` is only an SLO, whose misses the engine counts
+  in ``deadline_flushes``;
 * a :class:`~repro.net.jobs.JobTable` mapping job ids to tickets, with
   asyncio events the long-poll handlers await — set by the loop after
   every engine call, never from the engine thread.
@@ -27,12 +30,18 @@ One :class:`NetServer` owns, for its lifespan:
 Endpoints (JSON in / JSON out)::
 
     POST /v1/query        {"basis", "kind", "payload", ["version"]}
-                          -> 202 {"job", "status": "pending"}  (queued)
-                             200 {"job", "status": "done", ...} (cache hit)
+                          -> 200 {"job", "status": "done", ...} (a cache
+                                 hit, or flushed in the submit's own call)
+                             202 {"job", "status": "pending"}  (queued
+                                 behind a busy engine)
+                             500 naming the cause, when the submit's own
+                                 flush failed
     GET  /v1/jobs/{id}    ?wait=SECONDS long-polls until settled; a job
                           whose flush failed answers 500 naming the cause
     GET  /metrics         repro.obs registry + engine/tenant/job counters
-    GET  /healthz         repro.health rank states; 503 when degraded
+    GET  /healthz         repro.health rank states and the
+                          repro.errors.{net,health} counts; 503 when
+                          degraded
 
 A ``payload`` is nested lists of numbers, or ``{"npy": "<base64>"}``:
 a base64 ``.npy`` file of ``<f8`` or ``<f4``, 1-D or 2-D, validated
@@ -139,9 +148,11 @@ class NetServer:
         self._executor: Optional[concurrent.futures.ThreadPoolExecutor] = None
         self._server: Optional[asyncio.base_events.Server] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
-        # Group commit: engine calls queued or running (counted on the
-        # loop), and the flush in flight.
+        # Group commit: engine calls queued or running and engine calls
+        # ever dispatched (both written on the loop only), and the flush
+        # in flight.
         self._engine_calls = 0
+        self._dispatched = 0
         self._flush_task: Optional[asyncio.Task] = None
         self._flush_warned = False
         # Open client connections, closed by stop() so that no handler
@@ -246,19 +257,43 @@ class NetServer:
 
     # -- engine-thread plumbing --------------------------------------------
     async def _on_engine(self, fn, *args):
+        engine = self._engine
+        idle = self._flush_task is None and not self._engine_calls
         self._engine_calls += 1
+        self._dispatched += 1
         try:
-            return await self._loop.run_in_executor(self._executor, fn, *args)
+            return await self._loop.run_in_executor(
+                self._executor, self._lead, engine, idle, self._dispatched, fn, *args
+            )
         finally:
             self._engine_calls -= 1
             self._after_engine()
+
+    def _lead(self, engine, idle: bool, seq: int, fn, *args):
+        """Run ``fn`` on the engine thread.  A call dispatched to an idle
+        engine that is still the last one dispatched when ``fn`` returns
+        leads a group of one: it flushes what ``fn`` queued before it
+        returns, so a lone submit answers with its result.
+
+        ``_dispatched`` is written only on the loop and only grows, so a
+        stale read here can only make this call flush although a newer
+        call was just dispatched.  That newer call found the engine busy,
+        so it never flushes itself; its ticket rides the flush
+        :meth:`_after_engine` posts when it ends.  No ticket is stranded,
+        and no lock is needed."""
+        result = fn(*args)
+        if idle and seq == self._dispatched and engine.pending:
+            self._commit(engine)
+        return result
 
     def _after_engine(self) -> None:
         """Wake the long-pollers whose tickets settled, and commit the
         group: once the engine is idle (no flush in flight, no engine call
         queued or running) with tickets queued, post one flush for all of
-        them.  Every engine call and every flush ends here, so the last
-        one to finish posts it and no wake-up is lost."""
+        them.  These are the tickets submitted while the engine was busy
+        (a submit to an idle engine flushes itself, see :meth:`_lead`).
+        Every engine call and every flush ends here, so the last one to
+        finish posts it and no wake-up is lost."""
         self._jobs.signal_completed()
         engine = self._engine
         if (
@@ -272,14 +307,21 @@ class NetServer:
 
     async def _flush(self, engine) -> None:
         """Flush every queued ticket on the engine thread, then look for
-        the next group.  A failed flush has failed its own tickets, whose
-        jobs answer 500; here it is counted and warned about once."""
+        the next group."""
         try:
-            await self._loop.run_in_executor(self._executor, engine.flush)
+            await self._loop.run_in_executor(self._executor, self._commit, engine)
+        finally:
+            self._flush_task = None
+            self._after_engine()
+
+    def _commit(self, engine) -> None:
+        """Flush every queued ticket; engine thread only.  A failed flush
+        has failed its own tickets, whose jobs answer 500; here it is
+        counted in ``repro.errors.net`` and warned about once."""
+        try:
+            engine.flush()
         except Exception:  # noqa: BLE001 - the server carries on
-            st = _obs.state()
-            if st is not None and st.registry is not None:
-                st.registry.counter("repro.errors.net").inc()
+            _obs.current_registry().counter("repro.errors.net").inc()
             if not self._flush_warned:
                 self._flush_warned = True
                 _log.warning(
@@ -287,9 +329,6 @@ class NetServer:
                     "failures are only counted in repro.errors.net)",
                     exc_info=True,
                 )
-        finally:
-            self._flush_task = None
-            self._after_engine()
 
     # -- connection handling -----------------------------------------------
     async def _handle_connection(
@@ -504,6 +543,7 @@ class NetServer:
             return failed, states, bool(self._engine.shard_group_down)
 
         failed, states, shard_down = await self._on_engine(probe)
+        registry = _obs.current_registry()
         unhealthy = bool(failed) or shard_down or any(
             state in ("suspect", "dead") for state in states.values()
         )
@@ -513,6 +553,12 @@ class NetServer:
             "failed_ranks": failed,
             "shard_group_down": shard_down,
             "pending": self._jobs.stats()["pending"],
+            # Failures the server and the health daemons carried on past:
+            # counted whether or not observability is installed.
+            "errors": {
+                name: int(registry.counter(f"repro.errors.{name}").value)
+                for name in ("net", "health")
+            },
         }
         return (503 if unhealthy else 200), payload
 

@@ -354,10 +354,14 @@ class QueryEngine:
 
     def load(self, name: str, version: Optional[int] = None) -> ShardedBasis:
         """The sharded basis for ``name``/``version`` (default: latest),
-        through the LRU cache."""
-        version = self._resolve_info(name, version)[0]
+        through the LRU cache.  A concrete version already cached needs no
+        manifest lookup: store versions are never deleted, and a flush
+        loads the version its tickets resolved at submit."""
+        basis = None if version is None else self._cache.get((name, version))
+        if basis is None:
+            version = self._resolve_info(name, version)[0]
+            basis = self._cache.get((name, version))
         key = (name, version)
-        basis = self._cache.get(key)
         if basis is not None:
             self._cache.move_to_end(key)
             self._count("cache_hits")

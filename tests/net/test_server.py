@@ -3,15 +3,18 @@
 A live :class:`NetServer` (ephemeral port, background thread) is driven
 through :class:`ServingClient` over real sockets: submitted
 project/reconstruct/error queries must match the in-process
-``QueryEngine`` answers to 1e-10, the server commits groups (a lone
-query is flushed as soon as the engine goes idle, far inside its
-``flush_deadline_ms`` SLO; queries that arrive while a flush holds the
-engine ride the next one, in batches of at most ``max_batch``), a
-failed flush must fail only its own jobs, and
-auth/tenancy/metrics/health behave per the endpoint contract.
+``QueryEngine`` answers to 1e-10, the server commits groups (a submit
+that reaches an idle engine with nothing queued behind it flushes itself
+and answers ``200`` with its result, far inside its
+``flush_deadline_ms`` SLO; submits that arrive while the engine is busy
+answer ``202`` and ride the next flush, in batches of at most
+``max_batch``), a failed flush must fail only its own jobs and be
+counted once, and auth/tenancy/metrics/health behave per the endpoint
+contract.
 """
 
 import math
+import re
 import threading
 import time
 
@@ -29,7 +32,7 @@ from repro.api import (
 from repro.config import ServingConfig, TenantSpec
 from repro.net import ServingClient, ServingHTTPError, start_in_thread
 from repro.obs import runtime as obs_rt
-from repro.serving import ModeBaseStore, ShardedBasis
+from repro.serving import ModeBaseStore, QueryEngine, ShardedBasis
 
 NDOF, NT, K = 96, 48, 5
 
@@ -104,6 +107,34 @@ def wait_until(predicate, timeout: float = 10.0) -> None:
         time.sleep(0.005)
 
 
+def submit_in_thread(url: str, payload, outcome: list) -> threading.Thread:
+    """Submit ``payload`` from a client on a new thread, which appends the
+    reply (or the ``ConnectionError`` of a server that stopped first) to
+    ``outcome``; a submit to an idle engine blocks in its own flush."""
+
+    def run() -> None:
+        with ServingClient.from_url(url) as client:
+            try:
+                outcome.append(client.submit("wave", payload))
+            except ConnectionError as exc:
+                outcome.append(exc)
+
+    thread = threading.Thread(target=run)
+    thread.start()
+    return thread
+
+
+def post_query(client, payload) -> tuple:
+    """``POST /v1/query`` in the list form; ``(status, reply)``."""
+    body = {"basis": "wave", "kind": "project", "payload": payload.tolist()}
+    return client.request_raw("POST", "/v1/query", body)
+
+
+def reference_projection(store, payload) -> np.ndarray:
+    with Session(RUN_CFG) as session:
+        return session.query_engine(store).project("wave", payload)
+
+
 class TestEndToEnd:
     def test_http_answers_match_in_process_engine(self, corpus, client):
         store, data, _ = corpus
@@ -154,14 +185,14 @@ class TestEndToEnd:
             with ServingClient.from_url(handle.url) as client:
                 t0 = time.monotonic()
                 job = client.submit("wave", data[:, :2], kind="project")
-                assert job["status"] == "pending"  # below the watermark
-                client.result(job, wait=5.0)
                 latency_s = time.monotonic() - t0
                 stats = client.metrics()["engine"]
         finally:
             handle.stop()
-        # An idle engine flushed it at once, by one flush, far inside
-        # the deadline (a timer on the deadline would have taken 10 s).
+        # Below the watermark, yet answered at submit: the submit reached
+        # an idle engine, so its own engine call flushed it, by one
+        # flush, far inside the deadline (a timer would have taken 10 s).
+        assert job["status"] == "done" and job["cached"] is False
         assert latency_s < 2.0
         assert stats["flushes"] == 1
         assert stats["deadline_flushes"] == 0
@@ -184,23 +215,26 @@ class TestEndToEnd:
             threading.Thread(target=submit_and_collect, args=(i,))
             for i in range(1, n + 1)
         ]
+        first: list = []
         try:
+            # The first submit reaches an idle engine and blocks in its
+            # own flush, which is held.
+            leader = submit_in_thread(handle.url, data[:, :1], first)
+            assert held_flush.entered.wait(5.0)
+            for thread in threads:
+                thread.start()
+            # Every other submit is queued behind the held flush.
+            wait_until(lambda: handle.server._engine_calls == 1 + n)
+            held_flush.release.set()
+            for thread in [leader, *threads]:
+                thread.join(timeout=10.0)
+                assert not thread.is_alive()
             with ServingClient.from_url(handle.url) as client:
-                first = client.submit("wave", data[:, :1])
-                assert held_flush.entered.wait(5.0)
-                for thread in threads:
-                    thread.start()
-                # Every submit is queued behind the held flush.
-                wait_until(lambda: handle.server._engine_calls == n)
-                held_flush.release.set()
-                for thread in threads:
-                    thread.join(timeout=10.0)
-                    assert not thread.is_alive()
-                client.result(first, wait=5.0)
                 stats = client.metrics()["engine"]
         finally:
             held_flush.release.set()
             handle.stop()
+        assert first[0]["status"] == "done"
         assert sorted(answers) == list(range(1, n + 1))
         # The held flush served the first query; the n queued behind it
         # were served in batches of at most max_batch.
@@ -338,7 +372,8 @@ class TestAuth:
             snapshot = acme.metrics()["tenants"]
         assert snapshot["enabled"] is True
         assert snapshot["tenants"]["acme"]["queries"] == 1
-        assert snapshot["tenants"]["acme"]["requests"] >= 2
+        # Answered at submit: no long-poll (probes count for no tenant).
+        assert snapshot["tenants"]["acme"]["requests"] == 1
         assert snapshot["tenants"]["zeus"]["queries"] == 0
         assert snapshot["unauthorized"] == 0
 
@@ -399,22 +434,14 @@ class TestServerLifecycle:
         server = handle.server
         engine = server._engine
         outcome: list = []
-
-        def submit_queued() -> None:
-            with ServingClient.from_url(handle.url) as client:
-                try:
-                    outcome.append(client.submit("wave", data[:, 1:2]))
-                except ConnectionError as exc:
-                    outcome.append(exc)
-
         stopper = threading.Thread(target=handle.stop)
         try:
-            with ServingClient.from_url(handle.url) as client:
-                assert client.submit("wave", data[:, :1])["status"] == "pending"
+            # The first submit blocks in its own flush, which is held; the
+            # second queues behind it.
+            leader = submit_in_thread(handle.url, data[:, :1], outcome)
             assert held_flush.entered.wait(5.0)
-            submitter = threading.Thread(target=submit_queued)
-            submitter.start()
-            wait_until(lambda: server._engine_calls == 1)
+            submitter = submit_in_thread(handle.url, data[:, 1:2], outcome)
+            wait_until(lambda: server._engine_calls == 2)
             stopper.start()
             # Release the held flush only once stop() has dropped the
             # engine: nothing can post a flush any more, so the queued
@@ -423,11 +450,12 @@ class TestServerLifecycle:
         finally:
             held_flush.release.set()
             handle.stop()
-        stopper.join(timeout=10.0)
-        submitter.join(timeout=10.0)
-        assert not stopper.is_alive() and not submitter.is_alive()
-        # stop() closed the connection before the answer was sent.
-        assert len(outcome) == 1 and isinstance(outcome[0], ConnectionError)
+        for thread in (stopper, leader, submitter):
+            thread.join(timeout=10.0)
+            assert not thread.is_alive()
+        # stop() closed both connections before the answers were sent.
+        assert len(outcome) == 2
+        assert all(isinstance(reply, ConnectionError) for reply in outcome)
         stats = engine.stats()
         assert stats["queries"] == 2
         assert stats["flushes"] == 2
@@ -479,19 +507,38 @@ class TestGroupCommit:
     @pytest.mark.parametrize("client_open", [False, True])
     @pytest.mark.parametrize("deadline_ms", [1.0, 5.0, 60_000.0])
     def test_stop_with_work_pending_is_clean(
-        self, corpus, caplog, deadline_ms, client_open
+        self, corpus, caplog, held_flush, deadline_ms, client_open
     ):
-        """Stopping is prompt and quiet, also while a keep-alive client
-        is still connected (its connection is closed, and its handler
-        ends instead of being cancelled at loop teardown)."""
+        """Stopping is prompt and quiet with a ticket pending behind a
+        held flush, also while a keep-alive client is still connected
+        (its connection is closed, and its handler ends instead of being
+        cancelled at loop teardown)."""
         store, data, _ = corpus
+        outcome: list = []
         with caplog.at_level("DEBUG"):
             handle = start_in_thread(store, serving(flush_deadline_ms=deadline_ms))
+            server = handle.server
+            engine = server._engine
+            stopper = threading.Thread(target=handle.stop, kwargs={"timeout": 5})
             with ServingClient.from_url(handle.url) as client:
-                assert client.submit("wave", data[:, :1])["status"] == "pending"
+                # A keep-alive connection with no request in flight.
+                assert client.healthz()[0] == 200
+                leader = submit_in_thread(handle.url, data[:, :1], outcome)
+                assert held_flush.entered.wait(5.0)
+                queued = submit_in_thread(handle.url, data[:, 1:2], outcome)
+                wait_until(lambda: server._engine_calls == 2)
                 if not client_open:
                     client.close()
-                handle.stop(timeout=5)
+                try:
+                    stopper.start()
+                    wait_until(lambda: server._engine is None)
+                finally:
+                    held_flush.release.set()
+                for thread in (stopper, leader, queued):
+                    thread.join(timeout=5.0)
+                    assert not thread.is_alive()
+        assert engine.stats()["pending"] == 0
+        assert server._jobs.stats()["pending"] == 0
         assert "Task exception was never retrieved" not in caplog.text
         assert "cannot schedule new futures after shutdown" not in caplog.text
         assert "Exception in callback" not in caplog.text
@@ -520,30 +567,144 @@ class TestGroupCommit:
             try:
                 with ServingClient.from_url(handle.url) as client:
                     t0 = time.monotonic()
-                    first = client.submit("wave", data[:, :1])
-                    status, reply = client.request_raw(
-                        "GET", f"/v1/jobs/{first['job']}?wait=1"
-                    )
+                    # The submit's own flush failed: the submit answers
+                    # 500 naming the cause, and so does its job.
+                    with pytest.raises(ServingHTTPError) as err:
+                        client.submit("wave", data[:, :1])
                     assert time.monotonic() - t0 < 1.0
-                    assert status == 500
+                    assert err.value.status == 500
+                    reply = err.value.payload
                     assert "simulated unreadable store file" in reply["error"]
+                    job_id = re.match(r"job (\S+) failed", reply["error"])[1]
+                    status, again_reply = client.request_raw(
+                        "GET", f"/v1/jobs/{job_id}?wait=1"
+                    )
+                    assert (status, again_reply) == (500, reply)
 
                     t0 = time.monotonic()
                     second = client.submit("wave", data[:, 1:2])
                     client.result(second, wait=2.0)
                     assert time.monotonic() - t0 < deadline_s + 0.5
 
-                    # The failure was not cached: the same payload queues
-                    # again and is answered.
+                    # The failure was not cached: the same payload is
+                    # flushed again and answered.
                     again = client.submit("wave", data[:, :1])
-                    assert again["status"] == "pending"
+                    assert again["status"] == "done"
+                    assert again["cached"] is False
                     client.result(again, wait=2.0)
                     metrics = client.metrics()
             finally:
                 handle.stop()
-        assert _counter("repro.errors.net") - errors_before >= 1
+        assert _counter("repro.errors.net") - errors_before == 1
         assert metrics["engine"]["pending"] == 0
         warnings = [r for r in caplog.records if r.name == "repro.net.server"]
         assert len(warnings) == 1
         assert warnings[0].levelname == "WARNING"
         assert "simulated unreadable store file" in caplog.text
+
+
+class TestAnswerAtSubmit:
+    """A submit dispatched to an idle engine that is still the last call
+    dispatched when it returns flushes in its own engine call: one
+    request and one engine hop per lone query."""
+
+    def test_lone_submit_answers_200_with_its_result(self, corpus):
+        store, data, _ = corpus
+        payload = data[:, 3:5]
+        handle = start_in_thread(store, serving())
+        try:
+            with ServingClient.from_url(handle.url) as client:
+                before = client.metrics()
+                status, reply = post_query(client, payload)
+                after = client.metrics()
+        finally:
+            handle.stop()
+        assert status == 200
+        assert reply["status"] == "done"
+        assert reply["cached"] is False and reply["degraded"] is False
+        want = reference_projection(store, payload)
+        assert np.max(np.abs(np.asarray(reply["result"]) - want)) < 1e-10
+        assert after["engine"]["flushes"] - before["engine"]["flushes"] == 1
+        # One request for the query; the second /metrics counts itself.
+        assert after["server"]["requests"] - before["server"]["requests"] == 2
+        assert after["jobs"]["pending"] == 0
+
+    def test_submits_behind_a_busy_engine_ride_one_flush(
+        self, corpus, monkeypatch
+    ):
+        store, data, _ = corpus
+        entered, release = threading.Event(), threading.Event()
+        real = QueryEngine.submit
+
+        def held_submit(self, *args, **kwargs):
+            if not entered.is_set():
+                entered.set()
+                assert release.wait(10.0), "the held submit was never released"
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(QueryEngine, "submit", held_submit)
+        handle = start_in_thread(store, serving())
+        server = handle.server
+        replies: dict = {}
+
+        def post(i: int) -> None:
+            with ServingClient.from_url(handle.url) as client:
+                replies[i] = post_query(client, data[:, i : i + 1])
+
+        threads = [threading.Thread(target=post, args=(i,)) for i in range(2)]
+        try:
+            threads[0].start()
+            assert entered.wait(5.0)
+            # The second submit is dispatched while the first is held.
+            threads[1].start()
+            wait_until(lambda: server._engine_calls == 2)
+            release.set()
+            for thread in threads:
+                thread.join(timeout=10.0)
+                assert not thread.is_alive()
+            with ServingClient.from_url(handle.url) as client:
+                answers = [client.result(replies[i][1], wait=5.0) for i in range(2)]
+                stats = client.metrics()["engine"]
+        finally:
+            release.set()
+            handle.stop()
+        # Neither flushed itself: the first was no longer the last call
+        # dispatched, the second reached a busy engine.
+        assert [replies[i][0] for i in range(2)] == [202, 202]
+        assert all(replies[i][1]["status"] == "pending" for i in range(2))
+        assert stats["queries"] == 2
+        assert stats["flushes"] == 1
+        want = reference_projection(store, data[:, :2])
+        assert np.max(np.abs(np.hstack(answers) - want)) < 1e-10
+
+    def test_failed_flush_inside_a_submit_is_counted_once(
+        self, corpus, monkeypatch
+    ):
+        """With observability off, the failure is still counted, and
+        ``/healthz`` reports it without changing its status code."""
+        store, data, _ = corpus
+        real = ShardedBasis.from_store
+        calls = []
+
+        def flaky(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 1:
+                raise OSError("simulated unreadable store file")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(ShardedBasis, "from_store", flaky)
+        obs_rt.reset()  # the counters /healthz reads start at zero
+        handle = start_in_thread(store, serving())
+        try:
+            assert obs_rt.state() is None
+            with ServingClient.from_url(handle.url) as client:
+                status, reply = post_query(client, data[:, :1])
+                health_status, health = client.healthz()
+                served = client.submit("wave", data[:, 1:2])
+        finally:
+            handle.stop()
+        assert status == 500
+        assert "simulated unreadable store file" in reply["error"]
+        assert health_status == 200
+        assert health["errors"] == {"net": 1, "health": 0}
+        assert served["status"] == "done"

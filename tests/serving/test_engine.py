@@ -173,6 +173,28 @@ class TestLRUCache:
             engine.project("mem", data), project_coefficients(u, data)
         )
 
+    def test_flush_of_a_cached_version_reads_no_manifest(
+        self, engine, rng, monkeypatch
+    ):
+        data = rng.standard_normal((M, 1))
+        engine.project("alpha", data)  # the LRU holds alpha v1
+        calls = []
+        real = ModeBaseStore.version_info
+
+        def counted(self, *args):
+            calls.append(args)
+            return real(self, *args)
+
+        monkeypatch.setattr(ModeBaseStore, "version_info", counted)
+        ticket = engine.submit_project("alpha", data)
+        engine.flush()
+        # The submit resolved the version; the flush loads it as resolved.
+        assert calls == [("alpha", None)]
+        assert ticket.done and engine.stats()["cache_hits"] == 1
+        # Loading the latest version still asks the manifest.
+        assert engine.load("alpha") is engine.load("alpha", 1)
+        assert calls == [("alpha", None)] * 2
+
     def test_storeless_unknown_name(self):
         engine = QueryEngine(create_communicator("self"))
         with pytest.raises(BasisNotFoundError, match="no store attached"):
