@@ -9,14 +9,17 @@ JSON-over-HTTP can query a published basis:
 
 1. stream a Burgers record and **publish** the basis into a
    :class:`ModeBaseStore`;
-2. start a :class:`NetServer` on an ephemeral port: its event loop
-   flushes pending queries as soon as the engine goes idle (group
-   commit), so a lone query never waits for the micro-batch watermark
-   and ``flush_deadline_ms`` is only an SLO whose misses are counted,
-   and a keyed result cache answers repeated payloads at submit time;
-3. drive it with :class:`ServingClient` — submit returns a job ticket,
-   ``GET /v1/jobs/{id}?wait=`` long-polls the result — behind per-tenant
-   API-key auth, and verify every answer against the in-process engine.
+2. start a :class:`NetServer` on an ephemeral port (group commit): a
+   submit that reaches an idle engine flushes in its own engine call
+   and answers with its result, queries that arrive while the engine is
+   busy ride the flush the event loop posts as soon as it goes idle, so
+   a lone query never waits for the micro-batch watermark and
+   ``flush_deadline_ms`` is only an SLO whose misses are counted, and a
+   keyed result cache answers repeated payloads at submit time;
+3. drive it with :class:`ServingClient` — submit returns the result or
+   a job ticket, ``GET /v1/jobs/{id}?wait=`` long-polls a pending one —
+   behind per-tenant API-key auth, and verify every answer against the
+   in-process engine.
 
 Run:  python examples/http_serving.py
 """

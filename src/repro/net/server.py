@@ -471,7 +471,8 @@ class NetServer:
         )
         job = self._jobs.create(tenant, ticket, npy=npy)
         self._auth.count(tenant, "queries")
-        # A result-cache hit answers at submit.
+        # A result-cache hit, or a flush in this submit's own engine call
+        # (see _lead), answers at submit.
         return (200 if ticket.done else 202), self._job_payload(job)
 
     async def _job_status(

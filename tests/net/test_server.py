@@ -15,6 +15,7 @@ contract.
 
 import math
 import re
+import sys
 import threading
 import time
 
@@ -98,6 +99,22 @@ def held_flush(monkeypatch):
     monkeypatch.setattr(ShardedBasis, "project", project)
     yield held
     held.release.set()
+
+
+@pytest.fixture
+def unreadable_once(monkeypatch):
+    """The first basis load from the store fails, so the first flush
+    fails; later loads succeed."""
+    real = ShardedBasis.from_store
+    calls = []
+
+    def flaky(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 1:
+            raise OSError("simulated unreadable store file")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(ShardedBasis, "from_store", flaky)
 
 
 def wait_until(predicate, timeout: float = 10.0) -> None:
@@ -544,19 +561,9 @@ class TestGroupCommit:
         assert "Exception in callback" not in caplog.text
 
     def test_failed_flush_fails_its_job_and_the_server_recovers(
-        self, corpus, monkeypatch, caplog
+        self, corpus, unreadable_once, caplog
     ):
         store, data, _ = corpus
-        real = ShardedBasis.from_store
-        calls = []
-
-        def flaky(*args, **kwargs):
-            calls.append(args)
-            if len(calls) == 1:
-                raise OSError("simulated unreadable store file")
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(ShardedBasis, "from_store", flaky)
         deadline_s = 0.02
         cfg = serving(flush_deadline_ms=deadline_s * 1e3).replace(
             obs=ObservabilityConfig(metrics=True)
@@ -677,22 +684,62 @@ class TestAnswerAtSubmit:
         want = reference_projection(store, data[:, :2])
         assert np.max(np.abs(np.hstack(answers) - want)) < 1e-10
 
+    def test_concurrent_submits_strand_no_ticket(self, corpus):
+        """More client threads than cores under a short switch interval,
+        so that submits keep landing while another call decides whether
+        it is the last one dispatched: every query is answered, correctly,
+        and nothing is left queued."""
+        store, data, _ = corpus
+        n_threads, windows, window = 6, 5, 3
+        handle = start_in_thread(store, serving(max_batch=4))
+        sent: dict = {}
+        answers: dict = {}
+        failures: list = []
+
+        def run(t: int) -> None:
+            rng = np.random.default_rng(100 + t)
+            try:
+                with ServingClient.from_url(handle.url) as client:
+                    for w in range(windows):
+                        replies = []
+                        for i in range(window):
+                            key = (t, w, i)
+                            sent[key] = rng.standard_normal((NDOF, 1))
+                            replies.append((key, client.submit("wave", sent[key])))
+                        for key, reply in replies:
+                            answers[key] = client.result(reply, wait=5.0)
+            except Exception as exc:  # noqa: BLE001 - reported below
+                failures.append(exc)
+
+        threads = [threading.Thread(target=run, args=(t,)) for t in range(n_threads)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30.0)
+                assert not thread.is_alive()
+            with ServingClient.from_url(handle.url) as client:
+                metrics = client.metrics()
+        finally:
+            sys.setswitchinterval(interval)
+            handle.stop()
+        assert failures == []
+        assert len(answers) == n_threads * windows * window
+        keys = sorted(sent)
+        want = reference_projection(store, np.hstack([sent[k] for k in keys]))
+        got = np.hstack([answers[k] for k in keys])
+        assert np.max(np.abs(got - want)) < 1e-10
+        assert metrics["engine"]["pending"] == 0
+        assert metrics["jobs"]["pending"] == 0
+
     def test_failed_flush_inside_a_submit_is_counted_once(
-        self, corpus, monkeypatch
+        self, corpus, unreadable_once
     ):
         """With observability off, the failure is still counted, and
         ``/healthz`` reports it without changing its status code."""
         store, data, _ = corpus
-        real = ShardedBasis.from_store
-        calls = []
-
-        def flaky(*args, **kwargs):
-            calls.append(args)
-            if len(calls) == 1:
-                raise OSError("simulated unreadable store file")
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(ShardedBasis, "from_store", flaky)
         obs_rt.reset()  # the counters /healthz reads start at zero
         handle = start_in_thread(store, serving())
         try:
