@@ -1,10 +1,15 @@
 """Ablation A5: gather-based (paper Listing 4) vs tree TSQR.
 
-Both variants produce identical factors (canonical signs), but their
-communication differs: the gather variant ships every rank's R to rank 0
-(volume linear in p at the root), the tree variant reduces pairwise
-(log2(p) rounds, constant per-rank volume).  This bench verifies numerical
-agreement and reports the measured per-rank traffic of each variant.
+Both variants are one TSQR step over a reduction tree and produce
+identical factors (canonical signs); only the tree's fan-in differs, and
+with it the communication.  The gather variant is the flat tree: every
+rank ships its R to rank 0 (volume linear in p at the root).  The tree
+variant is the binary tree: ranks reduce pairwise (log2(p) rounds,
+constant per-rank volume).  On the way down a leaf of either tree gets
+its correction block with the combine factor already folded in; only a
+tree rank that forwards to ranks it absorbed still receives the combine
+factor.  This bench verifies numerical agreement and reports the
+measured per-rank traffic of each variant.
 """
 
 import numpy as np

@@ -413,13 +413,10 @@ class ObservabilityConfig(_SectionMixin):
         Record phase-tagged spans into the process-global
         :class:`~repro.obs.SpanTracer`, exportable as Chrome-trace JSON
         (``Session.dump_trace`` / ``--trace``).
-    window_s:
-        Rolling window (seconds) for counter rates.
     """
 
     metrics: bool = False
     trace: bool = False
-    window_s: float = 60.0
 
     def __post_init__(self) -> None:
         if not isinstance(self.metrics, bool):
@@ -429,14 +426,6 @@ class ObservabilityConfig(_SectionMixin):
         if not isinstance(self.trace, bool):
             raise ConfigurationError(
                 f"trace must be a bool, got {self.trace!r}"
-            )
-        if (
-            not isinstance(self.window_s, (int, float))
-            or isinstance(self.window_s, bool)
-            or not self.window_s > 0.0
-        ):
-            raise ConfigurationError(
-                f"window_s must be a positive number, got {self.window_s!r}"
             )
 
     @property

@@ -169,7 +169,11 @@ def write_checkpoint(
 #: ``(section, key)`` pairs of an embedded run config that this build
 #: retired.  A checkpoint written before the retirement keeps the rest of
 #: its config; the key is dropped with one warning naming it.
-RETIRED_RUN_CONFIG_KEYS = (("solver", "workspace"), ("solver", "overlap"))
+RETIRED_RUN_CONFIG_KEYS = (
+    ("solver", "workspace"),
+    ("solver", "overlap"),
+    ("obs", "window_s"),
+)
 
 
 def _embedded_run_config(path: pathlib.Path, text: str) -> Optional["RunConfig"]:

@@ -53,7 +53,7 @@ from .checkpoint import (
     write_checkpoint,
 )
 from .randomized import low_rank_svd
-from .tsqr import PipelinedGatherStep, PipelinedTreeStep, finish_now
+from .tsqr import TsqrStep, finish_now
 from .workspace import Workspace
 
 __all__ = ["ParSVDParallel"]
@@ -76,8 +76,10 @@ class ParSVDParallel(ParSVDBase):
     Run options (fields of ``solver``)
     ----------------------------------
     qr_variant:
-        ``"gather"`` (the paper's Listing 4 pattern, default) or ``"tree"``
-        (binary-reduction TSQR; same numbers, different communication).
+        The fan-in of the TSQR reduction tree: ``"gather"`` (the paper's
+        Listing 4 pattern, default) is the flat tree, rank 0 absorbing
+        every rank at once; ``"tree"`` the binary reduction.  Same
+        numbers, different communication.
     gather:
         What :attr:`modes` holds once assembled —
         ``"bcast"`` (default): global modes on *every* rank;
@@ -238,12 +240,7 @@ class ParSVDParallel(ParSVDBase):
 
     def _post_step(self, a_local: np.ndarray):
         """Post one TSQR step of the configured variant over ``a_local``."""
-        step_cls = (
-            PipelinedTreeStep
-            if self._qr_variant == "tree"
-            else PipelinedGatherStep
-        )
-        return step_cls(self.comm, a_local, self._workspace)
+        return TsqrStep(self.comm, a_local, self._workspace, self._qr_variant)
 
     def _reduce_r(self, r_final: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Rank-0 reduction of the replicated TSQR ``R``: the streaming
@@ -288,9 +285,9 @@ class ParSVDParallel(ParSVDBase):
         ``(M_i, K + batch)`` arrays at all.
 
         The step is posted and finished in this call.  Its finish is
-        where rank 0 stacks or merges the ``R`` factors, runs the
-        truncated small SVD and sends the fused replies; other ranks wait
-        there for theirs.  A step that fails to finish (e.g. a dead
+        where each rank merges the ``R`` factors it absorbs, rank 0 runs
+        the truncated small SVD, and the fused replies travel back down
+        the reduction tree.  A step that fails to finish (e.g. a dead
         peer surfacing as a deadlock) is aborted and *poisons* the
         instance: its peers may have applied it, so every later access
         raises instead of quietly serving the pre-step factorization.
@@ -339,9 +336,9 @@ class ParSVDParallel(ParSVDBase):
     def _reduce_truncated(
         self, r_final: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """``reduce_fn`` of the pipelined steps: the truncated small SVD.
+        """``reduce_fn`` of the TSQR step: the truncated small SVD.
 
-        The leading result is the *combine* factor the steps fold into
+        The leading result is the *combine* factor the step folds into
         each correction block small-matrices-first, so every rank's whole
         update costs one apply of its ``(M_i, K+B)`` reflectors to a
         ``(K+B, K)`` matrix: one tall ``(M_i, K+B) x (K+B, K)`` GEMM.

@@ -473,7 +473,7 @@ class NetServer:
         self._auth.count(tenant, "queries")
         # A result-cache hit, or a flush in this submit's own engine call
         # (see _lead), answers at submit.
-        return (200 if ticket.done else 202), self._job_payload(job)
+        return self._job_reply(job, 200 if ticket.done else 202)
 
     async def _job_status(
         self, tenant: str, request: Request, job_id: str
@@ -491,9 +491,11 @@ class NetServer:
                 await asyncio.wait_for(
                     job.event.wait(), min(wait, MAX_WAIT_S)
                 )
-        return 200, self._job_payload(job)
+        return self._job_reply(job, 200)
 
-    def _job_payload(self, job) -> dict:
+    def _job_reply(self, job, status: int) -> Tuple[int, dict]:
+        """``status`` with ``job``'s payload, or a 500 naming the job and
+        the cause when the flush that held its ticket failed."""
         ticket = job.ticket
         payload = {
             "job": job.id,
@@ -508,13 +510,14 @@ class NetServer:
             except ServingError as exc:
                 # The flush that held this ticket failed: a server-side
                 # fault, answered at once and naming its cause.
-                raise HttpError(500, f"job {job.id} failed: {exc}") from exc
+                self._count_error(job.tenant)
+                return 500, {"error": f"job {job.id} failed: {exc}", "job": job.id}
             if isinstance(value, np.ndarray):
                 value = encode_array(value) if job.npy else value.tolist()
             payload["result"] = value
             payload["degraded"] = ticket.degraded
             payload["cached"] = ticket.cached
-        return payload
+        return status, payload
 
     async def _metrics(self) -> Tuple[int, Any]:
         engine_stats = await self._on_engine(self._engine.stats)

@@ -311,13 +311,21 @@ class TestCheckpointEmbedding:
             cfg = checkpoint_run_config(base)
         assert cfg.solver.K == 3  # reconstructed from the flat fields
 
-    @pytest.mark.parametrize("key", ["workspace", "overlap"])
+    @pytest.mark.parametrize(
+        "section, key",
+        [
+            pytest.param("solver", "workspace", id="workspace"),
+            pytest.param("solver", "overlap", id="overlap"),
+            pytest.param("obs", "window_s", id="window_s"),
+        ],
+    )
     def test_retired_solver_key_keeps_the_embedded_config(
-        self, data, tmp_path, key
+        self, data, tmp_path, section, key
     ):
-        """Checkpoints written before ``SolverConfig.workspace`` or
-        ``SolverConfig.overlap`` was retired embed the key: resuming one
-        drops it with one warning and keeps the rest of the run config."""
+        """Checkpoints written before ``SolverConfig.workspace``,
+        ``SolverConfig.overlap`` or ``ObservabilityConfig.window_s`` was
+        retired embed the key: resuming one drops it with one warning and
+        keeps the rest of the run config."""
         import json
 
         base = tmp_path / "retired"
@@ -331,7 +339,7 @@ class TestCheckpointEmbedding:
         with np.load(path) as archive:
             payload = {name: archive[name] for name in archive.files}
         embedded = json.loads(str(payload["run_config_json"]))
-        embedded["solver"][key] = True
+        embedded[section][key] = True
         payload["run_config_json"] = np.asarray(json.dumps(embedded))
         np.savez(path, **payload)
         with warnings.catch_warnings(record=True) as caught:
@@ -341,7 +349,7 @@ class TestCheckpointEmbedding:
         assert cfg.solver.qr_variant == "tree"
         assert cfg.stream == StreamConfig(batch=10, prefetch=1)
         assert len(caught) == 1, [str(w.message) for w in caught]
-        assert f"solver.{key}" in str(caught[0].message)
+        assert f"{section}.{key}" in str(caught[0].message)
 
     def test_load_run_config_errors_are_specific(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -132,7 +132,6 @@ class TestObservabilityConfig:
         cfg = ObservabilityConfig()
         assert cfg.metrics is False
         assert cfg.trace is False
-        assert cfg.window_s == 60.0
         assert cfg.enabled is False
 
     @pytest.mark.parametrize(
@@ -151,8 +150,8 @@ class TestObservabilityConfig:
         [
             {"metrics": 1},
             {"trace": "yes"},
-            {"window_s": 0.0},
-            {"window_s": -1.0},
+            {"metrics": None},
+            {"trace": 0},
         ],
     )
     def test_validation(self, kwargs):
@@ -181,7 +180,7 @@ class TestRunConfig:
             ),
             backend=BackendConfig(name="threads", size=4, timeout=30.0),
             stream=StreamConfig(source="/data/snaps.npz", batch=25, prefetch=3),
-            obs=ObservabilityConfig(metrics=True, trace=True, window_s=10.0),
+            obs=ObservabilityConfig(metrics=True, trace=True),
         )
         assert RunConfig.from_dict(cfg.to_dict()) == cfg
 
@@ -210,7 +209,6 @@ class TestRunConfig:
         assert payload["obs"] == {
             "metrics": True,
             "trace": False,
-            "window_s": 60.0,
         }
         assert RunConfig.from_dict(payload) == cfg
 
@@ -221,7 +219,7 @@ class TestRunConfig:
     def test_invalid_value_names_the_section(self):
         """`repro config validate` reports which section failed."""
         with pytest.raises(ConfigurationError, match="'obs' section"):
-            RunConfig.from_dict({"obs": {"window_s": -5.0}})
+            RunConfig.from_dict({"obs": {"metrics": "yes"}})
         with pytest.raises(ConfigurationError, match="'solver' section"):
             RunConfig.from_dict({"solver": {"ff": 2.0}})
 
@@ -235,6 +233,12 @@ class TestRunConfig:
         more names a retired option and must say which key is wrong."""
         with pytest.raises(ConfigurationError, match=f"'{key}'"):
             RunConfig.from_dict({"solver": {"K": 4, key: True}})
+
+    def test_obs_section_naming_window_s_rejected(self):
+        """``ObservabilityConfig.window_s`` was read by nothing and is
+        gone; a run config that still names it must say which key."""
+        with pytest.raises(ConfigurationError, match="'window_s'"):
+            RunConfig.from_dict({"obs": {"metrics": True, "window_s": 60.0}})
 
     def test_invalid_value_surfaces_specific_error(self):
         with pytest.raises(ConfigurationError, match="forget factor"):

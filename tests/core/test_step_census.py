@@ -17,9 +17,18 @@ from repro.utils.partition import block_partition
 
 K, BATCH, N_DOF = 10, 5, 2048
 WARMUP, STEPS = 4, 8
-#: Bytes one steady step records per non-root rank, summed over both
-#: ends of every message, by TSQR variant.
-BYTES_PER_PEER = {"gather": 6160, "tree": 9760}
+#: Bytes one steady step records, summed over both ends of every message,
+#: by TSQR variant and rank count.  Each non-root rank sends its ``R`` up
+#: (15 x 15 doubles) and gets one reply.  A leaf's reply is its correction
+#: block with the combine factor folded in (15 x 10) plus the singular
+#: values: 6160 bytes per leaf.  A rank that forwards to ranks it absorbed
+#: gets its full-width block (15 x 15) and the combine factor (15 x 10)
+#: with them: 9760 bytes.  The gather's flat tree has only leaves; in the
+#: binary tree rank 2 forwards from 4 ranks on.
+STEP_BYTES = {
+    "gather": {2: 6160, 3: 12320, 4: 18480},
+    "tree": {2: 6160, 3: 12320, 4: 22080},
+}
 
 
 @pytest.mark.parametrize("qr_variant", ["gather", "tree"])
@@ -53,4 +62,4 @@ def test_steady_step_census(ranks, qr_variant):
         "send": 2 * peers * STEPS,
         "recv": 2 * peers * STEPS,
     }
-    assert sum(r.nbytes for r in census) == BYTES_PER_PEER[qr_variant] * peers * STEPS
+    assert sum(r.nbytes for r in census) == STEP_BYTES[qr_variant][ranks] * STEPS

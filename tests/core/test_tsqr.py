@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from repro.core.tsqr import (
-    PipelinedGatherStep,
-    PipelinedTreeStep,
+    TsqrStep,
     finish_now,
-    level_of_absorption,
-    stride_of_absorption,
+    reduction_schedule,
+    tree_fan_in,
     tsqr_gather,
     tsqr_tree,
 )
@@ -16,9 +15,6 @@ from repro.core.workspace import Workspace
 from repro.smpi import SelfCommunicator, run_spmd
 from repro.utils.linalg import orthogonality_defect, qr_positive
 from repro.utils.partition import block_partition
-
-
-STEPS = {"gather": PipelinedGatherStep, "tree": PipelinedTreeStep}
 
 
 def identity_reduce(r):
@@ -30,7 +26,7 @@ def pooled_tsqr(comm, block, variant, workspace):
     """One step as the streaming driver runs it: posted over an F-ordered
     scratch copy of ``block`` (factored in place) with the rank's
     long-lived ``workspace`` pooling the ``R`` stacks, finished at once."""
-    step = STEPS[variant](comm, np.array(block, order="F"), workspace)
+    step = TsqrStep(comm, np.array(block, order="F"), workspace, variant)
     return finish_now(step, identity_reduce)
 
 
@@ -175,25 +171,79 @@ class TestVariantsAgree:
         assert np.allclose(qg, qt, atol=1e-8)
 
 
-class TestTreeHelpers:
-    def test_level_of_absorption(self):
-        assert level_of_absorption(1) == 0
-        assert level_of_absorption(2) == 1
-        assert level_of_absorption(3) == 0
-        assert level_of_absorption(4) == 2
-        assert level_of_absorption(6) == 1
+class TestReductionSchedule:
+    """``reduction_schedule(rank, size, fan_in)`` is ``(merges, parent)``:
+    the ``(level, children)`` this rank absorbs and the ``(rank, level)``
+    that absorbs it."""
 
-    def test_stride_of_absorption(self):
-        assert stride_of_absorption(1) == 1
-        assert stride_of_absorption(2) == 2
-        assert stride_of_absorption(6) == 2
-        assert stride_of_absorption(8) == 8
+    @staticmethod
+    def tree(size, fan_in):
+        return [reduction_schedule(rank, size, fan_in) for rank in range(size)]
 
-    def test_rank_zero_rejected(self):
+    @pytest.mark.parametrize("size", [2, 3, 4, 8])
+    def test_flat_tree_is_the_gather(self, size):
+        """At fan-in ``p`` rank 0 absorbs every other rank at level 0."""
+        assert tree_fan_in("gather", size) == size
+        root, *others = self.tree(size, tree_fan_in("gather", size))
+        assert root == ([(0, list(range(1, size)))], None)
+        assert others == [([], (0, 0))] * (size - 1)
+
+    def test_binary_tree_of_three(self):
+        """Rank 2 is absorbed at level 1 and absorbs nobody: a leaf."""
+        assert tree_fan_in("tree", 3) == 2
+        assert self.tree(3, 2) == [
+            ([(0, [1]), (1, [2])], None),
+            ([], (0, 0)),
+            ([], (0, 1)),
+        ]
+
+    def test_binary_tree_of_four(self):
+        """Rank 2 absorbs rank 3, then forwards to rank 0 at level 1."""
+        assert self.tree(4, 2) == [
+            ([(0, [1]), (1, [2])], None),
+            ([], (0, 0)),
+            ([(0, [3])], (0, 1)),
+            ([], (2, 0)),
+        ]
+
+    def test_binary_tree_of_eight(self):
+        assert self.tree(8, 2) == [
+            ([(0, [1]), (1, [2]), (2, [4])], None),
+            ([], (0, 0)),
+            ([(0, [3])], (0, 1)),
+            ([], (2, 0)),
+            ([(0, [5]), (1, [6])], (0, 2)),
+            ([], (4, 0)),
+            ([(0, [7])], (4, 1)),
+            ([], (6, 0)),
+        ]
+
+    def test_one_rank_is_a_lone_root(self):
+        for variant in ("gather", "tree"):
+            assert reduction_schedule(0, 1, tree_fan_in(variant, 1)) == ([], None)
+
+    @pytest.mark.parametrize("size", [2, 3, 5, 6, 7, 8, 9])
+    @pytest.mark.parametrize("fan_in", [2, 3, 4])
+    def test_every_rank_reaches_the_root_once(self, size, fan_in):
+        """Each non-root rank is absorbed exactly once, at the level its
+        parent lists it, by a parent that is absorbed at a higher level."""
+        schedule = self.tree(size, fan_in)
+        absorbed = {
+            child: (rank, level)
+            for rank, (merges, _) in enumerate(schedule)
+            for level, children in merges
+            for child in children
+        }
+        assert sorted(absorbed) == list(range(1, size))
+        for rank, (merges, parent) in enumerate(schedule[1:], start=1):
+            assert parent == absorbed[rank]
+            assert all(level < parent[1] for level, _ in merges)
+
+    def test_degenerate_fan_in_rejected(self):
         with pytest.raises(ValueError):
-            level_of_absorption(0)
+            reduction_schedule(1, 4, 1)
         with pytest.raises(ValueError):
-            stride_of_absorption(0)
+            tree_fan_in("sideways", 4)
 
 
 class TestEdgeShapes:

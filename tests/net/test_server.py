@@ -14,7 +14,6 @@ contract.
 """
 
 import math
-import re
 import sys
 import threading
 import time
@@ -582,9 +581,9 @@ class TestGroupCommit:
                     assert err.value.status == 500
                     reply = err.value.payload
                     assert "simulated unreadable store file" in reply["error"]
-                    job_id = re.match(r"job (\S+) failed", reply["error"])[1]
+                    assert f"job {reply['job']} failed" in reply["error"]
                     status, again_reply = client.request_raw(
-                        "GET", f"/v1/jobs/{job_id}?wait=1"
+                        "GET", f"/v1/jobs/{reply['job']}?wait=1"
                     )
                     assert (status, again_reply) == (500, reply)
 
