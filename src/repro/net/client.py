@@ -125,9 +125,10 @@ class ServingClient:
         flushes a lone query in the submit's own engine call; it is
         ``"pending"`` when the query queued behind a busy engine.  A
         submit whose own flush failed raises :class:`ServingHTTPError`
-        (status 500, naming the cause).  A numeric ndarray
-        ``payload`` is sent in the ``npy`` form; a complex, string or
-        object array keeps the list form, which no cast would preserve."""
+        (status 500; its payload names the cause and the ``"job"``).  A
+        numeric ndarray ``payload`` is sent in the ``npy`` form; a
+        complex, string or object array keeps the list form, which no
+        cast would preserve."""
         if isinstance(payload, np.ndarray):
             numeric = payload.dtype.kind in "biuf"
             payload = encode_array(payload) if numeric else payload.tolist()

@@ -34,10 +34,10 @@ Endpoints (JSON in / JSON out)::
                                  hit, or flushed in the submit's own call)
                              202 {"job", "status": "pending"}  (queued
                                  behind a busy engine)
-                             500 naming the cause, when the submit's own
-                                 flush failed
+                             500 {"error", "job"} naming the cause,
+                                 when the submit's own flush failed
     GET  /v1/jobs/{id}    ?wait=SECONDS long-polls until settled; a job
-                          whose flush failed answers 500 naming the cause
+                          whose flush failed answers the same 500
     GET  /metrics         repro.obs registry + engine/tenant/job counters
     GET  /healthz         repro.health rank states and the
                           repro.errors.{net,health} counts; 503 when
