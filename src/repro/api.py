@@ -645,7 +645,8 @@ class Session:
     def query_engine(self, store: Any, **options: Any):
         """A serving :class:`~repro.serving.QueryEngine` over this
         session's communicator (``options`` pass through, e.g.
-        ``flush_threshold=``, ``cache_size=``)."""
+        ``flush_threshold=``, ``result_cache_entries=``,
+        ``max_cached_bases=``, ``replicate=``)."""
         self._require_open()
         from .serving.engine import QueryEngine
 

@@ -315,8 +315,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--group-size",
         type=int,
         default=None,
-        help="model the two-level hierarchical APMOS with this group size "
-        "(weak scaling only)",
+        help="model APMOS's grouped gather with this group size (weak "
+        "scaling only); sizes <= 1 or >= a point's rank count model the "
+        "single gather there",
     )
 
     p_serve = sub.add_parser(
@@ -547,8 +548,7 @@ def _cmd_info() -> int:
     print(f"repro {repro.__version__} — PyParSVD reproduction (SC 2021)")
     print(
         f"defaults: K={cfg.solver.K} ff={cfg.solver.ff} r1={cfg.solver.r1} "
-        f"r2={cfg.solver.r2} low_rank={cfg.solver.low_rank} "
-        f"backend={cfg.backend.name}"
+        f"low_rank={cfg.solver.low_rank} backend={cfg.backend.name}"
     )
     print("entry point: repro.api.Session / RunConfig ('repro config dump')")
     print("subpackages: api, core, smpi, data, serving, analysis, postprocessing, perf")

@@ -14,11 +14,10 @@ The paper exposes the following knobs (section 3 and 4.3):
     low-rank SVD of section 3.3.
 ``r1``
     APMOS truncation of the locally computed right singular vectors before
-    the MPI gather (paper default: 50 columns).
-``r2``
-    APMOS truncation of the global left factor broadcast back to the ranks
-    (paper default: 5 columns) — only used by the one-shot APMOS driver; the
-    streaming parallel class retains ``K`` columns instead.
+    the MPI gather (paper default: 50 columns).  The paper's second APMOS
+    truncation, ``r2``, is the number of global modes; the streaming
+    parallel class retains ``K`` (it passes ``r2 = K`` to
+    :func:`~repro.core.apmos.apmos_svd`).
 ``oversampling`` / ``power_iters``
     Standard randomized-range-finder parameters (Halko et al.); the paper's
     listing uses the plain sketch, which corresponds to
@@ -55,7 +54,6 @@ __all__ = [
     "RESTART_MODES",
     "DEFAULT_FORGET_FACTOR",
     "DEFAULT_R1",
-    "DEFAULT_R2",
     "FAULT_KINDS",
     "GATHER_POLICIES",
     "QR_VARIANTS",
@@ -66,8 +64,6 @@ __all__ = [
 DEFAULT_FORGET_FACTOR = 0.95
 #: APMOS local right-vector truncation used in the paper (section 3.2).
 DEFAULT_R1 = 50
-#: APMOS global left-factor truncation used in the paper (section 3.2).
-DEFAULT_R2 = 5
 
 #: Valid mode-gathering policies of :class:`~repro.core.parallel.ParSVDParallel`.
 GATHER_POLICIES = ("bcast", "root", "none")
@@ -120,8 +116,8 @@ class SVDConfig:
         Streaming forget factor in ``(0, 1]``.
     low_rank:
         Use the randomized low-rank SVD for the inner dense factorizations.
-    r1, r2:
-        APMOS truncation factors (see module docstring).
+    r1:
+        APMOS local truncation (see module docstring).
     oversampling:
         Extra sketch columns beyond the target rank for the randomized SVD.
     power_iters:
@@ -142,7 +138,6 @@ class SVDConfig:
     ff: float = DEFAULT_FORGET_FACTOR
     low_rank: bool = False
     r1: int = DEFAULT_R1
-    r2: int = DEFAULT_R2
     oversampling: int = 10
     power_iters: int = 0
     seed: Optional[int] = None
@@ -158,8 +153,6 @@ class SVDConfig:
             )
         if self.r1 <= 0:
             raise ConfigurationError(f"r1 must be positive, got {self.r1}")
-        if self.r2 <= 0:
-            raise ConfigurationError(f"r2 must be positive, got {self.r2}")
         if self.oversampling < 0:
             raise ConfigurationError(
                 f"oversampling must be nonnegative, got {self.oversampling}"
@@ -240,8 +233,11 @@ class SolverConfig(SVDConfig):
         ParSVDParallel.modes`: ``"bcast"`` (default), ``"root"`` or
         ``"none"`` (the local block, as a read-only view).
     apmos_group_size:
-        Group size of the two-level hierarchical APMOS initialisation, or
-        ``None`` (default) for the flat single-level gather.
+        Group size of the APMOS gather that initialises the run, or
+        ``None`` (default) for the paper's single gather at rank 0.  With
+        ``1 < apmos_group_size < p`` each group of that many ranks first
+        reduces its ``W`` at a leader (:func:`~repro.core.apmos.grouped`);
+        ``1`` or ``>= p`` also run the single gather.
 
     The streaming step always runs allocation-free in a per-driver
     workspace and finishes in the call that posts it (see

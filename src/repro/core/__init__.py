@@ -1,11 +1,6 @@
 """Core algorithms: streaming, distributed and randomized SVD."""
 
-from .apmos import (
-    apmos_svd,
-    apmos_svd_two_level,
-    generate_right_vectors,
-    stack_gathered,
-)
+from .apmos import apmos_svd, generate_right_vectors, stack_gathered
 from .base import ParSVDBase
 from .metrics import (
     ModeComparison,
@@ -31,7 +26,6 @@ __all__ = [
     "ParSVDSerial",
     "ParSVDParallel",
     "apmos_svd",
-    "apmos_svd_two_level",
     "generate_right_vectors",
     "stack_gathered",
     "tsqr_gather",

@@ -16,6 +16,16 @@ simulation (rank ``i`` owns ``A_i`` of shape ``(M_i, N)``):
 ``r1`` trades accuracy against gather volume; ``r2`` is the number of global
 modes produced.  Paper defaults: ``r1 = 50``, ``r2 = 5``.
 
+The gather of step 2 may be done in two levels: with a ``group_size`` ``g``
+and ``1 < g < nranks`` (:func:`grouped`), each group of ``g`` consecutive
+ranks first gathers its ``W_i`` at its leader, which keeps a rank-``r1``
+surrogate ``X_g diag(Lambda_g)`` of the group's stack, and only the
+surrogates travel to rank 0.  The root factorization then has width
+``r1 * ceil(nranks / g)`` instead of ``r1 * nranks``.  The stacking is
+associative, so the second truncation is of the same nature as ``r1``'s
+own: exact whenever a group's stacked ``W`` has rank ``<= r1``.  Any other
+group size is the single gather.
+
 Note on the weighting: Algorithm 2 writes ``W_i = V_i (S_i)^T`` with
 ``S_i`` the diagonal matrix of local singular values, i.e. each retained
 right vector is scaled by its singular value — ``V_i * s_i`` column-wise,
@@ -36,8 +46,8 @@ from .randomized import low_rank_svd
 __all__ = [
     "generate_right_vectors",
     "stack_gathered",
+    "grouped",
     "apmos_svd",
-    "apmos_svd_two_level",
 ]
 
 #: Relative threshold below which singular values from a direct SVD are
@@ -48,6 +58,13 @@ _RELATIVE_RANK_TOL_SVD = 1e-12
 #: the Gram matrix carry O(eps * ||A||^2) noise), so after the square root
 #: the usable relative accuracy floor is O(sqrt(eps)).
 _RELATIVE_RANK_TOL_MOS = 10.0 * float(np.finfo(float).eps) ** 0.5
+
+
+def _leading(values: np.ndarray, cap: int, rel_tol: float) -> int:
+    """How many of the descending ``values`` to keep: at most ``cap``,
+    each above ``rel_tol`` times the largest, and always at least one."""
+    floor = rel_tol * values[0] if values.size else 0.0
+    return max(int(np.sum(values[:cap] > floor)), 1)
 
 
 def generate_right_vectors(
@@ -98,9 +115,7 @@ def generate_right_vectors(
     else:
         raise ShapeError(f"unknown method {method!r} (use 'auto'|'svd'|'mos')")
 
-    tol = rel_tol * (s[0] if s.size else 0.0)
-    k = int(np.sum(s > tol))
-    k = max(min(k, r1), 1) if s.size else 0
+    k = _leading(s, r1, rel_tol)
     return v[:, :k], s[:k]
 
 
@@ -115,11 +130,36 @@ def stack_gathered(wlocals: list) -> np.ndarray:
     return np.concatenate(wlocals, axis=1)
 
 
+def grouped(size: int, group_size: Optional[int]) -> bool:
+    """Whether APMOS over ``size`` ranks reduces ``W`` within groups of
+    ``group_size`` before the root gather.  A group of one rank, or one
+    group holding every rank, is the single gather."""
+    return group_size is not None and 1 < group_size < size
+
+
+def _factor(
+    blocks: list, cap: int, low_rank: bool = False, **sketch
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Factor the stacked ``W = X Lambda Y^T`` and keep its leading (at
+    most ``cap``) columns of ``X`` and values above the noise floor, as
+    views into the factors."""
+    w = stack_gathered(blocks)
+    if low_rank:
+        x, lam = low_rank_svd(w, cap, **sketch)
+    else:
+        x, lam, _ = economy_svd(w)
+    # Guard the 1/Lambda_j division downstream: drop directions whose
+    # value sits at the numerical-noise floor of the gathered W.
+    keep = _leading(lam, cap, _RELATIVE_RANK_TOL_MOS)
+    return x[:, :keep], lam[:keep]
+
+
 def apmos_svd(
     comm,
     a_local: np.ndarray,
     r1: int,
     r2: int,
+    group_size: Optional[int] = None,
     low_rank: bool = False,
     oversampling: int = 0,
     power_iters: int = 0,
@@ -136,6 +176,12 @@ def apmos_svd(
         ``(M_i, N)`` local row block; all ranks must agree on ``N``.
     r1, r2:
         Truncation factors (see module docstring).
+    group_size:
+        Ranks per group of the two-level gather, used when
+        :func:`grouped` (``1 < group_size < comm.size``): group leaders
+        factor their group's stack densely and keep ``r1`` columns before
+        the root gather.  ``None``, ``1`` or ``>= comm.size`` run the
+        paper's single gather; ``< 1`` raises :class:`ShapeError`.
     low_rank:
         Use the randomized SVD for the rank-0 factorization of ``W``.
     oversampling, power_iters, rng:
@@ -150,37 +196,42 @@ def apmos_svd(
         singular vectors; ``s`` — the ``(k,)`` global singular values,
         ``k = min(r2, rank of W)``.  Every rank returns the same ``s``.
     """
+    if group_size is not None and group_size < 1:
+        raise ShapeError(f"group_size must be >= 1, got {group_size}")
     a_local = as_floating(a_local, "a_local")
     vlocal, slocal = generate_right_vectors(a_local, r1, method=method)
 
     # W_i = V_i * s_i (column scaling by the local singular values).
     # vlocal is freshly factored, so the scaling is applied in place.
-    wlocal = vlocal
-    wlocal *= slocal[np.newaxis, :]
+    w = vlocal
+    w *= slocal[np.newaxis, :]
 
-    wglobal = comm.gather(wlocal, root=0)
-    if comm.rank == 0:
-        w = stack_gathered(wglobal)
-        if low_rank:
-            x, lam = low_rank_svd(
-                w,
+    root_comm = comm
+    if grouped(comm.size, group_size):
+        # Each group leader replaces its members' W_i by the rank-r1
+        # surrogate X_g diag(Lambda_g) of their stack; only the leaders
+        # (global rank 0 leads group 0) join the root gather.
+        group = comm.split(color=comm.rank // group_size)
+        members = group.gather(w, root=0)
+        leader = group.rank == 0
+        if leader:
+            xg, lamg = _factor(members, r1)
+            w = xg * lamg[np.newaxis, :]
+        root_comm = comm.split(color=0 if leader else None)
+
+    x = lam = None
+    if root_comm is not None:
+        blocks = root_comm.gather(w, root=0)
+        if root_comm.rank == 0:
+            x, lam = _factor(
+                blocks,
                 r2,
+                low_rank,
                 oversampling=oversampling,
                 power_iters=power_iters,
                 rng=rng,
             )
-        else:
-            x, lam, _ = economy_svd(w)
-        keep = min(r2, lam.shape[0])
-        # Guard the 1/Lambda_j division downstream: drop directions whose
-        # value sits at the numerical-noise floor of the gathered W.
-        floor = lam[0] * _RELATIVE_RANK_TOL_MOS if lam.size else 0.0
-        keep = max(int(np.sum(lam[:keep] > floor)), 1)
-        x = np.ascontiguousarray(x[:, :keep])
-        lam = lam[:keep]
-    else:
-        x = None
-        lam = None
+            x = np.ascontiguousarray(x)
     x = comm.bcast(x, root=0)
     lam = comm.bcast(lam, root=0)
 
@@ -189,102 +240,6 @@ def apmos_svd(
     # algebraically identical).  The GEMM output is scratch, so the
     # 1/Lambda scaling happens in place instead of allocating a second
     # (M_i, k) array.
-    u_local = a_local @ x
-    u_local /= lam[np.newaxis, :]
-    return u_local, lam
-
-
-def apmos_svd_two_level(
-    comm,
-    a_local: np.ndarray,
-    r1: int,
-    r2: int,
-    group_size: int,
-    low_rank: bool = False,
-    oversampling: int = 0,
-    power_iters: int = 0,
-    rng: RngLike = None,
-    method: str = "auto",
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Hierarchical APMOS: reduce ``W`` within groups before the root SVD.
-
-    Flat APMOS gathers one ``N x r1`` block from *every* rank at rank 0, so
-    both the gather volume and the width of the root factorization grow
-    linearly with the rank count — the terms that bend the paper's
-    weak-scaling curve (Figure 1c).  This extension exploits that the ``W``
-    stacking is associative:
-
-    1. ranks are split into groups of ``group_size``; each group leader
-       gathers its members' ``W_i``, stacks them and factors the group
-       matrix, truncating to ``r1`` columns (``X_g diag(Lambda_g)`` is a
-       rank-``r1`` surrogate for the group's stacked ``W``);
-    2. only the group surrogates travel to rank 0, whose SVD now has width
-       ``r1 * ceil(p / group_size)`` instead of ``r1 * p``;
-    3. the broadcast/assembly stage is unchanged.
-
-    The second truncation is of the same nature as APMOS's own ``r1``
-    truncation: exact whenever the group's stacked ``W`` has rank <= r1,
-    and a controlled approximation otherwise (tested in the suite).
-
-    Parameters are as in :func:`apmos_svd` plus ``group_size >= 1``
-    (``group_size >= comm.size`` degenerates to flat APMOS with an extra
-    communicator split).
-    """
-    if group_size < 1:
-        raise ShapeError(f"group_size must be >= 1, got {group_size}")
-    a_local = as_floating(a_local, "a_local")
-    vlocal, slocal = generate_right_vectors(a_local, r1, method=method)
-    wlocal = vlocal
-    wlocal *= slocal[np.newaxis, :]
-
-    group = comm.rank // group_size
-    subcomm = comm.split(color=group)
-    leader = subcomm.rank == 0
-
-    # stage 1: in-group reduction at each group leader
-    wgroup = subcomm.gather(wlocal, root=0)
-    if leader:
-        stacked = stack_gathered(wgroup)
-        xg, lamg, _ = economy_svd(stacked)
-        keep_g = min(r1, lamg.shape[0])
-        floor_g = lamg[0] * _RELATIVE_RANK_TOL_MOS if lamg.size else 0.0
-        keep_g = max(int(np.sum(lamg[:keep_g] > floor_g)), 1)
-        surrogate = xg[:, :keep_g] * lamg[np.newaxis, :keep_g]
-    else:
-        surrogate = None
-
-    # stage 2: leaders-only reduction at global rank 0.  Build the leader
-    # communicator collectively (every rank participates in the split).
-    leadercomm = comm.split(color=0 if leader else None)
-    if leader:
-        wglobal = leadercomm.gather(surrogate, root=0)
-        if leadercomm.rank == 0:
-            w = stack_gathered(wglobal)
-            if low_rank:
-                x, lam = low_rank_svd(
-                    w,
-                    r2,
-                    oversampling=oversampling,
-                    power_iters=power_iters,
-                    rng=rng,
-                )
-            else:
-                x, lam, _ = economy_svd(w)
-            keep = min(r2, lam.shape[0])
-            floor = lam[0] * _RELATIVE_RANK_TOL_MOS if lam.size else 0.0
-            keep = max(int(np.sum(lam[:keep] > floor)), 1)
-            x = np.ascontiguousarray(x[:, :keep])
-            lam = lam[:keep]
-        else:
-            x = None
-            lam = None
-    else:
-        x = None
-        lam = None
-
-    # stage 3: broadcast from global rank 0 (which is always a leader)
-    x = comm.bcast(x, root=0)
-    lam = comm.bcast(lam, root=0)
     u_local = a_local @ x
     u_local /= lam[np.newaxis, :]
     return u_local, lam

@@ -64,8 +64,6 @@ CHECKPOINT_KINDS = ("serial", "parallel", "gathered")
 
 PathLike = Union[str, pathlib.Path]
 
-_CONFIG_FIELDS = ("K", "ff", "low_rank", "r1", "r2", "oversampling", "power_iters")
-
 
 @dataclasses.dataclass(frozen=True)
 class Snapshot:
@@ -141,7 +139,6 @@ def write_checkpoint(
         config_ff=np.asarray(config.ff),
         config_low_rank=np.asarray(config.low_rank),
         config_r1=np.asarray(config.r1),
-        config_r2=np.asarray(config.r2),
         config_oversampling=np.asarray(config.oversampling),
         config_power_iters=np.asarray(config.power_iters),
         config_seed=np.asarray(-1 if config.seed is None else config.seed),
@@ -173,6 +170,7 @@ RETIRED_RUN_CONFIG_KEYS = (
     ("solver", "workspace"),
     ("solver", "overlap"),
     ("obs", "window_s"),
+    ("solver", "r2"),
 )
 
 
@@ -247,7 +245,6 @@ def read_checkpoint(
                 ff=float(data["config_ff"]),
                 low_rank=bool(data["config_low_rank"]),
                 r1=int(data["config_r1"]),
-                r2=int(data["config_r2"]),
                 oversampling=int(data["config_oversampling"]),
                 power_iters=int(data["config_power_iters"]),
                 seed=None if seed < 0 else seed,

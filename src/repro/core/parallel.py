@@ -43,7 +43,7 @@ from ..exceptions import (
 from ..utils.linalg import economy_svd, truncate_svd
 from ..utils.rng import resolve_rng
 from ..utils.partition import block_partition
-from .apmos import apmos_svd, apmos_svd_two_level
+from .apmos import apmos_svd
 from .base import ParSVDBase
 from .checkpoint import (
     Snapshot,
@@ -87,6 +87,12 @@ class ParSVDParallel(ParSVDBase):
         :attr:`local_modes`);
         ``"none"``: no gathering; :attr:`modes` is the local block, the
         same read-only view as :attr:`local_modes`.
+    apmos_group_size:
+        The group size of the APMOS gather that initializes the run
+        (:func:`~repro.core.apmos.apmos_svd`): ``None`` (default) is the
+        paper's single gather at rank 0; ``1 < g < p`` first reduces
+        ``W`` at one leader per group of ``g`` ranks.  Any other size
+        runs the single gather.
 
     Notes
     -----
@@ -113,10 +119,11 @@ class ParSVDParallel(ParSVDBase):
     aligned.  :attr:`local_modes` never communicates.
 
     Results that arrive over a broadcast (:attr:`modes` under
-    ``gather="bcast"`` on non-root ranks, :attr:`singular_values` away
-    from rank 0) are **read-only** views of the zero-copy snapshot the
-    communicator shares between receivers; in-place mutation raises
-    ``ValueError`` there (while rank 0 holds its own writable original).
+    ``gather="bcast"`` on non-root ranks, :attr:`singular_values` and
+    :meth:`parallel_qr`'s ``u_new``/``s_new`` away from rank 0) are
+    **read-only** views of the zero-copy snapshot the communicator shares
+    between receivers; in-place mutation raises ``ValueError`` there
+    (while rank 0 holds its own writable original).
     Treat collective results as immutable — copy first if you must write.
 
     Examples
@@ -181,29 +188,19 @@ class ParSVDParallel(ParSVDBase):
     def parallel_svd(
         self, a_local: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """One-shot distributed SVD of a row-distributed matrix (Listing 3).
+        """One-shot distributed SVD of a row-distributed matrix (Listing 3):
+        APMOS over ``apmos_group_size`` groups (see the class docstring).
 
         Returns ``(u_local, s)``: this rank's block of the ``K`` global left
         singular vectors, and the global singular values.
         """
         cfg = self._config
-        if self._apmos_group_size is not None:
-            return apmos_svd_two_level(
-                self.comm,
-                a_local,
-                r1=max(cfg.K, cfg.r1),
-                r2=cfg.K,
-                group_size=self._apmos_group_size,
-                low_rank=cfg.low_rank,
-                oversampling=cfg.oversampling,
-                power_iters=cfg.power_iters,
-                rng=self._rng,
-            )
         return apmos_svd(
             self.comm,
             a_local,
             r1=max(cfg.K, cfg.r1),
             r2=cfg.K,
+            group_size=self._apmos_group_size,
             low_rank=cfg.low_rank,
             oversampling=cfg.oversampling,
             power_iters=cfg.power_iters,

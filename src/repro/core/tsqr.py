@@ -301,8 +301,12 @@ class TsqrStep:
         if self._parent is None:
             combine, *rest = reduce_fn(r)
             rest = tuple(rest)
+            # The children get frozen copies; the caller keeps the
+            # arrays as reduce_fn returned them.
             shared = tuple(
-                _frozen_copy(item) if isinstance(item, np.ndarray) else item
+                _frozen_copy(np.array(item))
+                if merged and isinstance(item, np.ndarray)
+                else item
                 for item in rest
             )
             correction, forwarded = None, None

@@ -30,7 +30,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from ..core.apmos import apmos_svd, generate_right_vectors
+from ..core.apmos import apmos_svd, generate_right_vectors, grouped
 from ..exceptions import ConfigurationError
 from ..smpi import run_spmd
 from ..utils.rng import resolve_rng
@@ -205,15 +205,17 @@ class WeakScalingStudy:
     ) -> ScalingPoint:
         """Modelled cost breakdown of one APMOS step at ``ranks`` ranks.
 
-        ``group_size`` models the two-level hierarchical variant
-        (:func:`repro.core.apmos.apmos_svd_two_level`): the ``W`` gather
-        happens in two stages (members -> leader, leaders -> root) and the
-        root SVD width shrinks from ``r1 * p`` to ``r1 * ceil(p / g)``;
-        each leader additionally pays a group-SVD of width
-        ``r1 * group_size``.
+        ``group_size`` models APMOS's grouped gather
+        (:func:`repro.core.apmos.apmos_svd` with ``group_size``) where
+        :func:`~repro.core.apmos.grouped` says the run is grouped: the
+        ``W`` gather happens in two stages (members -> leader, leaders ->
+        root) and the root SVD width shrinks from ``r1 * p`` to
+        ``r1 * ceil(p / g)``; each leader additionally pays a group-SVD of
+        width ``r1 * group_size``.  Any other group size is the single
+        gather, as in the algorithm.
         """
         traffic = apmos_traffic(ranks, self.n_snapshots, self.r1, self.k)
-        if group_size is None or group_size <= 1 or group_size >= ranks:
+        if not grouped(ranks, group_size):
             root_flops = apmos_root_svd_flops(
                 ranks, self.n_snapshots, self.r1, self.k, randomized=True
             )

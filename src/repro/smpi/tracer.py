@@ -120,32 +120,41 @@ def _others(items: Sequence[Any], rank: int) -> int:
 
 
 class CommTracer(InterceptedCommunicator):
-    """Recording proxy around a communicator (same call surface)."""
+    """Recording proxy around a communicator (same call surface).
+
+    A communicator split or duplicated from a traced one is traced into
+    the same :attr:`records`, so this rank's traffic on every
+    communicator it derived shows in :meth:`summary` and
+    :meth:`bytes_for`; :meth:`schedule` keeps to this communicator."""
 
     def __init__(self, comm: Any) -> None:
         super().__init__(comm)
         self.records: List[CommRecord] = []
+        self._collectives: List[CommRecord] = []
 
     def _rewrap(self, comm: Any) -> "CommTracer":
-        return CommTracer(comm)
+        derived = CommTracer(comm)
+        derived.records = self.records
+        return derived
 
     def _record(
         self, call: _Call, nbytes: int, peer: Optional[int] = None,
         root: Optional[int] = None, obj: Any = None,
     ) -> None:
         array = isinstance(obj, np.ndarray)
-        self.records.append(
-            CommRecord(
-                op=call.op,
-                nbytes=int(nbytes),
-                peer=peer,
-                root=root,
-                dtype=str(obj.dtype) if array else None,
-                shape=tuple(int(dim) for dim in obj.shape) if array else None,
-                t_start=call.t_start,
-                duration_s=call.duration_s,
-            )
+        record = CommRecord(
+            op=call.op,
+            nbytes=int(nbytes),
+            peer=peer,
+            root=root,
+            dtype=str(obj.dtype) if array else None,
+            shape=tuple(int(dim) for dim in obj.shape) if array else None,
+            t_start=call.t_start,
+            duration_s=call.duration_s,
         )
+        self.records.append(record)
+        if record.op in COLLECTIVE_OPS:
+            self._collectives.append(record)
 
     def _wrap(self, name: str, op: Op, target: Any) -> Any:
         account = getattr(self, f"_account_{name}")
@@ -218,7 +227,8 @@ class CommTracer(InterceptedCommunicator):
         return TrafficSummary.from_records(self.records)
 
     def schedule(self) -> List[CommRecord]:
-        """This rank's *collective* op stream, in issue order.
+        """This rank's *collective* op stream on this communicator (not
+        on those split from it), in issue order.
 
         The SPMD contract requires every rank to produce the same stream
         (same kinds, same order, compatible roots/dtypes); the cross-rank
@@ -228,11 +238,12 @@ class CommTracer(InterceptedCommunicator):
         collective is blocking, so its record is written when the call
         returns and the stream is in issue order on every lane.
         """
-        return [r for r in self.records if r.op in COLLECTIVE_OPS]
+        return list(self._collectives)
 
     def reset(self) -> None:
         """Discard all records (e.g. between benchmark phases)."""
         self.records.clear()
+        self._collectives.clear()
 
     def bytes_for(self, op: str) -> int:
         """Total bytes recorded under operation name ``op``."""

@@ -317,15 +317,16 @@ class TestCheckpointEmbedding:
             pytest.param("solver", "workspace", id="workspace"),
             pytest.param("solver", "overlap", id="overlap"),
             pytest.param("obs", "window_s", id="window_s"),
+            pytest.param("solver", "r2", id="r2"),
         ],
     )
     def test_retired_solver_key_keeps_the_embedded_config(
         self, data, tmp_path, section, key
     ):
         """Checkpoints written before ``SolverConfig.workspace``,
-        ``SolverConfig.overlap`` or ``ObservabilityConfig.window_s`` was
-        retired embed the key: resuming one drops it with one warning and
-        keeps the rest of the run config."""
+        ``SolverConfig.overlap``, ``ObservabilityConfig.window_s`` or
+        ``SolverConfig.r2`` was retired embed the key: resuming one drops
+        it with one warning and keeps the rest of the run config."""
         import json
 
         base = tmp_path / "retired"
@@ -341,6 +342,9 @@ class TestCheckpointEmbedding:
         embedded = json.loads(str(payload["run_config_json"]))
         embedded[section][key] = True
         payload["run_config_json"] = np.asarray(json.dumps(embedded))
+        if key == "r2":
+            # Such checkpoints also carry the flat field; it is ignored.
+            payload["config_r2"] = np.asarray(5)
         np.savez(path, **payload)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")

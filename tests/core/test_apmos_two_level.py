@@ -1,37 +1,37 @@
-"""Two-level (hierarchical) APMOS."""
+"""APMOS's grouped (two-level) gather: ``apmos_svd(..., group_size=g)``."""
 
 import numpy as np
 import pytest
 
 from repro.config import SolverConfig
-from repro.core.apmos import apmos_svd, apmos_svd_two_level
+from repro.core.apmos import apmos_svd, generate_right_vectors, grouped
 from repro.exceptions import ShapeError
 from repro.smpi import ParallelFailure, SelfCommunicator, run_spmd
 from repro.utils.partition import block_partition
 
 
-def run_two_level(data, nranks, group_size, r1, r2):
+def run_apmos(data, nranks, r1, r2, trace=False, **options):
+    """APMOS over ``nranks`` row blocks of ``data``: the stacked modes,
+    rank 0's values and (with ``trace``) the per-rank tracers."""
+
     def job(comm):
         part = block_partition(data.shape[0], comm.size)
         block = data[part.slice_of(comm.rank), :]
-        return apmos_svd_two_level(
-            comm, block, r1=r1, r2=r2, group_size=group_size
-        )
+        return apmos_svd(comm, block, r1=r1, r2=r2, **options)
 
-    results = run_spmd(nranks, job)
+    results = run_spmd(nranks, job, trace=trace)
+    if trace:
+        results, tracers = results
     u = np.concatenate([r[0] for r in results], axis=0)
-    return u, results[0][1]
+    return (u, results[0][1]) + ((tracers,) if trace else ())
+
+
+def run_two_level(data, nranks, group_size, r1, r2):
+    return run_apmos(data, nranks, r1, r2, group_size=group_size)
 
 
 def run_flat(data, nranks, r1, r2):
-    def job(comm):
-        part = block_partition(data.shape[0], comm.size)
-        block = data[part.slice_of(comm.rank), :]
-        return apmos_svd(comm, block, r1=r1, r2=r2)
-
-    results = run_spmd(nranks, job)
-    u = np.concatenate([r[0] for r in results], axis=0)
-    return u, results[0][1]
+    return run_apmos(data, nranks, r1, r2)
 
 
 class TestEquivalence:
@@ -60,7 +60,7 @@ class TestEquivalence:
         def job(comm):
             part = block_partition(decaying_matrix.shape[0], comm.size)
             block = decaying_matrix[part.slice_of(comm.rank), :]
-            _, s = apmos_svd_two_level(comm, block, r1=30, r2=3, group_size=2)
+            _, s = apmos_svd(comm, block, r1=30, r2=3, group_size=2)
             return s
 
         results = run_spmd(4, job)
@@ -73,7 +73,7 @@ class TestEquivalence:
         assert np.allclose(gram, np.eye(s.shape[0]), atol=1e-8)
 
     def test_single_rank(self, decaying_matrix):
-        u, s = apmos_svd_two_level(
+        u, s = apmos_svd(
             SelfCommunicator(), decaying_matrix, r1=40, r2=3, group_size=4
         )
         s_ref = np.linalg.svd(decaying_matrix, compute_uv=False)
@@ -81,9 +81,7 @@ class TestEquivalence:
 
     def test_invalid_group_size(self, decaying_matrix):
         def job(comm):
-            apmos_svd_two_level(
-                comm, decaying_matrix, r1=10, r2=2, group_size=0
-            )
+            apmos_svd(comm, decaying_matrix, r1=10, r2=2, group_size=0)
 
         with pytest.raises(ParallelFailure) as info:
             run_spmd(2, job, timeout=5.0)
@@ -95,25 +93,57 @@ class TestEquivalence:
 class TestTrafficAdvantage:
     def test_root_gather_volume_reduced(self, decaying_matrix):
         """The whole point: rank 0 receives fewer bytes hierarchically."""
-
-        def flat(comm):
-            part = block_partition(decaying_matrix.shape[0], comm.size)
-            block = decaying_matrix[part.slice_of(comm.rank), :]
-            apmos_svd(comm, block, r1=40, r2=3)
-
-        def two_level(comm):
-            part = block_partition(decaying_matrix.shape[0], comm.size)
-            block = decaying_matrix[part.slice_of(comm.rank), :]
-            apmos_svd_two_level(comm, block, r1=40, r2=3, group_size=3)
-
-        _, tracers_flat = run_spmd(6, flat, trace=True)
-        _, tracers_two = run_spmd(6, two_level, trace=True)
-        # rank 0 in the flat scheme receives W from 5 peers; in the
-        # two-level scheme it receives from its 2 group members plus 1
-        # other leader
+        *_, tracers_flat = run_apmos(decaying_matrix, 6, 40, 3, trace=True)
+        *_, tracers_two = run_apmos(
+            decaying_matrix, 6, 40, 3, trace=True, group_size=3
+        )
+        part = block_partition(decaying_matrix.shape[0], 6)
+        widths = [
+            generate_right_vectors(decaying_matrix[part.slice_of(rank)], 40)[
+                1
+            ].size
+            for rank in range(6)
+        ]
+        column = decaying_matrix.shape[1] * decaying_matrix.itemsize
+        # Flat: rank 0 receives W_i from its 5 peers.  Grouped: W_1 and
+        # W_2 from its group, then the other leader's surrogate, whose 20
+        # columns are the planted rank of its group's stack.
         flat_bytes = tracers_flat[0].bytes_for("gather")
         two_bytes = tracers_two[0].bytes_for("gather")
-        assert two_bytes < flat_bytes
+        assert flat_bytes == column * sum(widths[1:])
+        assert two_bytes == column * (widths[1] + widths[2] + 20)
+        assert 0 < two_bytes < flat_bytes
+        # Group gather, leaders' gather, then the two broadcasts.
+        assert [r.op for r in tracers_two[0].records] == [
+            "gather", "gather", "bcast", "bcast"
+        ]
+
+
+class TestDegenerateGroupSizes:
+    def test_grouped_only_strictly_between_one_and_the_rank_count(self):
+        assert [grouped(6, g) for g in (None, 1, 2, 5, 6, 10)] == [
+            False, False, True, True, False, False
+        ]
+        assert not grouped(1, 1) and not grouped(2, 2)
+
+    @pytest.mark.parametrize("low_rank", [False, True], ids=["dense", "randomized"])
+    @pytest.mark.parametrize("nranks", [1, 3, 6])
+    def test_single_gather_bit_for_bit(self, decaying_matrix, nranks, low_rank):
+        """A group of one rank, or one group holding every rank, is the
+        single gather: same arrays, same ops and bytes at rank 0."""
+        options = dict(low_rank=low_rank, oversampling=2, rng=7)
+        u_flat, s_flat, tracers_flat = run_apmos(
+            decaying_matrix, nranks, 12, 5, trace=True, **options
+        )
+        flat_ops = [(r.op, r.nbytes) for r in tracers_flat[0].records]
+        for group_size in sorted({1, nranks, nranks + 4}):
+            u, s, tracers = run_apmos(
+                decaying_matrix, nranks, 12, 5, trace=True,
+                group_size=group_size, **options,
+            )
+            assert np.array_equal(u, u_flat), group_size
+            assert np.array_equal(s, s_flat), group_size
+            assert [(r.op, r.nbytes) for r in tracers[0].records] == flat_ops
 
 
 class TestScalingModel:

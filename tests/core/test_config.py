@@ -5,7 +5,6 @@ import pytest
 from repro.config import (
     DEFAULT_FORGET_FACTOR,
     DEFAULT_R1,
-    DEFAULT_R2,
     GATHER_POLICIES,
     QR_VARIANTS,
     SVDConfig,
@@ -19,13 +18,16 @@ class TestDefaults:
         cfg = SVDConfig()
         assert cfg.ff == DEFAULT_FORGET_FACTOR == 0.95
         assert cfg.r1 == DEFAULT_R1 == 50
-        assert cfg.r2 == DEFAULT_R2 == 5
         assert cfg.low_rank is False
+        # The paper's r2 is APMOS's number of global modes: the parallel
+        # class passes K, so the config carries no field for it.
+        assert not hasattr(cfg, "r2")
 
     def test_as_dict(self):
         d = SVDConfig(K=3).as_dict()
         assert d["K"] == 3
-        assert set(d) >= {"K", "ff", "low_rank", "r1", "r2", "seed"}
+        assert set(d) >= {"K", "ff", "low_rank", "r1", "seed"}
+        assert "r2" not in d
 
 
 class TestValidation:
@@ -48,7 +50,7 @@ class TestValidation:
     def test_ff_boundary_one_allowed(self):
         assert SVDConfig(ff=1.0).ff == 1.0
 
-    @pytest.mark.parametrize("field", ["r1", "r2"])
+    @pytest.mark.parametrize("field", ["r1"])
     def test_bad_truncations(self, field):
         with pytest.raises(ConfigurationError):
             SVDConfig(**{field: 0})

@@ -5,7 +5,8 @@ allocation regression.
   also pinned to frozen outputs in ``test_step_references.py``), and a
   step that fails to finish poisons the instance;
 * the local modes are a read-only view of the double-buffered workspace,
-  and ``parallel_qr`` hands out fresh arrays;
+  and ``parallel_qr`` hands out fresh arrays, its small SVD writable only
+  at rank 0;
 * per-step allocated bytes are *flat* after warmup over 50 streaming
   steps (tracemalloc) — the workspace cannot leak or grow with the
   number of snapshots seen.
@@ -296,6 +297,24 @@ class TestLocalModesBufferContract:
             assert kept
             assert same
             assert untouched
+
+    @pytest.mark.parametrize("nranks", [1, 2, 3])
+    def test_parallel_qr_values_writable_only_at_rank_zero(
+        self, stream_matrix, nranks
+    ):
+        """Rank 0 keeps the small SVD it computed, writable; every other
+        rank receives the read-only snapshot the communicator shares."""
+
+        def job(comm):
+            part = block_partition(M, comm.size)
+            block = stream_matrix[part.slice_of(comm.rank), :]
+            svd = ParSVDParallel(comm, solver=SolverConfig(K=K, ff=0.97))
+            svd.initialize(block[:, :BATCH])
+            _, u_new, s_new = svd.parallel_qr(block[:, BATCH : 2 * BATCH])
+            return u_new.flags.writeable, s_new.flags.writeable
+
+        for rank, writable in enumerate(run_spmd(nranks, job)):
+            assert writable == (rank == 0, rank == 0), rank
 
 
 class TestAllocationFlatness:

@@ -24,8 +24,8 @@ class TestSolverConfig:
         assert cfg.qr_variant == "gather"
         assert cfg.gather == "bcast"
         assert cfg.apmos_group_size is None
-        # The paper's eight algorithm parameters plus three run options.
-        assert len(dataclasses.fields(cfg)) == 11
+        # The paper's seven algorithm parameters plus three run options.
+        assert len(dataclasses.fields(cfg)) == 10
 
     def test_is_an_svd_config(self):
         assert isinstance(SolverConfig(), SVDConfig)
@@ -227,10 +227,11 @@ class TestRunConfig:
         with pytest.raises(ConfigurationError, match="frobnicate"):
             RunConfig.from_dict({"backend": {"frobnicate": 1}})
 
-    @pytest.mark.parametrize("key", ["workspace", "overlap"])
+    @pytest.mark.parametrize("key", ["workspace", "overlap", "r2"])
     def test_solver_section_naming_a_retired_key_rejected(self, key):
-        """The streaming step has one lane; a run config from when it had
-        more names a retired option and must say which key is wrong."""
+        """The streaming step has one lane and no driver read ``r2``; a
+        run config from before names a retired option and must say which
+        key is wrong."""
         with pytest.raises(ConfigurationError, match=f"'{key}'"):
             RunConfig.from_dict({"solver": {"K": 4, key: True}})
 

@@ -109,4 +109,3 @@ class TestSubpackageExports:
 
         for name in core.__all__:
             assert hasattr(core, name), name
-        assert hasattr(core, "apmos_svd_two_level")

@@ -104,10 +104,19 @@ class TestSummaryAndReset:
         def job(comm):
             sub = comm.split(color=0)
             sub.barrier()
-            return type(sub).__name__
+            comm.dup().bcast(np.zeros(4) if comm.rank == 0 else None, root=0)
+            return type(sub).__name__, sub.schedule()
 
-        results, _ = _traced(2, job)
-        assert results == ["CommTracer", "CommTracer"]
+        results, tracers = _traced(2, job)
+        assert [name for name, _ in results] == ["CommTracer", "CommTracer"]
+        for (_, sub_schedule), tracer in zip(results, tracers):
+            # A derived communicator records into this rank's tracer: its
+            # ops count in summary() and bytes_for(), but schedule() keeps
+            # to the communicator it was called on.
+            assert tracer.summary().by_op.keys() == {"barrier", "bcast"}
+            assert tracer.bytes_for("bcast") == 32
+            assert tracer.schedule() == []
+            assert [r.op for r in sub_schedule] == ["barrier"]
 
 
 class TestTiming:
